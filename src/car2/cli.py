@@ -1,124 +1,56 @@
 """Command-line interface.
 
 Commands: roots, simulate, estimate, limit-sample, experiment, convergence.
-JSON configs are schema-validated (unknown keys rejected); CSV holds bulk
-numbers.  Exit codes: 0 success, 2 argument/config error, 3 numeric failure
-(singular design, overflow, no valid replications).
+JSON configs are validated by ExperimentConfig.from_dict (unknown keys
+rejected); the CLI itself reads only their "command" and "write_residuals"
+keys.  CSV holds bulk numbers.  Exit codes: 0 success, 2 argument/config
+error (including NLRR normalization for a regime that has none), 3 numeric
+failure (singular design, overflow, no valid replications).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-from jsonschema import Draft202012Validator
-
-from .estimate import SingularDesignError, estimate_path, estimate_sigma, sufficient_stats
-from .io import dump_json, read_path_csv, write_pairs_csv, write_path_csv
+from .estimate import estimate_path, estimate_sigma
+from .io import atomic_write_text, dump_json, read_path_csv, write_pairs_csv, write_path_csv
 from .limits import sample_limit
 from .model import ModelParams, char_roots, classify
-from .montecarlo import (
-    ExperimentConfig,
-    NormalReference,
-    convergence_study,
-    ks_two_sample,
-    run_experiment,
-)
-from .regimes import NoNlrrError, rate_functions
-from .simulate import SamplePath, SimConfig, SimulationOverflowError, rescale_time, simulate
+from .montecarlo import ExperimentConfig, convergence_study, run_experiment
+from .regimes import rate_functions
+from .simulate import SimConfig, rescale_time, simulate
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-_PARAMS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "theta1": {"type": "number"},
-        "theta2": {"type": "number"},
-        "sigma": {"type": "number", "minimum": 0},
-        "x0": {"type": "number"},
-        "dx0": {"type": "number"},
-    },
-    "required": ["theta1", "theta2"],
-    "additionalProperties": False,
-}
-
-_NORMAL_REF_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "mean1": {"type": "number"},
-        "var1": {"type": "number", "minimum": 0},
-        "mean2": {"type": "number"},
-        "var2": {"type": "number", "minimum": 0},
-    },
-    "required": ["mean1", "var1"],
-    "additionalProperties": False,
-}
-
-_EXPERIMENT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"enum": ["experiment", "convergence"]},
-        "params": _PARAMS_SCHEMA,
-        "horizons": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
-                     "minItems": 1},
-        "n_reps": {"type": "integer", "minimum": 2},
-        "seed": {"type": "integer", "minimum": 0},
-        "steps_per_unit_time": {"type": "integer", "minimum": 1},
-        "normalization": {"enum": ["deterministic_rate", "nlrr", "matrix"]},
-        "comparison": {
-            "oneOf": [{"enum": ["limit_sampler", "none"]}, _NORMAL_REF_SCHEMA]
-        },
-        "n_reference": {"type": "integer", "minimum": 1},
-        "grid_n": {"type": "integer", "minimum": 2},
-        "write_residuals": {"type": "boolean"},
-    },
-    "required": ["command", "params", "horizons", "n_reps", "seed"],
-    "additionalProperties": False,
-}
 
 
 class ConfigError(RuntimeError):
     pass
 
 
-def _load_config(path: str, expected_command: str) -> dict:
+def _load_experiment(args, command: str) -> tuple[ExperimentConfig, bool]:
+    """The config at args.config, with args.seed applied, and write_residuals."""
     try:
-        with open(path) as handle:
+        with open(args.config) as handle:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    errors = sorted(Draft202012Validator(_EXPERIMENT_SCHEMA).iter_errors(raw),
-                    key=lambda e: list(e.path))
-    if errors:
-        msg = "; ".join(f"{'/'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
-                        for e in errors)
-        raise ConfigError(f"invalid config: {msg}")
-    if raw["command"] != expected_command:
-        raise ConfigError(f"config command {raw['command']!r}, expected {expected_command!r}")
-    return raw
-
-
-def _experiment_config(raw: dict) -> tuple[ExperimentConfig, bool]:
-    params = ModelParams(**raw["params"])
-    comparison = raw.get("comparison", "limit_sampler")
-    if isinstance(comparison, dict):
-        comparison = NormalReference(**comparison)
-    cfg = ExperimentConfig(
-        params=params,
-        horizons=tuple(raw["horizons"]),
-        n_reps=raw["n_reps"],
-        seed=raw["seed"],
-        steps_per_unit_time=raw.get("steps_per_unit_time", 100),
-        normalization=raw.get("normalization", "deterministic_rate"),
-        comparison=comparison,
-        n_reference=raw.get("n_reference", 8000),
-        grid_n=raw.get("grid_n", 10_000),
-    )
-    return cfg, raw.get("write_residuals", False)
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    found = raw.pop("command", None)
+    if found != command:
+        raise ConfigError(f"config command {found!r}, expected {command!r}")
+    write_residuals = raw.pop("write_residuals", False)
+    if not isinstance(write_residuals, bool):
+        raise ConfigError(f"write_residuals must be a boolean, got {write_residuals!r}")
+    cfg = ExperimentConfig.from_dict(raw)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    return cfg, write_residuals
 
 
 def _params_from_args(args) -> ModelParams:
@@ -232,10 +164,7 @@ def cmd_limit_sample(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    raw = _load_config(args.config, "experiment")
-    cfg, write_residuals = _experiment_config(raw)
-    if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
+    cfg, write_residuals = _load_experiment(args, "experiment")
     report = run_experiment(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -246,8 +175,6 @@ def cmd_experiment(args) -> int:
         rows = ["rep,T,r1,r2"]
         rows.extend(f"{k},{T!r},{a!r},{b!r}" for k, T, a, b in report.residual_rows())
         res_file = out / "residuals.csv"
-        from .io import atomic_write_text
-
         atomic_write_text(res_file, "\n".join(rows) + "\n")
         written.append(str(res_file))
     print(f"experiment: regime={report.regime} wrote {' '.join(written)} "
@@ -256,10 +183,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    raw = _load_config(args.config, "convergence")
-    cfg, _ = _experiment_config(raw)
-    if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
+    cfg, _ = _load_experiment(args, "convergence")
     report = convergence_study(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,8 +268,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularDesignError, SimulationOverflowError, NoNlrrError,
-            RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

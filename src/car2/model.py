@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "ModelParams",
@@ -44,6 +44,12 @@ __all__ = [
 DOUBLE_ROOT_SWITCH = 1e-6
 
 
+def check_number(name: str, value) -> None:
+    """Raise TypeError unless value is a real number (bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: drift pair (theta1, theta2), noise scale, start state.
@@ -61,6 +67,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("theta1", "theta2", "sigma", "x0", "dx0"):
             value = getattr(self, name)
+            check_number(name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma < 0:
@@ -348,32 +355,13 @@ def _noise_integrals_closed(roots: RootPair, h: float) -> tuple[float, float, fl
     return i_x2, i_x2sq, i_dx2sq
 
 
-def _noise_integrals_quadrature(roots: RootPair, h: float) -> tuple[float, float, float]:
-    """Same integrals by adaptive quadrature on the fundamental solutions."""
-
-    def x2(u):
-        return fundamental_solutions(roots, u).x2
-
-    def dx2(u):
-        return fundamental_solutions(roots, u).dx2
-
-    opts = dict(epsabs=1e-14, epsrel=1e-12, limit=400)
-    i_x2 = quad(x2, 0.0, h, **opts)[0]
-    i_x2sq = quad(lambda u: x2(u) ** 2, 0.0, h, **opts)[0]
-    i_dx2sq = quad(lambda u: dx2(u) ** 2, 0.0, h, **opts)[0]
-    return i_x2, i_x2sq, i_dx2sq
-
-
-def transition(params: ModelParams, h: float, method: str = "closed_form") -> TransitionKernel:
+def transition(params: ModelParams, h: float) -> TransitionKernel:
     """Exact transition kernel over a step of length h > 0.
 
     mean_matrix = [[x1(h), x2(h)], [x1'(h), x2'(h)]].  Covariance entries
-    are sigma-scaled integrals of {1, x2, x2'} products over [0, h]; the
-    (dW, dW) entry is h exactly, and int x2*x2' = x2(h)^2/2 and
-    int x2' = x2(h) are used in closed form in both methods.
-
-    method: "closed_form" (default) or "quadrature" (cross-validation
-    fallback; slower, same contract).
+    are sigma-scaled integrals of {1, x2, x2'} products over [0, h] in
+    closed form; the (dW, dW) entry is h exactly, int x2*x2' = x2(h)^2/2
+    and int x2' = x2(h).
     """
     if not (isinstance(h, (int, float)) and math.isfinite(h)) or h <= 0:
         raise ValueError(f"step h must be a positive finite real, got {h}")
@@ -385,12 +373,7 @@ def transition(params: ModelParams, h: float, method: str = "closed_form") -> Tr
     cov = np.zeros((3, 3))
     cov[0, 0] = h
     if params.sigma > 0.0:
-        if method == "closed_form":
-            i_x2, i_x2sq, i_dx2sq = _noise_integrals_closed(roots, h)
-        elif method == "quadrature":
-            i_x2, i_x2sq, i_dx2sq = _noise_integrals_quadrature(roots, h)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        i_x2, i_x2sq, i_dx2sq = _noise_integrals_closed(roots, h)
         s = params.sigma
         cov[0, 1] = cov[1, 0] = s * i_x2
         cov[0, 2] = cov[2, 0] = s * fs.x2

@@ -14,8 +14,9 @@ no volatile fields except wall_time_s, which is excluded from artifacts.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,15 @@ from .estimate import (
     sufficient_stats,
 )
 from .limits import sample_limit
-from .model import ModelParams, Regime, RootPair, char_roots, classify
+from .model import (
+    ModelParams,
+    Regime,
+    RegimeKind,
+    RootPair,
+    char_roots,
+    check_number,
+    classify,
+)
 from .regimes import NoNlrrError, nlrr_rate, rate_functions, rotation_template, scaling_matrix
 from .simulate import SamplePath, SimConfig, SimulationOverflowError, simulate
 
@@ -57,6 +66,23 @@ class NormalReference:
     mean2: float | None = None
     var2: float | None = None
 
+    def __post_init__(self):
+        for name in ("mean1", "var1", "mean2", "var2"):
+            value = getattr(self, name)
+            if value is not None or name in ("mean1", "var1"):
+                check_number(name, value)
+        if self.var1 < 0 or (self.var2 is not None and self.var2 < 0):
+            raise ValueError("reference variances must be >= 0")
+        if self.var2 is not None and self.mean2 is None:
+            raise ValueError("var2 needs mean2")
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -71,20 +97,46 @@ class ExperimentConfig:
     grid_n: int = 10_000
 
     def __post_init__(self):
+        for T in self.horizons:
+            check_number("horizons", T)
         horizons = tuple(float(T) for T in self.horizons)
         object.__setattr__(self, "horizons", horizons)
         if not horizons or any(T <= 0 for T in horizons):
             raise ValueError("horizons must be positive")
         if list(horizons) != sorted(horizons):
             raise ValueError("horizons must be increasing")
-        if self.n_reps < 2:
-            raise ValueError("n_reps must be >= 2")
+        _check_int("n_reps", self.n_reps, 2)
+        _check_int("seed", self.seed, 0)
+        _check_int("steps_per_unit_time", self.steps_per_unit_time, 1)
+        _check_int("n_reference", self.n_reference, 1)
+        _check_int("grid_n", self.grid_n, 2)
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
-        if isinstance(self.comparison, str) and self.comparison not in ("limit_sampler", "none"):
+        if not (isinstance(self.comparison, NormalReference)
+                or self.comparison in ("limit_sampler", "none")):
             raise ValueError("comparison must be 'limit_sampler', 'none', or a NormalReference")
         if self.normalization == "nlrr" and self.comparison == "limit_sampler":
             raise ValueError("nlrr normalization needs a NormalReference (or 'none') comparison")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> ExperimentConfig:
+        """Build a config from its JSON form (params and a normal comparison
+        as objects).
+
+        Raises ValueError for any invalid config: an unknown or missing key,
+        a value of the wrong type, or a value out of range.
+        """
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        fields = dict(raw)
+        try:
+            if "params" in fields:
+                fields["params"] = ModelParams(**fields["params"])
+            if isinstance(fields.get("comparison"), dict):
+                fields["comparison"] = NormalReference(**fields["comparison"])
+            return cls(**fields)
+        except TypeError as exc:
+            raise ValueError(f"invalid config: {exc}") from exc
 
 
 @dataclass
@@ -186,8 +238,6 @@ def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, roots: RootPair
     # matrix mode: components of B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1)
     a_t = scaling_matrix(regime, roots, horizon)
     vec = a_t @ (est.psi @ np.array([d2, d1]))
-    from .model import RegimeKind
-
     if regime.tag is RegimeKind.UNSTABLE_OSCILLATION:
         u_s, u_c = _estimate_u_hat(path, roots)
         vec = rotation_template(u_s, u_c) @ vec
@@ -219,6 +269,29 @@ def _quantiles(values: np.ndarray) -> dict[int, float]:
     return {lev: float(v) for lev, v in zip(QUANTILE_LEVELS, qs)}
 
 
+def _replicate(cfg: ExperimentConfig, horizon: float, reduce):
+    """Simulate and estimate the n_reps exact paths of one horizon.
+
+    reduce(path, est) maps a replication to its value; a replication whose
+    simulation overflows or whose design is singular is excluded.  One path
+    is alive at a time.  Returns (n_steps, surviving indices, their values).
+    """
+    n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
+    reps, values = [], []
+    for k in range(cfg.n_reps):
+        sim_cfg = SimConfig(horizon=horizon, n_steps=n_steps, scheme="exact",
+                            seed=cfg.seed, replication_index=k)
+        try:
+            path = simulate(cfg.params, sim_cfg)
+            values.append(reduce(path, estimate_path(path)))
+        except (SingularDesignError, SimulationOverflowError):
+            continue
+        reps.append(k)
+    if not reps:
+        raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
+    return n_steps, reps, values
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full experiment.  Deterministic given cfg (incl. seed)."""
     start = time.perf_counter()
@@ -230,26 +303,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     results = []
     for horizon_index, horizon in enumerate(cfg.horizons):
-        n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
-        reps, r1s, r2s = [], [], []
-        excluded = 0
-        for k in range(cfg.n_reps):
-            sim_cfg = SimConfig(horizon=horizon, n_steps=n_steps, scheme="exact",
-                                seed=cfg.seed, replication_index=k)
-            try:
-                path = simulate(cfg.params, sim_cfg)
-                est = estimate_path(path)
-                r1, r2 = _normalized_residuals(cfg, regime, roots, rate_spec,
-                                               horizon, path, est)
-            except (SingularDesignError, SimulationOverflowError):
-                excluded += 1
-                continue
-            reps.append(k)
-            r1s.append(r1)
-            r2s.append(r2)
-        if not reps:
-            raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
-        r1_arr, r2_arr = np.asarray(r1s), np.asarray(r2s)
+        n_steps, reps, pairs = _replicate(
+            cfg, horizon,
+            lambda path, est: _normalized_residuals(cfg, regime, roots, rate_spec,
+                                                    horizon, path, est))
+        r1_arr = np.asarray([r1 for r1, _ in pairs])
+        r2_arr = np.asarray([r2 for _, r2 in pairs])
 
         ref1, ref2 = _reference_samples(cfg, regime, roots, horizon_index, horizon)
         ks1 = ks_two_sample(r1_arr, ref1) if ref1 is not None else None
@@ -257,7 +316,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if ref2 is not None and np.isfinite(r2_arr).all():
             ks2 = ks_two_sample(r2_arr, ref2)
         results.append(HorizonResult(
-            horizon=horizon, n_steps=n_steps, n_used=len(reps), n_excluded=excluded,
+            horizon=horizon, n_steps=n_steps, n_used=len(reps),
+            n_excluded=cfg.n_reps - len(reps),
             reps=np.asarray(reps), r1=r1_arr, r2=r2_arr,
             quantiles1=_quantiles(r1_arr), quantiles2=_quantiles(r2_arr),
             ks1=ks1, ks2=ks2,
@@ -334,24 +394,14 @@ def convergence_study(cfg: ExperimentConfig, rates=None) -> ConvergenceReport:
 
     rows = []
     for horizon in cfg.horizons:
-        n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
-        d1s, d2s = [], []
-        excluded = 0
-        for k in range(cfg.n_reps):
-            sim_cfg = SimConfig(horizon=horizon, n_steps=n_steps, scheme="exact",
-                                seed=cfg.seed, replication_index=k)
-            try:
-                est = estimate_path(simulate(cfg.params, sim_cfg))
-            except (SingularDesignError, SimulationOverflowError):
-                excluded += 1
-                continue
-            d1s.append(abs(est.theta1_hat - cfg.params.theta1))
-            d2s.append(abs(est.theta2_hat - cfg.params.theta2))
-        if not d1s:
-            raise RuntimeError(f"all replications failed at T={horizon}")
-        m1, m2 = float(np.median(d1s)), float(np.median(d2s))
+        _, reps, errors = _replicate(
+            cfg, horizon,
+            lambda path, est: (abs(est.theta1_hat - cfg.params.theta1),
+                               abs(est.theta2_hat - cfg.params.theta2)))
+        m1 = float(np.median([d1 for d1, _ in errors]))
+        m2 = float(np.median([d2 for _, d2 in errors]))
         rows.append(ConvergenceRow(horizon, m1, m2, v1(horizon) * m1, v2(horizon) * m2,
-                                   len(d1s), excluded))
+                                   len(reps), cfg.n_reps - len(reps)))
 
     def stabilized(values):
         ratios = [b / a for a, b in zip(values, values[1:]) if a > 0]

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .estimate import SufficientStats
-from .model import Regime, RegimeKind, RootPair
+from .model import Regime, RegimeKind, RootPair, classify
 
 __all__ = [
     "RateSpec",
@@ -75,8 +75,6 @@ _TABLE = {
 
 
 def _check_consistent(regime: Regime, roots: RootPair) -> None:
-    from .model import classify
-
     derived = classify(roots, regime.classified_with_tol)
     if derived.tag is not regime.tag:
         raise ValueError(

@@ -19,6 +19,28 @@ def roots_of(theta1, theta2):
     return char_roots(ModelParams(theta1=theta1, theta2=theta2))
 
 
+def quadrature_cov(params, h):
+    """The transition covariance with its noise integrals by adaptive quadrature."""
+    roots = char_roots(params)
+
+    def x2(u):
+        return fundamental_solutions(roots, u).x2
+
+    def dx2(u):
+        return fundamental_solutions(roots, u).dx2
+
+    opts = dict(epsabs=1e-14, epsrel=1e-12, limit=400)
+    i_x2 = quad(x2, 0.0, h, **opts)[0]
+    i_x2sq = quad(lambda u: x2(u) ** 2, 0.0, h, **opts)[0]
+    i_dx2sq = quad(lambda u: dx2(u) ** 2, 0.0, h, **opts)[0]
+    s, x2_h = params.sigma, x2(h)
+    return np.array([
+        [h, s * i_x2, s * x2_h],
+        [s * i_x2, s * s * i_x2sq, s * s * x2_h * x2_h / 2.0],
+        [s * x2_h, s * s * x2_h * x2_h / 2.0, s * s * i_dx2sq],
+    ])
+
+
 class TestCharRoots:
     @pytest.mark.parametrize("theta1,theta2,p,q", [
         (3.0, -2.0, 2.0, 1.0),
@@ -206,13 +228,13 @@ class TestTransition:
         params = ModelParams(theta1=t1, theta2=t2, sigma=1.7)
         for h in (0.05, 1.0, 3.0):
             closed = transition(params, h).cov_matrix
-            quadr = transition(params, h, method="quadrature").cov_matrix
+            quadr = quadrature_cov(params, h)
             np.testing.assert_allclose(closed, quadr, rtol=1e-9, atol=1e-13)
 
     def test_near_double_root_uses_stable_branch(self):
         params = ModelParams(theta1=2.0 + 1e-9, theta2=-(1.0 + 1e-9), sigma=1.0)
         closed = transition(params, 2.0).cov_matrix
-        quadr = transition(params, 2.0, method="quadrature").cov_matrix
+        quadr = quadrature_cov(params, 2.0)
         np.testing.assert_allclose(closed, quadr, rtol=1e-8)
 
     def test_ergodic_long_step_reaches_stationary_covariance(self):
