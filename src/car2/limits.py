@@ -77,14 +77,13 @@ class LimitSampleSet:
     seed: int
 
 
-def _one_bm_chunk(gen: np.random.Generator, n_draws: int, grid_n: int):
-    dt = 1.0 / grid_n
-    dw = gen.standard_normal((n_draws, grid_n))
-    dw *= math.sqrt(dt)
-    w = np.empty((n_draws, grid_n + 1))
+def _one_bm_chunk(gen: np.random.Generator, dw: np.ndarray, w: np.ndarray) -> None:
+    """Fill dw with Brownian increments on a grid of dw.shape[1] steps over
+    [0, 1] and w with the paths (w[:, 0] = 0)."""
+    gen.standard_normal(out=dw)
+    dw *= math.sqrt(1.0 / dw.shape[1])
     w[:, 0] = 0.0
     np.cumsum(dw, axis=1, out=w[:, 1:])
-    return w, dw
 
 
 def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
@@ -98,31 +97,42 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     trapw = np.full(grid_n + 1, dt)
     trapw[0] = trapw[-1] = dt / 2.0
     chunk = max(1, _CHUNK_ELEMENTS // (grid_n + 1))
+    # Every chunk works in the same buffers, carved from one slab: dw, w,
+    # inner (and dw2, w2 for two_bm).  At large grids the slab is above
+    # malloc's largest mmap threshold (32 MiB), so it is mapped and unmapped
+    # whole and the peak memory does not depend on how the heap was reused.
+    rows = min(chunk, n_draws)
+    slot = -(-rows * (grid_n + 1) // 8) * 8  # 64-byte aligned slots
+    slab = np.empty((5 if two_bm else 3) * slot)
+
+    def buffer(index: int, m: int, width: int) -> np.ndarray:
+        return slab[index * slot:index * slot + m * width].reshape(m, width)
+
     parts = []
     for chunk_index, start in enumerate(range(0, n_draws, chunk)):
         m = min(chunk, n_draws - start)
         gen = rng.stream(seed, rng.DOMAIN_LIMIT, chunk_index)
-        w, dw = _one_bm_chunk(gen, m, grid_n)
+        dw, w = buffer(0, m, grid_n), buffer(1, m, grid_n + 1)
+        _one_bm_chunk(gen, dw, w)
         z1 = w @ trapw
-        wsq = w * w
-        z2 = wsq @ trapw
-        # inner = cumulative trapezoid of w, then z3 = trapezoid of inner^2;
-        # buffers reused to keep the traffic down at large grids
-        inner = wsq  # reuse allocation
+        inner = np.multiply(w, w, out=buffer(2, m, grid_n + 1))
+        z2 = inner @ trapw
+        # inner = cumulative trapezoid of w, then z3 = trapezoid of inner^2
         np.add(w[:, :-1], w[:, 1:], out=inner[:, 1:])
         inner[:, 0] = 0.0
         np.cumsum(inner[:, 1:], axis=1, out=inner[:, 1:])
         inner *= dt / 2.0
-        z3 = (inner * inner) @ trapw
+        z3 = np.multiply(inner, inner, out=inner) @ trapw
         fields = dict(w1_end=w[:, -1].copy(), z1=z1, z2=z2, z3=z3)
         if two_bm:
-            w2, dw2 = _one_bm_chunk(gen, m, grid_n)
+            dw2, w2 = buffer(3, m, grid_n), buffer(4, m, grid_n + 1)
+            _one_bm_chunk(gen, dw2, w2)
             fields["w2_end"] = w2[:, -1].copy()
             fields["levy"] = (np.einsum("ij,ij->i", w[:, :-1], dw2)
                               - np.einsum("ij,ij->i", w2[:, :-1], dw))
             fields["q11"] = (np.einsum("ij,ij->i", w[:, :-1], dw)
                              + np.einsum("ij,ij->i", w2[:, :-1], dw2))
-            fields["s2"] = z2 + (w2 * w2) @ trapw
+            fields["s2"] = z2 + np.multiply(w2, w2, out=inner) @ trapw
         parts.append(fields)
     merged = {
         key: np.concatenate([p[key] for p in parts])

@@ -74,6 +74,20 @@ class TestBrownianFunctionals:
         b = brownian_functionals(500, seed=9, n_draws=10)
         assert np.array_equal(a.z2, b.z2)
 
+    def test_chunks_independent_of_draw_count(self):
+        # paths come in chunks of 2**22 // (grid + 1), each from its own
+        # stream, so a longer run (short last chunk included) starts with the
+        # shorter run's draws, however the chunk buffers are reused
+        grid = 2**15
+        chunk = 2**22 // (grid + 1)
+        short = brownian_functionals(grid, seed=4, two_bm=True, n_draws=chunk)
+        longer = brownian_functionals(grid, seed=4, two_bm=True, n_draws=2 * chunk + 3)
+        for name in ("w1_end", "z1", "z2", "z3", "w2_end", "levy", "q11", "s2"):
+            assert np.array_equal(getattr(longer, name)[:chunk], getattr(short, name))
+            assert len(getattr(longer, name)) == 2 * chunk + 3
+            assert np.all(np.isfinite(getattr(longer, name)))
+        assert not np.array_equal(longer.z3[chunk:2 * chunk], longer.z3[:chunk])
+
 
 class TestClosedFormSamplers:
     def test_ergodic_variances(self):
