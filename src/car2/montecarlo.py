@@ -6,6 +6,12 @@ NLRR rates, or by the matrix normalization A_T Psi_T, and compares the
 empirical law against either the regime's limit sampler or a prescribed
 normal law via the two-sample Kolmogorov-Smirnov statistic.
 
+Limit-sampler reference draws are made once per distinct limit law and
+shared across horizons: only UnstableOscillation's limit depends on T
+(through the phase 2*nu*T), so the other eight regimes draw theirs once per
+experiment.  NormalReference draws come from a stream keyed by the horizon
+index and stay per horizon.
+
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
 no volatile fields except wall_time_s, which is excluded from artifacts.
@@ -152,6 +158,7 @@ class HorizonResult:
     quantiles2: dict[int, float]
     ks1: float | None
     ks2: float | None
+    reference_reused: bool  # limit draws shared with an earlier horizon
 
 
 @dataclass
@@ -245,9 +252,18 @@ def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, roots: RootPair
 
 
 def _reference_samples(cfg: ExperimentConfig, regime: Regime, roots: RootPair,
-                       horizon_index: int, horizon: float):
+                       horizon_index: int, horizon: float, limit_draws: dict):
+    """Reference draws (ref1, ref2, reused) for one horizon.
+
+    A NormalReference is drawn afresh from the stream of horizon_index.
+    Limit-sampler draws are kept in limit_draws, keyed by the horizon for
+    UnstableOscillation (its limit depends on the phase 2*nu*T) and by
+    nothing for every other regime (its limit law does not depend on T), so
+    later horizons with the same law reuse the draws bit for bit; reused
+    says whether they did.
+    """
     if cfg.comparison == "none":
-        return None, None
+        return None, None, False
     if isinstance(cfg.comparison, NormalReference):
         ref = cfg.comparison
         gen = rng.stream(cfg.seed, rng.DOMAIN_REFERENCE, horizon_index)
@@ -255,10 +271,14 @@ def _reference_samples(cfg: ExperimentConfig, regime: Regime, roots: RootPair,
         ref2 = None
         if ref.var2 is not None:
             ref2 = ref.mean2 + math.sqrt(ref.var2) * gen.standard_normal(cfg.n_reference)
-        return ref1, ref2
-    draws = sample_limit(regime, roots, cfg.params, cfg.n_reference,
-                         grid_n=cfg.grid_n, seed=cfg.seed, horizon=horizon)
-    return draws.l1, draws.l2
+        return ref1, ref2, False
+    key = horizon if regime.tag is RegimeKind.UNSTABLE_OSCILLATION else None
+    reused = key in limit_draws
+    if not reused:
+        limit_draws[key] = sample_limit(regime, roots, cfg.params, cfg.n_reference,
+                                        grid_n=cfg.grid_n, seed=cfg.seed, horizon=horizon)
+    draws = limit_draws[key]
+    return draws.l1, draws.l2, reused
 
 
 def _quantiles(values: np.ndarray) -> dict[int, float]:
@@ -302,6 +322,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise NoNlrrError(f"regime {regime.tag.value} has no NLRR normalization")
 
     results = []
+    limit_draws = {}
     for horizon_index, horizon in enumerate(cfg.horizons):
         n_steps, reps, pairs = _replicate(
             cfg, horizon,
@@ -310,7 +331,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         r1_arr = np.asarray([r1 for r1, _ in pairs])
         r2_arr = np.asarray([r2 for _, r2 in pairs])
 
-        ref1, ref2 = _reference_samples(cfg, regime, roots, horizon_index, horizon)
+        ref1, ref2, reused = _reference_samples(cfg, regime, roots, horizon_index,
+                                                horizon, limit_draws)
         ks1 = ks_two_sample(r1_arr, ref1) if ref1 is not None else None
         ks2 = None
         if ref2 is not None and np.isfinite(r2_arr).all():
@@ -320,7 +342,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             n_excluded=cfg.n_reps - len(reps),
             reps=np.asarray(reps), r1=r1_arr, r2=r2_arr,
             quantiles1=_quantiles(r1_arr), quantiles2=_quantiles(r2_arr),
-            ks1=ks1, ks2=ks2,
+            ks1=ks1, ks2=ks2, reference_reused=reused,
         ))
 
     comparison_name = (cfg.comparison if isinstance(cfg.comparison, str)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from car2 import ModelParams, RegimeKind, RootPair, char_roots, classify, transition
 from car2.model import (
+    DOUBLE_ROOT_SWITCH,
     _fs_distinct,
     _fs_double,
     default_tol,
@@ -14,9 +17,31 @@ from car2.model import (
 
 from conftest import sorted_regime_points
 
+# Fixed example sequence, small enough to keep the suite fast.
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+# The closed-form noise integrals lose accuracy where the roots are close but
+# not close enough for the double-root branch: the distinct branch divides
+# second differences of exp(z h) - 1 (computed as exp - 1 above |z h| = 1e-4)
+# by ((p - q) h)^2; conjugate pairs never take the double branch however small
+# nu is; and _m1/_m2 cancel just above their |w| = 1e-3 series cutoff.
+NEAR_DOUBLE_DEFECT = ("transition covariance inaccurate near double roots; a fix moves "
+                      "the exact-simulation bits, so it waits for a benchmark change")
+
 
 def roots_of(theta1, theta2):
     return char_roots(ModelParams(theta1=theta1, theta2=theta2))
+
+
+def assert_root_identities(t1, t2):
+    r = roots_of(t1, t2)
+    scale1 = max(1.0, abs(t1))
+    scale2 = max(1.0, abs(t2))
+    assert abs((r.p + r.q).real - t1) <= 1e-12 * scale1
+    assert abs((r.p + r.q).imag) <= 1e-12 * scale1
+    assert abs((r.p * r.q).real + t2) <= 1e-12 * scale2
+    assert abs((r.p * r.q).imag) <= 1e-12 * scale2
+    assert r.p.real >= r.q.real
 
 
 def quadrature_cov(params, h):
@@ -64,14 +89,12 @@ class TestCharRoots:
         rng = np.random.default_rng(20240817)
         thetas = rng.uniform(-10, 10, size=(10_000, 2))
         for t1, t2 in thetas:
-            r = roots_of(t1, t2)
-            scale1 = max(1.0, abs(t1))
-            scale2 = max(1.0, abs(t2))
-            assert abs((r.p + r.q).real - t1) <= 1e-12 * scale1
-            assert abs((r.p + r.q).imag) <= 1e-12 * scale1
-            assert abs((r.p * r.q).real + t2) <= 1e-12 * scale2
-            assert abs((r.p * r.q).imag) <= 1e-12 * scale2
-            assert r.p.real >= r.q.real
+            assert_root_identities(t1, t2)
+
+    @PROPERTY
+    @given(st.floats(-10, 10), st.floats(-10, 10))
+    def test_root_identities_property(self, t1, t2):
+        assert_root_identities(t1, t2)
 
     def test_no_cancellation_for_large_discriminant(self):
         # Small root computed from the product, not by subtraction.
@@ -256,3 +279,32 @@ class TestTransition:
             kern = transition(ModelParams(theta1=t1, theta2=t2, sigma=1.0), 0.01)
             eigs = np.linalg.eigvalsh(kern.cov_matrix)
             assert eigs.min() >= -1e-12 * np.trace(kern.cov_matrix)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=NEAR_DOUBLE_DEFECT)
+    @PROPERTY
+    @example(t1=2.0, t2=-0.999975, sigma=1.0, h=0.015625)  # roots 1 +- 0.005
+    @given(t1=st.floats(-5, 5), t2=st.floats(-5, 5), sigma=st.floats(0, 3),
+           h=st.floats(1e-3, 3))
+    def test_kernel_psd_property(self, t1, t2, sigma, h):
+        kern = transition(ModelParams(theta1=t1, theta2=t2, sigma=sigma), h)
+        eigs = np.linalg.eigvalsh(kern.cov_matrix)
+        assert eigs.min() >= -1e-12 * np.trace(kern.cov_matrix)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=NEAR_DOUBLE_DEFECT)
+    @PROPERTY
+    @example(mid=0.0135, log_gap=-12.0, conjugate=False, h=0.05)
+    @example(mid=-1.0, log_gap=-5.9, conjugate=False, h=0.5)
+    @given(mid=st.floats(-1.5, 1.5), log_gap=st.floats(-8.0, -4.0),
+           conjugate=st.booleans(), h=st.floats(0.05, 3.0))
+    def test_closed_form_vs_quadrature_across_double_root_switch(self, mid, log_gap,
+                                                                 conjugate, h):
+        # Roots mid +- gap/2 (real) or mid +- i gap/2, where gap * max(h, 1)
+        # = 10**log_gap falls on either side of DOUBLE_ROOT_SWITCH.
+        below = 10.0**log_gap < DOUBLE_ROOT_SWITCH
+        half_gap = 10.0**log_gap / max(h, 1.0) / 2.0
+        theta2 = (-half_gap**2 if conjugate else half_gap**2) - mid**2
+        params = ModelParams(theta1=2.0 * mid, theta2=theta2, sigma=1.7)
+        # The tolerances of the near-double and the regime-point tests.
+        tol = dict(rtol=1e-8) if below else dict(rtol=1e-9, atol=1e-13)
+        np.testing.assert_allclose(transition(params, h).cov_matrix,
+                                   quadrature_cov(params, h), **tol)

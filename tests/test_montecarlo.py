@@ -8,9 +8,13 @@ from car2 import (
     ExperimentConfig,
     ModelParams,
     NormalReference,
+    char_roots,
+    classify,
     convergence_study,
     ks_two_sample,
+    rng,
     run_experiment,
+    sample_limit,
 )
 from car2.regimes import NoNlrrError
 
@@ -158,6 +162,74 @@ class TestRunExperiment:
             ergodic_cfg(n_reps=1)
         with pytest.raises(ValueError):
             ergodic_cfg(normalization="bogus")
+
+
+HARMONIC = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0, x0=0.3, dx0=-0.2)
+UNSTABLE_OSCILLATION = ModelParams(theta1=0.5, theta2=-1.0625, sigma=1.0,
+                                   x0=0.4, dx0=-0.3)
+
+
+def three_horizon_cfg(params, **overrides):
+    return ergodic_cfg(params=params, horizons=(2.0, 3.0, 4.0), n_reps=20,
+                       steps_per_unit_time=20, n_reference=300, grid_n=1000,
+                       **overrides)
+
+
+@pytest.fixture
+def limit_calls(monkeypatch):
+    """The horizon of each call run_experiment makes to sample_limit."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["horizon"])
+        return sample_limit(*args, **kwargs)
+
+    monkeypatch.setattr("car2.montecarlo.sample_limit", recording)
+    return calls
+
+
+class TestReferenceDraws:
+    @pytest.mark.parametrize("params,drawn_at", [
+        (HARMONIC, [2.0]),
+        (UNSTABLE_OSCILLATION, [2.0, 3.0, 4.0]),
+    ], ids=["Harmonic", "UnstableOscillation"])
+    def test_limit_draws_once_per_law(self, limit_calls, params, drawn_at):
+        cfg = three_horizon_cfg(params)
+        report = run_experiment(cfg)
+        assert limit_calls == drawn_at
+        roots = char_roots(params)
+        regime = classify(roots)
+        for res in report.results:
+            # The shared draws are the ones a fresh call for this horizon makes.
+            fresh = sample_limit(regime, roots, params, cfg.n_reference,
+                                 grid_n=cfg.grid_n, seed=cfg.seed, horizon=res.horizon)
+            assert res.ks1 == ks_two_sample(res.r1, fresh.l1)
+            assert res.ks2 == ks_two_sample(res.r2, fresh.l2)
+
+    def test_reference_reused_flag(self):
+        harmonic = run_experiment(three_horizon_cfg(HARMONIC))
+        assert [res.reference_reused for res in harmonic.results] == [False, True, True]
+        unstable = run_experiment(three_horizon_cfg(UNSTABLE_OSCILLATION))
+        assert [res.reference_reused for res in unstable.results] == [False] * 3
+        for row in harmonic.to_artifact_dict()["horizons"]:
+            assert set(row) == {"horizon", "n_steps", "n_used", "n_excluded", "ks1", "ks2",
+                                "quantiles1", "quantiles2"}
+
+    def test_normal_reference_drawn_per_horizon(self, limit_calls):
+        ref = NormalReference(mean1=0.0, var1=2.0, mean2=0.0, var2=2.0)
+        cfg = three_horizon_cfg(HARMONIC, comparison=ref)
+        report = run_experiment(cfg)
+        assert limit_calls == []
+        firsts = set()
+        for index, res in enumerate(report.results):
+            gen = rng.stream(cfg.seed, rng.DOMAIN_REFERENCE, index)
+            ref1 = math.sqrt(2.0) * gen.standard_normal(cfg.n_reference)
+            ref2 = math.sqrt(2.0) * gen.standard_normal(cfg.n_reference)
+            assert res.ks1 == ks_two_sample(res.r1, ref1)
+            assert res.ks2 == ks_two_sample(res.r2, ref2)
+            assert not res.reference_reused
+            firsts.add(float(ref1[0]))
+        assert len(firsts) == 3
 
 
 class TestConvergenceStudy:

@@ -1,4 +1,4 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package and its tests import is declared."""
 
 import ast
 import re
@@ -22,11 +22,14 @@ def _import_roots(source: str) -> set[str]:
     return roots
 
 
-def _declared() -> set[str]:
+def _declared(*extras: str) -> set[str]:
     with open(ROOT / "pyproject.toml", "rb") as handle:
         project = tomllib.load(handle)["project"]
+    requirements = list(project["dependencies"])
+    for extra in extras:
+        requirements += project["optional-dependencies"][extra]
     return {re.split(r"[\s<>=!~\[;]", req, maxsplit=1)[0].lower()
-            for req in project["dependencies"]}
+            for req in requirements}
 
 
 def test_third_party_imports_are_declared():
@@ -36,3 +39,15 @@ def test_third_party_imports_are_declared():
     third_party = found - set(sys.stdlib_module_names) - {"car2"}
     assert third_party, "expected at least numpy among the imports"
     assert third_party <= _declared(), sorted(third_party - _declared())
+
+
+def test_test_imports_are_declared_in_the_test_extra():
+    found = set()
+    modules = sorted((ROOT / "tests").glob("*.py"))
+    for module in modules:
+        found |= _import_roots(module.read_text())
+    local = {"car2"} | {module.stem for module in modules}  # e.g. conftest
+    third_party = found - set(sys.stdlib_module_names) - local
+    assert {"pytest", "hypothesis"} <= third_party
+    declared = _declared("test")
+    assert third_party <= declared, sorted(third_party - declared)
