@@ -182,11 +182,12 @@ def estimate_path(path: SamplePath) -> Estimate:
     a1 = (sxx * j_rr - sxr * j_xr) / det
     th1 = a1 + b
     th2 = a2 - b * a1
-    stats = sufficient_stats(path)
-    flagged = (stats.sxx * stats.svv - stats.sxv**2) < COND_FLAG_TOL * max(
-        stats.sxx * stats.svv, 1.0
-    )
-    return Estimate(float(th1), float(th2), det, stats.psi(), flagged)
+    svv = float((v * v) @ w)
+    x0, xT = float(x[0]), float(x[-1])
+    sxv = (xT * xT - x0 * x0) / 2.0  # Python floats: sxv**2 raises OverflowError
+    flagged = (sxx * svv - sxv**2) < COND_FLAG_TOL * max(sxx * svv, 1.0)
+    psi = np.array([[sxx, sxv], [sxv, svv]])
+    return Estimate(float(th1), float(th2), det, psi, flagged)
 
 
 def estimate_sigma(path: SamplePath) -> float:

@@ -12,6 +12,12 @@ shared across horizons: only UnstableOscillation's limit depends on T
 experiment.  NormalReference draws come from a stream keyed by the horizon
 index and stay per horizon.
 
+A horizon's replications come from the block kernel `simulate_exact`, which
+builds the transition kernel once and simulates rows in blocks of a fixed
+element budget.  Each path is then estimated on its own: per-row dot
+products and a row-blocked matrix-vector product round differently, and the
+artifacts must stay bit-stable.
+
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
 no volatile fields except wall_time_s, which is excluded from artifacts.
@@ -44,7 +50,7 @@ from .model import (
     classify,
 )
 from .regimes import NoNlrrError, nlrr_rate, rate_functions, rotation_template, scaling_matrix
-from .simulate import SamplePath, SimConfig, SimulationOverflowError, simulate
+from .simulate import SamplePath, simulate_exact
 
 __all__ = [
     "NormalReference",
@@ -159,6 +165,9 @@ class HorizonResult:
     ks1: float | None
     ks2: float | None
     reference_reused: bool  # limit draws shared with an earlier horizon
+    excluded_overflow: int  # simulation left the float64 range
+    excluded_singular: int  # singular design in estimate_path
+    first_excluded_rep: int | None
 
 
 @dataclass
@@ -293,23 +302,26 @@ def _replicate(cfg: ExperimentConfig, horizon: float, reduce):
     """Simulate and estimate the n_reps exact paths of one horizon.
 
     reduce(path, est) maps a replication to its value; a replication whose
-    simulation overflows or whose design is singular is excluded.  One path
-    is alive at a time.  Returns (n_steps, surviving indices, their values).
+    simulation overflows or whose design is singular is excluded.  Returns
+    (n_steps, surviving indices, their values, {excluded index: reason}),
+    the reason "overflow" or "singular".
     """
     n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
-    reps, values = [], []
-    for k in range(cfg.n_reps):
-        sim_cfg = SimConfig(horizon=horizon, n_steps=n_steps, scheme="exact",
-                            seed=cfg.seed, replication_index=k)
+    reps, values, excluded = [], [], {}
+    paths = simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed)
+    for k, (path, overflowed) in enumerate(paths):
+        if overflowed:
+            excluded[k] = "overflow"
+            continue
         try:
-            path = simulate(cfg.params, sim_cfg)
             values.append(reduce(path, estimate_path(path)))
-        except (SingularDesignError, SimulationOverflowError):
+        except SingularDesignError:
+            excluded[k] = "singular"
             continue
         reps.append(k)
     if not reps:
         raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
-    return n_steps, reps, values
+    return n_steps, reps, values, excluded
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -324,7 +336,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     results = []
     limit_draws = {}
     for horizon_index, horizon in enumerate(cfg.horizons):
-        n_steps, reps, pairs = _replicate(
+        n_steps, reps, pairs, excluded = _replicate(
             cfg, horizon,
             lambda path, est: _normalized_residuals(cfg, regime, roots, rate_spec,
                                                     horizon, path, est))
@@ -343,6 +355,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             reps=np.asarray(reps), r1=r1_arr, r2=r2_arr,
             quantiles1=_quantiles(r1_arr), quantiles2=_quantiles(r2_arr),
             ks1=ks1, ks2=ks2, reference_reused=reused,
+            excluded_overflow=sum(r == "overflow" for r in excluded.values()),
+            excluded_singular=sum(r == "singular" for r in excluded.values()),
+            first_excluded_rep=min(excluded, default=None),
         ))
 
     comparison_name = (cfg.comparison if isinstance(cfg.comparison, str)
@@ -416,7 +431,7 @@ def convergence_study(cfg: ExperimentConfig, rates=None) -> ConvergenceReport:
 
     rows = []
     for horizon in cfg.horizons:
-        _, reps, errors = _replicate(
+        _, reps, errors, _ = _replicate(
             cfg, horizon,
             lambda path, est: (abs(est.theta1_hat - cfg.params.theta1),
                                abs(est.theta2_hat - cfg.params.theta2)))

@@ -9,11 +9,19 @@ The linear recursion state[k+1] = M state[k] + noise[k] is evaluated with
 scipy.signal.lfilter through its scalar second-order form (Cayley-Hamilton:
 M^2 = tr(M) M - det(M) I), which is a C-speed loop and works for defective
 M (double roots) where diagonalization would not.
+
+Exact paths come from one block kernel, `simulate_exact`: per grid it builds
+the mean path, the transition kernel and its noise factor once, then fills
+rows of replications, each from its own Philox stream, and filters a block
+of rows in one `lfilter` call.  A block holds at most `_BLOCK_ELEMENTS`
+elements per (rows, n+1) array (one row if n is larger), so memory stays
+flat in the number of replications.  `simulate` is the kernel with one row.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,7 @@ __all__ = [
     "SamplePath",
     "SimulationOverflowError",
     "simulate",
+    "simulate_exact",
     "rescale_time",
 ]
 
@@ -99,25 +108,31 @@ class SamplePath:
         return float(self.t[-1])
 
 
+# Elements per (rows, n+1) array of a `simulate_exact` block.
+_BLOCK_ELEMENTS = 2**13
+
+
 def _second_order_filter(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
                          y0: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Run state[k+1] = m @ state[k] + (xi_x[k], xi_v[k]) from state[0] = y0.
 
-    Returns the two component sequences of length n+1.
+    Time runs along the last axis of xi_x, xi_v; leading axes are independent
+    paths.  Returns the two component sequences, n+1 long in time.
     """
-    n = len(xi_x)
+    n = xi_x.shape[-1]
     tau = m[0, 0] + m[1, 1]
     delta = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     out = []
     for comp, other, row in ((0, 1, (xi_x, xi_v)), (1, 0, (xi_v, xi_x))):
         own, cross = row
-        u = np.zeros(n + 1)
-        u[0] = y0[comp]
-        first = m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[0]
-        u[1] = first - tau * y0[comp]
+        u = np.zeros(own.shape[:-1] + (n + 1,))
+        u[..., 0] = y0[comp]
+        first = m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[..., 0]
+        u[..., 1] = first - tau * y0[comp]
         if n > 1:
-            u[2:] = own[1:] + (m[comp, comp] - tau) * own[:-1] + m[comp, other] * cross[:-1]
-        out.append(lfilter([1.0], [1.0, -tau, delta], u))
+            u[..., 2:] = (own[..., 1:] + (m[comp, comp] - tau) * own[..., :-1]
+                          + m[comp, other] * cross[..., :-1])
+        out.append(lfilter([1.0], [1.0, -tau, delta], u, axis=-1))
     return out[0], out[1]
 
 
@@ -130,55 +145,73 @@ def _noise_factor(cov: np.ndarray) -> np.ndarray:
     return vec * np.sqrt(np.clip(w, 0.0, None))
 
 
+def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
+                   reps: Sequence[int], seed: int = 0,
+                   record_noise: bool = False) -> Iterator[tuple[SamplePath, bool]]:
+    """(path, overflowed) of each replication in reps, simulated in blocks.
+
+    Path k is bit for bit `simulate(params, SimConfig(horizon, n_steps,
+    seed=seed, replication_index=k, record_noise=record_noise))`; a path
+    that left the float64 range is flagged instead of raised.
+    """
+    SimConfig(horizon=horizon, n_steps=n_steps)  # validates the grid
+    n = n_steps
+    t = np.linspace(0.0, horizon, n + 1)
+    # Overflow in explosive regimes is flagged per row below; suppress the
+    # intermediate warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = fundamental_solutions(char_roots(params), t)
+        x_mean = params.x0 * fs.x1 + params.dx0 * fs.x2
+        v_mean = params.x0 * fs.dx1 + params.dx0 * fs.dx2
+        if params.sigma > 0.0:
+            kern = transition(params, horizon / n)
+            factor_t = _noise_factor(kern.cov_matrix).T
+    rows = max(1, _BLOCK_ELEMENTS // (n + 1))
+    for start in range(0, len(reps), rows):
+        block = reps[start:start + rows]
+        if params.sigma > 0.0:
+            draws = np.empty((len(block), n, 3))
+            for i, k in enumerate(block):
+                rng.stream(seed, rng.DOMAIN_SIM_EXACT, k).standard_normal(out=draws[i])
+            with np.errstate(over="ignore", invalid="ignore"):
+                draws = draws @ factor_t
+                zx, zv = _second_order_filter(kern.mean_matrix, draws[..., 1],
+                                              draws[..., 2], (0.0, 0.0))
+                x, v = x_mean + zx, v_mean + zv
+            dw = draws[..., 0]
+        else:
+            x, v = (np.broadcast_to(a, (len(block), n + 1)) for a in (x_mean, v_mean))
+            dw = np.zeros((len(block), n))
+        overflow = ~(np.isfinite(x) & np.isfinite(v)).all(axis=1)
+        for i in range(len(block)):
+            yield SamplePath(t=t, x=x[i], v=v[i], dw=dw[i] if record_noise else None,
+                             sigma=params.sigma, params=params), bool(overflow[i])
+
+
 def simulate(params: ModelParams, cfg: SimConfig) -> SamplePath:
     """Simulate one path.  Deterministic given (seed, replication_index)."""
-    n, T = cfg.n_steps, cfg.horizon
-    h = T / n
-    t = np.linspace(0.0, T, n + 1)
-
-    # Overflow in explosive regimes is detected below and reported with its
-    # step index; suppress the intermediate warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _simulate_checked(params, cfg, t, h)
-
-
-def _simulate_checked(params: ModelParams, cfg: SimConfig, t: np.ndarray,
-                      h: float) -> SamplePath:
-    n = cfg.n_steps
     if cfg.scheme == "exact":
-        fs = fundamental_solutions(char_roots(params), t)
-        x = params.x0 * fs.x1 + params.dx0 * fs.x2
-        v = params.x0 * fs.dx1 + params.dx0 * fs.dx2
-        dw = None
-        if params.sigma > 0.0:
-            kern = transition(params, h)
-            factor = _noise_factor(kern.cov_matrix)
-            gen = rng.stream(cfg.seed, rng.DOMAIN_SIM_EXACT, cfg.replication_index)
-            draws = gen.standard_normal((n, 3)) @ factor.T
-            dw = draws[:, 0]
-            zx, zv = _second_order_filter(kern.mean_matrix, draws[:, 1], draws[:, 2], (0.0, 0.0))
-            x = x + zx
-            v = v + zv
-        if cfg.record_noise:
-            dw = np.zeros(n) if dw is None else dw
-        else:
-            dw = None
+        ((path, _),) = simulate_exact(params, cfg.horizon, cfg.n_steps,
+                                      [cfg.replication_index], cfg.seed, cfg.record_noise)
     else:
+        n, h = cfg.n_steps, cfg.horizon / cfg.n_steps
         m = np.array([[1.0, h], [params.theta2 * h, 1.0 + params.theta1 * h]])
         if params.sigma > 0.0:
             gen = rng.stream(cfg.seed, rng.DOMAIN_SIM_EULER, cfg.replication_index)
             dw = math.sqrt(h) * gen.standard_normal(n)
         else:
             dw = np.zeros(n)
-        x, v = _second_order_filter(m, np.zeros(n), params.sigma * dw, (params.x0, params.dx0))
-        dw = dw if cfg.record_noise else None
-
-    bad = ~(np.isfinite(x) & np.isfinite(v))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, v = _second_order_filter(m, np.zeros(n), params.sigma * dw,
+                                        (params.x0, params.dx0))
+        path = SamplePath(t=np.linspace(0.0, cfg.horizon, n + 1), x=x, v=v,
+                          dw=dw if cfg.record_noise else None,
+                          sigma=params.sigma, params=params)
+    bad = ~(np.isfinite(path.x) & np.isfinite(path.v))
     if bad.any():
         k = int(np.argmax(bad))
-        raise SimulationOverflowError(step=k, horizon_reached=float(t[k]))
-    return SamplePath(t=t, x=np.asarray(x), v=np.asarray(v), dw=dw,
-                      sigma=params.sigma, params=params)
+        raise SimulationOverflowError(step=k, horizon_reached=float(path.t[k]))
+    return path
 
 
 def rescale_time(path: SamplePath, alpha: float) -> SamplePath:

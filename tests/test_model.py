@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from car2 import ModelParams, RegimeKind, RootPair, char_roots, classify, transition
+from car2.estimate import SufficientStats
 from car2.model import (
     DOUBLE_ROOT_SWITCH,
     _fs_distinct,
@@ -14,6 +15,7 @@ from car2.model import (
     default_tol,
     fundamental_solutions,
 )
+from car2.regimes import NoNlrrError, nlrr_rate, rate_functions, scaling_matrix
 
 from conftest import sorted_regime_points
 
@@ -141,6 +143,68 @@ class TestClassify:
     def test_deterministic_function_of_inputs(self):
         r = roots_of(0.3, 0.4)
         assert classify(r, 1e-9) == classify(r, 1e-9)
+
+
+# Dyadic root values: theta = (p + q, -p q) and the roots recovered from
+# it are exact, so zero and double roots really are zero and double.
+DYADIC_ROOTS = st.sampled_from([-2.0, -1.5, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def dyadic_root_pairs(draw):
+    """(theta1, theta2, expected regime) from real or complex dyadic roots."""
+    a = draw(DYADIC_ROOTS)
+    if draw(st.booleans()):  # a +- i b
+        b = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        kind = (RegimeKind.ERGODIC if a < 0 else
+                RegimeKind.HARMONIC if a == 0 else RegimeKind.UNSTABLE_OSCILLATION)
+        return 2.0 * a, -(a * a + b * b), kind
+    b = draw(DYADIC_ROOTS)
+    p, q = max(a, b), min(a, b)
+    if p < 0:
+        kind = RegimeKind.ERGODIC
+    elif p == q:
+        kind = RegimeKind.POSITIVE_DOUBLE if p > 0 else RegimeKind.ZERO_DOUBLE
+    elif p == 0:
+        kind = RegimeKind.LARGER_ROOT_ZERO
+    elif q < 0:
+        kind = RegimeKind.OPPOSITE_SIGN
+    elif q == 0:
+        kind = RegimeKind.SMALLER_ROOT_ZERO
+    else:
+        kind = RegimeKind.DISTINCT_POSITIVE
+    return p + q, -p * q, kind
+
+
+class TestClassifyAgreesWithRegistry:
+    @PROPERTY
+    @example(case=(-2.0, 0.0, RegimeKind.LARGER_ROOT_ZERO))
+    @example(case=(-1.0, -0.25, RegimeKind.ERGODIC))  # double root -1/2
+    @given(case=dyadic_root_pairs())
+    def test_classify_agrees_with_rate_functions(self, case):
+        t1, t2, kind = case
+        roots = roots_of(t1, t2)
+        regime = classify(roots)
+        assert regime.tag is kind
+        # The registry accepts classify's regime (it re-classifies and raises
+        # on a mismatch) and keys every entry by it.
+        spec = rate_functions(regime, roots)
+        assert spec.regime is kind
+        for T in (0.5, 2.0, 10.0):
+            for v, log_v in ((spec.v1, spec.log_v1), (spec.v2, spec.log_v2)):
+                assert math.isfinite(log_v(T)) and v(T) > 0.0
+            assert np.isfinite(scaling_matrix(regime, roots, T)).all()
+        # NLRR availability follows the table; UnstableOscillation's "yes"
+        # means the matrix normalization only, so nlrr_rate refuses it.
+        stats = SufficientStats(sxx=2.0, svv=3.0, sxv=0.5, ixdv=0.0, ivdv=0.0,
+                                horizon=10.0, x0=0.0, v0=0.0, x_end=1.0, v_end=1.0,
+                                sigma_used=1.0)
+        if spec.nlrr == "no" or kind is RegimeKind.UNSTABLE_OSCILLATION:
+            with pytest.raises(NoNlrrError):
+                nlrr_rate(regime, roots, stats)
+        else:
+            rates = nlrr_rate(regime, roots, stats)
+            assert (rates.r2 is None) == (spec.nlrr == "theta1_only")
 
 
 class TestFundamentalSolutions:

@@ -8,13 +8,18 @@ from car2 import (
     ExperimentConfig,
     ModelParams,
     NormalReference,
+    SimConfig,
+    SimulationOverflowError,
+    SingularDesignError,
     char_roots,
     classify,
     convergence_study,
+    estimate_path,
     ks_two_sample,
     rng,
     run_experiment,
     sample_limit,
+    simulate,
 )
 from car2.regimes import NoNlrrError
 
@@ -162,6 +167,58 @@ class TestRunExperiment:
             ergodic_cfg(n_reps=1)
         with pytest.raises(ValueError):
             ergodic_cfg(normalization="bogus")
+
+
+ARTIFACT_HORIZON_KEYS = {"horizon", "n_steps", "n_used", "n_excluded", "ks1", "ks2",
+                         "quantiles1", "quantiles2"}
+
+
+def failing_reps(params, horizon, n_steps, n_reps, seed, error):
+    """Replications whose per-path simulate + estimate_path raises error."""
+    failed = []
+    for k in range(n_reps):
+        cfg = SimConfig(horizon=horizon, n_steps=n_steps, seed=seed, replication_index=k)
+        try:
+            estimate_path(simulate(params, cfg))
+        except error:
+            failed.append(k)
+    return failed
+
+
+class TestExclusionReasons:
+    def check_reasons(self, cfg, failed, overflow):
+        report = run_experiment(cfg)
+        res = report.results[0]
+        assert failed and res.n_excluded == len(failed)
+        assert res.excluded_overflow + res.excluded_singular == res.n_excluded
+        expected = (len(failed), 0) if overflow else (0, len(failed))
+        assert (res.excluded_overflow, res.excluded_singular) == expected
+        assert res.first_excluded_rep == failed[0]
+        assert sorted([*res.reps, *failed]) == list(range(cfg.n_reps))
+        assert set(report.to_artifact_dict()["horizons"][0]) == ARTIFACT_HORIZON_KEYS
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow(self):
+        # p = 2 at T = 354.5: some paths leave the float64 range; the rest
+        # are used (with NaN estimates, see the NaN residual rows).
+        params = ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
+        cfg = ergodic_cfg(params=params, horizons=(354.5,), n_reps=24, seed=3,
+                          steps_per_unit_time=2, comparison="none")
+        failed = failing_reps(params, 354.5, 709, 24, 3, SimulationOverflowError)
+        self.check_reasons(cfg, failed, overflow=True)
+
+    def test_singular_design(self):
+        # From rest over two steps of 0.01 some designs are numerically singular.
+        params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0)
+        cfg = ergodic_cfg(params=params, horizons=(0.02,), n_reps=40, seed=3,
+                          steps_per_unit_time=100, comparison="none")
+        failed = failing_reps(params, 0.02, 2, 40, 3, SingularDesignError)
+        self.check_reasons(cfg, failed, overflow=False)
+
+    def test_no_exclusions(self):
+        res = run_experiment(ergodic_cfg(n_reps=5)).results[0]
+        assert (res.n_excluded, res.excluded_overflow, res.excluded_singular) == (0, 0, 0)
+        assert res.first_excluded_rep is None
 
 
 HARMONIC = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0, x0=0.3, dx0=-0.2)

@@ -11,6 +11,7 @@ from car2 import (
     transition,
 )
 from car2.io import read_path_csv, write_path_csv
+from car2.simulate import _BLOCK_ELEMENTS, simulate_exact
 
 from conftest import sorted_regime_points
 
@@ -141,6 +142,67 @@ class TestExactScheme:
         path = simulate(params, SimConfig(horizon=horizon, n_steps=200, seed=9,
                                           record_noise=True))
         assert np.isfinite(path.x).all() and np.isfinite(path.v).all()
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestBlockKernel:
+    # 700 steps: a block holds _BLOCK_ELEMENTS // 701 = 11 rows, and 25 reps
+    # fill two blocks and part of a third.
+    N_STEPS, N_REPS = 700, 25
+
+    @pytest.mark.parametrize("theta", [(-3.0, -2.0), (2.0, -1.0), (0.5, -1.0625)],
+                             ids=["distinct", "double", "complex"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    @pytest.mark.parametrize("record_noise", [False, True])
+    def test_paths_equal_per_path_simulate(self, theta, sigma, record_noise):
+        params = ModelParams(theta1=theta[0], theta2=theta[1], sigma=sigma,
+                             x0=0.3, dx0=-0.2)
+        assert self.N_REPS % (_BLOCK_ELEMENTS // (self.N_STEPS + 1)) != 0
+        paths = list(simulate_exact(params, 7.0, self.N_STEPS, range(self.N_REPS),
+                                    seed=4, record_noise=record_noise))
+        assert len(paths) == self.N_REPS
+        for k, (got, overflowed) in enumerate(paths):
+            assert not overflowed
+            want = simulate(params, SimConfig(horizon=7.0, n_steps=self.N_STEPS, seed=4,
+                                              replication_index=k,
+                                              record_noise=record_noise))
+            for name in ("t", "x", "v"):
+                assert_same_bits(getattr(got, name), getattr(want, name))
+            if record_noise:
+                assert_same_bits(got.dw, want.dw)
+            else:
+                assert got.dw is None and want.dw is None
+
+    def test_block_flags_overflowing_rows(self):
+        # p = 2 at T = 354.5: a few paths leave the float64 range, the rest
+        # stay finite (near 1e300); 710 grid points give 11 rows per block,
+        # so the first block holds overflowing and finite rows.
+        params = ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
+        assert _BLOCK_ELEMENTS // 710 > 9
+        overflowed = []
+        for k, (path, flag) in enumerate(simulate_exact(params, 354.5, 709, range(24),
+                                                        seed=3)):
+            cfg = SimConfig(horizon=354.5, n_steps=709, seed=3, replication_index=k)
+            if flag:
+                overflowed.append(k)
+                with pytest.raises(SimulationOverflowError):
+                    simulate(params, cfg)
+            else:
+                assert np.isfinite(path.x).all() and np.isfinite(path.v).all()
+                assert_same_bits(path.x, simulate(params, cfg).x)
+        assert overflowed == [9, 12, 15]
+
+    def test_replication_subset(self):
+        params = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0)
+        paths = simulate_exact(params, 2.0, 50, [7, 2], seed=1)
+        for k, (path, _) in zip((7, 2), paths):
+            want = simulate(params, SimConfig(horizon=2.0, n_steps=50, seed=1,
+                                              replication_index=k))
+            assert_same_bits(path.x, want.x)
 
 
 class TestEulerScheme:
