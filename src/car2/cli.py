@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .estimate import estimate_path, estimate_sigma
-from .io import atomic_write_text, dump_json, read_path_csv, write_pairs_csv, write_path_csv
+from .io import dump_json, read_path_csv, write_path_csv, write_rows_csv
 from .limits import sample_limit
 from .model import ModelParams, char_roots, classify
 from .montecarlo import ExperimentConfig, convergence_study, run_experiment
@@ -149,7 +149,7 @@ def cmd_limit_sample(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_file = out / "limit.csv"
     meta_file = out / "limit.meta.json"
-    write_pairs_csv(draws.l1, draws.l2, csv_file)
+    write_rows_csv(zip(draws.l1, draws.l2), csv_file, "l1,l2")
     dump_json({
         "regime": draws.regime.value,
         "p": [roots.p.real, roots.p.imag],
@@ -172,10 +172,8 @@ def cmd_experiment(args) -> int:
     dump_json(report.to_artifact_dict(), dest)
     written = [str(dest)]
     if write_residuals:
-        rows = ["rep,T,r1,r2"]
-        rows.extend(f"{k},{T!r},{a!r},{b!r}" for k, T, a, b in report.residual_rows())
         res_file = out / "residuals.csv"
-        atomic_write_text(res_file, "\n".join(rows) + "\n")
+        write_rows_csv(report.residual_rows(), res_file, "rep,T,r1,r2")
         written.append(str(res_file))
     print(f"experiment: regime={report.regime} wrote {' '.join(written)} "
           f"(wall {report.wall_time_s:.2f}s)")

@@ -18,11 +18,11 @@ variation sigma^2 t):
 characteristic root strongly dominates (0 < q < p, large (p-q)T), X and X'
 become numerically collinear and D is smaller than the float64 noise of the
 products, so the five-number reduction loses the estimator.  `estimate_path`
-evaluates the same estimator through a pathwise change of basis
+starts from `sufficient_stats` and solves in a pathwise change of basis
 r = X' - b X (b the discrete projection coefficient), where every quantity
 is computed at its own scale; it agrees with `mle` wherever `mle` is
 well-conditioned and stays accurate where it is not.  Monte Carlo code
-should use `estimate_path`.
+should use it.  Both keep the stats on the Estimate (`est.stats`).
 """
 
 from __future__ import annotations
@@ -89,8 +89,12 @@ class Estimate:
     theta1_hat: float
     theta2_hat: float
     det_D: float
-    psi: np.ndarray
+    stats: SufficientStats
     cond_flag: bool
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.stats.psi()
 
 
 def _trapezoid_weights(n_points: int, h: float) -> np.ndarray:
@@ -99,8 +103,8 @@ def _trapezoid_weights(n_points: int, h: float) -> np.ndarray:
     return w
 
 
-def sufficient_stats(path: SamplePath) -> SufficientStats:
-    """Path functionals via trapezoid (SXX, SVV) and the exact identities."""
+def _stats_and_weights(path: SamplePath) -> tuple[SufficientStats, np.ndarray]:
+    """`sufficient_stats` of the path and the trapezoid weights it used."""
     if path.n_steps < 2:
         raise ValueError("need at least 2 steps")
     if not (np.isfinite(path.x).all() and np.isfinite(path.v).all()):
@@ -114,11 +118,23 @@ def sufficient_stats(path: SamplePath) -> SufficientStats:
     sxv = (xT * xT - x0 * x0) / 2.0
     ivdv = (vT * vT - path.sigma**2 * T - v0 * v0) / 2.0
     ixdv = xT * vT - x0 * v0 - svv
-    return SufficientStats(sxx, svv, sxv, ixdv, ivdv, T, x0, v0, xT, vT, path.sigma)
+    return SufficientStats(sxx, svv, sxv, ixdv, ivdv, T, x0, v0, xT, vT, path.sigma), w
+
+
+def sufficient_stats(path: SamplePath) -> SufficientStats:
+    """Path functionals via trapezoid (SXX, SVV) and the exact identities."""
+    return _stats_and_weights(path)[0]
 
 
 def _singular_threshold(sxx_svv: float) -> float:
     return SINGULAR_REL_TOL * max(sxx_svv, 1.0)
+
+
+def _naive_det(stats: SufficientStats) -> tuple[float, bool]:
+    """D = SXX*SVV - SXV^2, and whether float64 loses most of its digits."""
+    scale = stats.sxx * stats.svv
+    det = scale - stats.sxv**2  # Python floats: overflow raises OverflowError
+    return det, det < COND_FLAG_TOL * max(scale, 1.0)
 
 
 def mle(stats: SufficientStats) -> Estimate:
@@ -129,14 +145,13 @@ def mle(stats: SufficientStats) -> Estimate:
     SXX*SVV that float64 evaluation of this formula loses most digits; use
     `estimate_path` in that case.
     """
-    det = stats.sxx * stats.svv - stats.sxv**2
+    det, flagged = _naive_det(stats)
     threshold = _singular_threshold(stats.sxx * stats.svv)
     if det <= threshold:
         raise SingularDesignError(det, threshold)
     th1 = (stats.sxx * stats.ivdv - stats.sxv * stats.ixdv) / det
     th2 = (stats.svv * stats.ixdv - stats.sxv * stats.ivdv) / det
-    flagged = det < COND_FLAG_TOL * max(stats.sxx * stats.svv, 1.0)
-    return Estimate(th1, th2, det, stats.psi(), flagged)
+    return Estimate(th1, th2, det, stats, flagged)
 
 
 def estimate_path(path: SamplePath) -> Estimate:
@@ -154,14 +169,9 @@ def estimate_path(path: SamplePath) -> Estimate:
     Solving the 2x2 normal equations for (a2, a1) and mapping back gives the
     same estimator as `mle` in exact arithmetic.
     """
-    if path.n_steps < 2:
-        raise ValueError("need at least 2 steps")
+    stats, w = _stats_and_weights(path)
     x, v = path.x, path.v
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
-        raise ValueError("path contains non-finite samples")
-    w = _trapezoid_weights(len(path.t), path.step)
-    T = path.horizon
-    sxx = float((x * x) @ w)
+    sxx = stats.sxx
     if sxx <= 0.0:
         raise SingularDesignError(0.0, _singular_threshold(0.0))
     b = float((x * v) @ w) / sxx
@@ -177,17 +187,12 @@ def estimate_path(path: SamplePath) -> Estimate:
         raise SingularDesignError(det, threshold)
     j_rx = srr + b * sxr  # int r dX = int r X' dt
     j_xr = x[-1] * r[-1] - x[0] * r[0] - j_rx
-    j_rr = (r[-1] ** 2 - path.sigma**2 * T - r[0] ** 2) / 2.0
+    j_rr = (r[-1] ** 2 - stats.sigma_used**2 * stats.horizon - r[0] ** 2) / 2.0
     a2 = (srr * j_xr - sxr * j_rr) / det
     a1 = (sxx * j_rr - sxr * j_xr) / det
     th1 = a1 + b
     th2 = a2 - b * a1
-    svv = float((v * v) @ w)
-    x0, xT = float(x[0]), float(x[-1])
-    sxv = (xT * xT - x0 * x0) / 2.0  # Python floats: sxv**2 raises OverflowError
-    flagged = (sxx * svv - sxv**2) < COND_FLAG_TOL * max(sxx * svv, 1.0)
-    psi = np.array([[sxx, sxv], [sxv, svv]])
-    return Estimate(float(th1), float(th2), det, psi, flagged)
+    return Estimate(float(th1), float(th2), det, stats, _naive_det(stats)[1])
 
 
 def estimate_sigma(path: SamplePath) -> float:

@@ -22,12 +22,12 @@ __all__ = [
     "dump_json",
     "write_path_csv",
     "read_path_csv",
-    "write_pairs_csv",
+    "write_rows_csv",
 ]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _fmt(value) -> str:
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def atomic_write_text(dest: str | Path, text: str) -> None:
@@ -86,8 +86,8 @@ def read_path_csv(src: str | Path, params: ModelParams) -> SamplePath:
                       sigma=params.sigma, params=params)
 
 
-def write_pairs_csv(l1: np.ndarray, l2: np.ndarray, dest: str | Path,
-                    header: str = "l1,l2") -> None:
+def write_rows_csv(rows, dest: str | Path, header: str) -> None:
+    """The header, then one line per row: ints via str, others as float reprs."""
     lines = [header]
-    lines.extend(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(l1, l2))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     atomic_write_text(dest, "\n".join(lines) + "\n")

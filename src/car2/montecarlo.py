@@ -4,7 +4,8 @@ An experiment runs n_reps exact-scheme replications per horizon, normalizes
 the estimation residuals by the regime's deterministic rates, by the random
 NLRR rates, or by the matrix normalization A_T Psi_T, and compares the
 empirical law against either the regime's limit sampler or a prescribed
-normal law via the two-sample Kolmogorov-Smirnov statistic.
+normal law via the two-sample Kolmogorov-Smirnov statistic (scipy's; NaN
+in a sample gives NaN).
 
 Limit-sampler reference draws are made once per distinct limit law and
 shared across horizons: only UnstableOscillation's limit depends on T
@@ -16,7 +17,8 @@ A horizon's replications come from the block kernel `simulate_exact`, which
 builds the transition kernel once and simulates rows in blocks of a fixed
 element budget.  Each path is then estimated on its own: per-row dot
 products and a row-blocked matrix-vector product round differently, and the
-artifacts must stay bit-stable.
+artifacts must stay bit-stable.  Reducers take the Estimate, never the
+path: NLRR rates and Psi_T read the statistics `estimate_path` summed.
 
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
@@ -31,14 +33,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import ks_2samp
 
 from . import rng
-from .estimate import (
-    Estimate,
-    SingularDesignError,
-    estimate_path,
-    sufficient_stats,
-)
+from .estimate import Estimate, SingularDesignError, SufficientStats, estimate_path
 from .limits import sample_limit
 from .model import (
     ModelParams,
@@ -49,8 +47,9 @@ from .model import (
     check_number,
     classify,
 )
-from .regimes import NoNlrrError, nlrr_rate, rate_functions, rotation_template, scaling_matrix
-from .simulate import SamplePath, simulate_exact
+from .regimes import (SCALAR_NLRR, NoNlrrError, nlrr_rate, rate_functions,
+                      rotation_template, scaling_matrix)
+from .simulate import simulate_exact
 
 __all__ = [
     "NormalReference",
@@ -67,6 +66,9 @@ __all__ = [
 QUANTILE_LEVELS = (1, 5, 10, 25, 50, 75, 90, 95, 99)
 
 NORMALIZATIONS = ("deterministic_rate", "nlrr", "matrix")
+
+# convergence_study: bounds of the consecutive-horizon normalized-median ratios
+RATIO_BAND = (1.0 / 3.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -213,25 +215,22 @@ class ExperimentReport:
 
 
 def ks_two_sample(a, b) -> float:
-    """Exact two-sample Kolmogorov-Smirnov statistic (merge-based)."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
+    """Exact two-sample Kolmogorov-Smirnov statistic; NaN if a sample holds NaN.
+
+    method="asymp" skips ks_2samp's exact p-value, costly here and unused.
+    """
+    if np.size(a) == 0 or np.size(b) == 0:
         raise ValueError("both samples must be nonempty")
-    grid = np.concatenate([a, b])
-    grid.sort(kind="mergesort")
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
+    return float(ks_2samp(a, b, method="asymp").statistic)
 
 
-def _estimate_u_hat(path: SamplePath, roots: RootPair) -> tuple[float, float]:
+def _estimate_u_hat(stats: SufficientStats, roots: RootPair) -> tuple[float, float]:
     """Terminal-state estimate of (u_s, u_c) for the oscillating rotation."""
     lam, nu = roots.lam, roots.nu
-    T = path.horizon
+    T = stats.horizon
     scale = math.exp(-lam * T)
-    x_t = float(path.x[-1])
-    y_t = (float(path.v[-1]) - lam * x_t) / nu
+    x_t = stats.x_end
+    y_t = (stats.v_end - lam * x_t) / nu
     s, c = math.sin(nu * T), math.cos(nu * T)
     u_c = scale * (x_t * s + y_t * c)
     u_s = scale * (y_t * s - x_t * c)
@@ -239,23 +238,21 @@ def _estimate_u_hat(path: SamplePath, roots: RootPair) -> tuple[float, float]:
 
 
 def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, roots: RootPair,
-                          rate_spec, horizon: float, path: SamplePath,
-                          est: Estimate) -> tuple[float, float]:
+                          rate_spec, horizon: float, est: Estimate) -> tuple[float, float]:
     p = cfg.params
     d1 = est.theta1_hat - p.theta1
     d2 = est.theta2_hat - p.theta2
     if cfg.normalization == "deterministic_rate":
         return rate_spec.v1(horizon) * d1, rate_spec.v2(horizon) * d2
     if cfg.normalization == "nlrr":
-        stats = sufficient_stats(path)
-        rates = nlrr_rate(regime, roots, stats)
+        rates = nlrr_rate(regime, roots, est.stats)
         r2 = rates.r2 * d2 if rates.r2 is not None else math.nan
         return rates.r1 * d1, r2
     # matrix mode: components of B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1)
     a_t = scaling_matrix(regime, roots, horizon)
     vec = a_t @ (est.psi @ np.array([d2, d1]))
     if regime.tag is RegimeKind.UNSTABLE_OSCILLATION:
-        u_s, u_c = _estimate_u_hat(path, roots)
+        u_s, u_c = _estimate_u_hat(est.stats, roots)
         vec = rotation_template(u_s, u_c) @ vec
     return float(vec[0]), float(vec[1])
 
@@ -301,7 +298,7 @@ def _quantiles(values: np.ndarray) -> dict[int, float]:
 def _replicate(cfg: ExperimentConfig, horizon: float, reduce):
     """Simulate and estimate the n_reps exact paths of one horizon.
 
-    reduce(path, est) maps a replication to its value; a replication whose
+    reduce(est) maps a replication's estimate to its value; a replication whose
     simulation overflows or whose design is singular is excluded.  Returns
     (n_steps, surviving indices, their values, {excluded index: reason}),
     the reason "overflow" or "singular".
@@ -314,7 +311,7 @@ def _replicate(cfg: ExperimentConfig, horizon: float, reduce):
             excluded[k] = "overflow"
             continue
         try:
-            values.append(reduce(path, estimate_path(path)))
+            values.append(reduce(estimate_path(path)))
         except SingularDesignError:
             excluded[k] = "singular"
             continue
@@ -330,16 +327,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     roots = char_roots(cfg.params)
     regime = classify(roots)
     rate_spec = rate_functions(regime, roots)
-    if cfg.normalization == "nlrr" and rate_spec.nlrr == "no":
-        raise NoNlrrError(f"regime {regime.tag.value} has no NLRR normalization")
+    if cfg.normalization == "nlrr" and regime.tag not in SCALAR_NLRR:
+        raise NoNlrrError(f"regime {regime.tag.value} has no NLRR normalization in scalar form")
 
     results = []
     limit_draws = {}
     for horizon_index, horizon in enumerate(cfg.horizons):
         n_steps, reps, pairs, excluded = _replicate(
             cfg, horizon,
-            lambda path, est: _normalized_residuals(cfg, regime, roots, rate_spec,
-                                                    horizon, path, est))
+            lambda est: _normalized_residuals(cfg, regime, roots, rate_spec, horizon, est))
         r1_arr = np.asarray([r1 for r1, _ in pairs])
         r2_arr = np.asarray([r2 for _, r2 in pairs])
 
@@ -393,12 +389,11 @@ class ConvergenceReport:
     stabilized2: bool
     raw_decreasing1: bool
     raw_decreasing2: bool
-    ratio_band: tuple[float, float] = (1.0 / 3.0, 3.0)
 
     def to_artifact_dict(self) -> dict:
         return {
             "regime": self.regime,
-            "ratio_band": list(self.ratio_band),
+            "ratio_band": list(RATIO_BAND),
             "stabilized": [self.stabilized1, self.stabilized2],
             "raw_decreasing": [self.raw_decreasing1, self.raw_decreasing2],
             "rows": [
@@ -418,7 +413,7 @@ def convergence_study(cfg: ExperimentConfig, rates=None) -> ConvergenceReport:
     """Median |theta_i_hat - theta_i| across horizons, raw and rate-normalized.
 
     The normalized median "stabilizes" when every consecutive-horizon ratio
-    lies in [1/3, 3] while the raw median shrinks.  `rates` overrides the
+    lies in RATIO_BAND while the raw median shrinks.  `rates` overrides the
     registry normalizations with a pair of callables (used by the wrong-rate
     control, which applies the dominant root's rate on purpose).
     """
@@ -433,8 +428,8 @@ def convergence_study(cfg: ExperimentConfig, rates=None) -> ConvergenceReport:
     for horizon in cfg.horizons:
         _, reps, errors, _ = _replicate(
             cfg, horizon,
-            lambda path, est: (abs(est.theta1_hat - cfg.params.theta1),
-                               abs(est.theta2_hat - cfg.params.theta2)))
+            lambda est: (abs(est.theta1_hat - cfg.params.theta1),
+                         abs(est.theta2_hat - cfg.params.theta2)))
         m1 = float(np.median([d1 for d1, _ in errors]))
         m2 = float(np.median([d2 for _, d2 in errors]))
         rows.append(ConvergenceRow(horizon, m1, m2, v1(horizon) * m1, v2(horizon) * m2,
@@ -442,7 +437,7 @@ def convergence_study(cfg: ExperimentConfig, rates=None) -> ConvergenceReport:
 
     def stabilized(values):
         ratios = [b / a for a, b in zip(values, values[1:]) if a > 0]
-        return bool(ratios) and all(1.0 / 3.0 <= r <= 3.0 for r in ratios)
+        return bool(ratios) and all(RATIO_BAND[0] <= r <= RATIO_BAND[1] for r in ratios)
 
     norm1 = [r.normalized_median1 for r in rows]
     norm2 = [r.normalized_median2 for r in rows]

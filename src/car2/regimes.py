@@ -25,6 +25,7 @@ __all__ = [
     "RateSpec",
     "NlrrRates",
     "NoNlrrError",
+    "SCALAR_NLRR",
     "rate_functions",
     "nlrr_rate",
     "scaling_matrix",
@@ -72,6 +73,11 @@ _TABLE = {
     RegimeKind.HARMONIC: ("F2(w)", "F2(w)", "no", "LABF"),
     RegimeKind.UNSTABLE_OSCILLATION: ("Many", "Many", "yes", "LAMN-family"),
 }
+
+# Regimes with scalar NLRR rates.  UnstableOscillation's "yes" above is the
+# matrix form B(u_s, u_c) A_T Psi_T only (scaling_matrix, rotation_template).
+SCALAR_NLRR = frozenset(kind for kind, row in _TABLE.items() if row[2] != "no"
+                        and kind is not RegimeKind.UNSTABLE_OSCILLATION)
 
 
 def _check_consistent(regime: Regime, roots: RootPair) -> None:
@@ -148,12 +154,14 @@ def nlrr_rate(regime: Regime, roots: RootPair, stats: SufficientStats) -> NlrrRa
     Opposite sign / distinct positive: common rate sqrt(int (X'-pX)^2 dt).
     Positive double root: T^-2 sqrt(SXX).
     Larger root zero: theta1 only, T^(-3/2) * SXX.
-    Raises NoNlrrError for Harmonic, ZeroDouble, SmallerRootZero; the
-    unstable-oscillation case has only the matrix normalization (use
-    scaling_matrix and rotation_template).
+    Raises NoNlrrError outside SCALAR_NLRR: Harmonic, ZeroDouble,
+    SmallerRootZero, and UnstableOscillation, which has only the matrix
+    normalization (use scaling_matrix and rotation_template).
     """
     _check_consistent(regime, roots)
     kind = regime.tag
+    if kind not in SCALAR_NLRR:
+        raise NoNlrrError(f"regime {kind.value} has no NLRR normalization in scalar form")
     T = stats.horizon
     if kind is RegimeKind.ERGODIC:
         return NlrrRates(math.sqrt(stats.svv), math.sqrt(stats.sxx))
@@ -165,14 +173,7 @@ def nlrr_rate(regime: Regime, roots: RootPair, stats: SufficientStats) -> NlrrRa
     if kind is RegimeKind.POSITIVE_DOUBLE:
         r = math.sqrt(stats.sxx) / T**2
         return NlrrRates(r, r)
-    if kind is RegimeKind.LARGER_ROOT_ZERO:
-        return NlrrRates(stats.sxx / T**1.5, None)
-    if kind is RegimeKind.UNSTABLE_OSCILLATION:
-        raise NoNlrrError(
-            "unstable oscillation admits only the matrix normalization "
-            "B(u_s, u_c) A_T Psi_T; see scaling_matrix and rotation_template"
-        )
-    raise NoNlrrError(f"no NLRR in regime {kind.value}")
+    return NlrrRates(stats.sxx / T**1.5, None)  # LargerRootZero: theta1 only
 
 
 def scaling_matrix(regime: Regime, roots: RootPair, horizon: float) -> np.ndarray:

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import car2.io
+from car2 import ExperimentConfig, run_experiment
 from car2.cli import main
 
 MODEL = ["--theta1", "-3", "--theta2", "-2", "--x0", "0.3", "--dx0", "-0.2"]
@@ -228,6 +230,36 @@ class TestConfigErrors:
                                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "no NLRR" in err
+
+    def test_nlrr_on_unstable_oscillation_exits_2(self, tmp_path, capsys):
+        # The regime table says "yes": its NLRR exists only in matrix form.
+        config = _config(params={"theta1": 0.5, "theta2": -1.0625}, horizons=[4.0],
+                         n_reps=10, normalization="nlrr", comparison=NORMAL_REF)
+        code, _, err = _run(capsys, ["experiment", "--config", _write(tmp_path, config),
+                                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "no NLRR" in err and "UnstableOscillation" in err
+
+
+def test_residuals_written_through_io(tmp_path, capsys, monkeypatch):
+    # One row writer in car2.io: ints via str, floats via repr.
+    written = []
+
+    def recording(dest, text):
+        written.append(Path(dest).name)
+        return atomic_write_text(dest, text)
+
+    atomic_write_text = car2.io.atomic_write_text
+    monkeypatch.setattr(car2.io, "atomic_write_text", recording)
+    config = _config()
+    code, _, _ = _run(capsys, ["experiment", "--config", _write(tmp_path, config),
+                               "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert written == ["report.json", "residuals.csv"]
+    del config["command"], config["write_residuals"]
+    report = run_experiment(ExperimentConfig.from_dict(config))
+    rows = "".join(f"{k},{T!r},{a!r},{b!r}\n" for k, T, a, b in report.residual_rows())
+    assert (tmp_path / "out" / "residuals.csv").read_text() == "rep,T,r1,r2\n" + rows
 
 
 def test_overflow_exits_3(tmp_path, capsys):

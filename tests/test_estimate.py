@@ -145,6 +145,25 @@ class TestMle:
         assert deltas[2] < 0.5 * deltas[0]
 
 
+class TestEstimateKeepsStats:
+    """Both estimators keep the one set of path functionals they solved from."""
+
+    @pytest.mark.parametrize("name,point", sorted_regime_points())
+    def test_estimate_path_returns_sufficient_stats(self, name, point, make_path):
+        t1, t2, horizon = point
+        path = make_path(t1, t2, horizon=horizon, n_steps=500, seed=5)
+        est = estimate_path(path)
+        stats = sufficient_stats(path)
+        assert est.stats == stats
+        assert np.array_equal(est.psi, stats.psi())
+
+    def test_mle_keeps_its_stats(self, make_path):
+        stats = sufficient_stats(make_path(-3.0, -2.0))
+        est = mle(stats)
+        assert est.stats is stats
+        assert np.array_equal(est.psi, stats.psi())
+
+
 class TestEstimateSigma:
     def test_recovers_sigma_free_motion(self, make_path):
         path = make_path(0.0, 0.0, sigma=2.0, horizon=1.0, n_steps=100_000, x0=0.0, dx0=0.0)

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import car2.estimate
+import car2.montecarlo
 from car2 import (
     ExperimentConfig,
     ModelParams,
@@ -22,6 +26,9 @@ from car2 import (
     simulate,
 )
 from car2.regimes import NoNlrrError
+from car2.simulate import simulate_exact
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
 def ergodic_cfg(**overrides):
@@ -38,6 +45,22 @@ def ergodic_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def merge_ks(a, b) -> float:
+    """Reference statistic: both empirical CDFs on the merged sorted sample."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    grid.sort(kind="mergesort")
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+# Small integer grids scaled by an inexact step: many ties, unequal sizes.
+tied_samples = st.lists(st.integers(-6, 6), min_size=1, max_size=60).map(
+    lambda ks: np.asarray(ks, dtype=float) * 0.1)
 
 
 class TestKsTwoSample:
@@ -74,6 +97,21 @@ class TestKsTwoSample:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+    @PROPERTY
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # 1x1 p-value
+    @given(a=tied_samples, b=tied_samples)
+    def test_matches_merge_reference_bit_for_bit(self, a, b):
+        assert ks_two_sample(a, b) == merge_ks(a, b)
+
+    def test_large_samples_match_merge_reference(self):
+        rng_ = np.random.default_rng(6)
+        a = np.round(rng_.normal(size=3000), 2)
+        b = np.round(rng_.normal(0.05, 1.1, size=9000), 2)
+        assert ks_two_sample(a, b) == merge_ks(a, b)
+
+    def test_nan_propagates(self):
+        assert math.isnan(ks_two_sample([0.1, math.nan, 0.3], [0.2, 0.4]))
 
 
 class TestRunExperiment:
@@ -121,6 +159,36 @@ class TestRunExperiment:
                           comparison=NormalReference(mean1=0.0, var1=1.0))
         with pytest.raises(NoNlrrError):
             run_experiment(cfg)
+
+    def test_nlrr_rejected_before_simulating(self, monkeypatch):
+        # UnstableOscillation's NLRR exists only in matrix form.
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return simulate_exact(*args, **kwargs)
+
+        monkeypatch.setattr("car2.montecarlo.simulate_exact", recording)
+        cfg = ergodic_cfg(params=UNSTABLE_OSCILLATION, horizons=(4.0,), n_reps=10,
+                          normalization="nlrr", comparison=NormalReference(mean1=0.0, var1=1.0))
+        with pytest.raises(NoNlrrError):
+            run_experiment(cfg)
+        assert calls == []
+
+    def test_nlrr_walks_each_path_once(self, monkeypatch):
+        # estimate_path sums the path; the NLRR rates read its statistics.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return trapezoid_weights(*args)
+
+        trapezoid_weights = car2.estimate._trapezoid_weights
+        monkeypatch.setattr(car2.estimate, "_trapezoid_weights", counting)
+        cfg = ergodic_cfg(normalization="nlrr", n_reps=12, comparison="none")
+        res = run_experiment(cfg).results[0]
+        assert res.n_used == 12
+        assert len(calls) == 12
 
     def test_nlrr_with_limit_sampler_rejected(self):
         with pytest.raises(ValueError):
@@ -309,6 +377,15 @@ class TestConvergenceStudy:
         assert right.stabilized1
         wrong_norm = [r.normalized_median1 for r in wrong.rows]
         assert wrong_norm[-1] > 10.0 * wrong_norm[0]
+
+    def test_one_ratio_band_for_verdict_and_artifact(self, monkeypatch):
+        cfg = ergodic_cfg(horizons=(25.0, 50.0, 100.0), n_reps=80,
+                          steps_per_unit_time=20)
+        assert convergence_study(cfg).to_artifact_dict()["ratio_band"] == [1.0 / 3.0, 3.0]
+        monkeypatch.setattr(car2.montecarlo, "RATIO_BAND", (1.0, 1.0))
+        narrow = convergence_study(cfg)
+        assert not (narrow.stabilized1 or narrow.stabilized2)
+        assert narrow.to_artifact_dict()["ratio_band"] == [1.0, 1.0]
 
     def test_needs_three_horizons(self):
         with pytest.raises(ValueError):

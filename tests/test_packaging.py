@@ -1,7 +1,10 @@
-"""Every third-party module the package and its tests import is declared."""
+"""Every third-party module the package and its tests import is declared,
+and importing the CLI costs no numeric module beyond scipy.signal's."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +54,18 @@ def test_test_imports_are_declared_in_the_test_extra():
     assert {"pytest", "hypothesis"} <= third_party
     declared = _declared("test")
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_cli_adds_no_numpy_or_scipy_module_to_scipy_signal():
+    # Set-up time: everything numeric car2 needs comes with scipy.signal.
+    script = ("import sys\n"
+              "import scipy.signal\n"
+              "before = set(sys.modules)\n"
+              "import car2.cli\n"
+              "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.split()
+    assert "car2.cli" in added
+    assert [m for m in added if m.split(".")[0] in ("numpy", "scipy")] == []
