@@ -9,7 +9,6 @@ from .estimate import (
     log_likelihood_ratio,
     mle,
     normalized_llr,
-    residual_oracle,
     sufficient_stats,
 )
 from .limits import BrownianFunctionals, LimitSampleSet, brownian_functionals, sample_limit
@@ -75,7 +74,6 @@ __all__ = [
     "rate_functions",
     "nlrr_rate",
     "rescale_time",
-    "residual_oracle",
     "run_experiment",
     "sample_limit",
     "scaling_matrix",

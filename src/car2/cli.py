@@ -126,6 +126,7 @@ def cmd_estimate(args) -> int:
         "psi": [[est.psi[0, 0], est.psi[0, 1]], [est.psi[1, 0], est.psi[1, 1]]],
         "cond_flag": est.cond_flag,
         "sigma_hat": estimate_sigma(path),
+        "sigma_used": est.stats.sigma_used,
         "T": path.horizon,
         "n": path.n_steps,
         "seed": meta.get("seed"),

@@ -44,10 +44,6 @@ __all__ = [
     "estimate_sigma",
     "log_likelihood_ratio",
     "normalized_llr",
-    "residual_oracle",
-    "reconstructed_stats",
-    "gram_det",
-    "wiener_numerator",
 ]
 
 SINGULAR_REL_TOL = 1e-12
@@ -235,72 +231,3 @@ def normalized_llr(stats: SufficientStats, theta, a_matrix, u) -> float:
     a_matrix = np.asarray(a_matrix, dtype=float)
     u = _theta_vec(u)
     return log_likelihood_ratio(stats, theta, theta + a_matrix @ u)
-
-
-def gram_det(f: np.ndarray, g: np.ndarray, h: float) -> float:
-    """D(T; f, g) with left-point sums: int f^2 int g^2 - (int f g)^2."""
-    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-    ff = h * float(f @ f)
-    gg = h * float(g @ g)
-    fg = h * float(f @ g)
-    return ff * gg - fg * fg
-
-
-def wiener_numerator(f: np.ndarray, g: np.ndarray, dw: np.ndarray, sigma: float,
-                     h: float) -> float:
-    """N(T; f, g) = int f^2 * int g s dW - int f g * int f s dW (left sums)."""
-    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    ff = h * float(f @ f)
-    fg = h * float(f @ g)
-    g_dw = sigma * float(g @ dw)
-    f_dw = sigma * float(f @ dw)
-    return ff * g_dw - fg * f_dw
-
-
-def _left_samples(path: SamplePath) -> tuple[np.ndarray, np.ndarray]:
-    return path.x[:-1], path.v[:-1]
-
-
-def reconstructed_stats(path: SamplePath, theta_true) -> SufficientStats:
-    """Left-point sufficient statistics with dX' rebuilt from drift + noise.
-
-    dX'_i := (theta2 X_i + theta1 X'_i) h + sigma dw_i.  Feeding the result
-    to `mle` reproduces `residual_oracle` exactly (same discrete sums on
-    both sides); that is the identity the oracle tests pin down.
-    """
-    if path.dw is None:
-        raise ValueError("path has no recorded noise increments")
-    theta = _theta_vec(theta_true)
-    x, v = _left_samples(path)
-    h = path.step
-    dv_hat = (theta[0] * x + theta[1] * v) * h + path.sigma * path.dw
-    sxx = h * float(x @ x)
-    svv = h * float(v @ v)
-    sxv = h * float(x @ v)
-    ixdv = float(x @ dv_hat)
-    ivdv = float(v @ dv_hat)
-    return SufficientStats(sxx, svv, sxv, ixdv, ivdv, path.horizon,
-                           float(path.x[0]), float(path.v[0]),
-                           float(path.x[-1]), float(path.v[-1]), path.sigma)
-
-
-def residual_oracle(path: SamplePath, theta_true) -> tuple[float, float]:
-    """(theta1_hat - theta1, theta2_hat - theta2) via the N/D decomposition.
-
-    N and D are evaluated as discrete sums over the recorded noise; by
-    construction the output equals the residual of `mle` applied to
-    `reconstructed_stats` of the same path, up to float rounding.
-    """
-    if path.dw is None:
-        raise ValueError("path has no recorded noise increments")
-    _theta_vec(theta_true)
-    x, v = _left_samples(path)
-    h = path.step
-    det = gram_det(x, v, h)
-    threshold = _singular_threshold(h * float(x @ x) * h * float(v @ v))
-    if det <= threshold:
-        raise SingularDesignError(det, threshold)
-    n1 = wiener_numerator(x, v, path.dw, path.sigma, h)
-    n2 = wiener_numerator(v, x, path.dw, path.sigma, h)
-    return n1 / det, n2 / det

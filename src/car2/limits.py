@@ -5,6 +5,11 @@ functional regimes simulate standard Brownian motion on a fine grid over
 [0, 1] and evaluate the required path functionals (dt-integrals by
 trapezoid, stochastic integrals by left-point Ito sums).
 
+The Brownian sampler is a two-stage pipeline: one worker thread draws the
+normal increments of the next chunk of paths (numpy releases the GIL while
+it fills an array) while the calling thread reduces the current one, bit
+for bit as if the chunks were drawn and reduced in turn.
+
 Draws are returned jointly as (l1, l2): wherever the theory couples the two
 coordinates (one limit a fixed negative multiple of the other, or both built
 from one Brownian path), the stored pair satisfies the coupling exactly.
@@ -13,6 +18,7 @@ from one Brownian path), the stored pair satisfies the coupling exactly.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +83,60 @@ class LimitSampleSet:
     seed: int
 
 
-def _one_bm_chunk(gen: np.random.Generator, dw: np.ndarray, w: np.ndarray) -> None:
-    """Fill dw with Brownian increments on a grid of dw.shape[1] steps over
-    [0, 1] and w with the paths (w[:, 0] = 0)."""
+def _fill_increments(gen: np.random.Generator, dw: np.ndarray) -> None:
+    """Fill dw with Brownian increments on a grid of dw.shape[1] steps over [0, 1]."""
     gen.standard_normal(out=dw)
     dw *= math.sqrt(1.0 / dw.shape[1])
+
+
+def _path(dw: np.ndarray, w: np.ndarray) -> None:
+    """Fill w with the paths of the increments dw (w[:, 0] = 0)."""
     w[:, 0] = 0.0
     np.cumsum(dw, axis=1, out=w[:, 1:])
 
 
+def _running_integral_squared(w: np.ndarray, out: np.ndarray, dt: float) -> np.ndarray:
+    """out = (cumulative trapezoid of w)^2."""
+    np.add(w[:, :-1], w[:, 1:], out=out[:, 1:])
+    out[:, 0] = 0.0
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    out *= dt / 2.0
+    return np.multiply(out, out, out=out)
+
+
 def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                          n_draws: int = 1) -> BrownianFunctionals:
-    """Simulate the Brownian functionals on a grid of grid_n steps."""
+    """Simulate the Brownian functionals on a grid of grid_n steps.
+
+    Draws come in chunks of `_CHUNK_ELEMENTS // (grid_n + 1)` paths; chunk c
+    draws from stream (seed, DOMAIN_LIMIT, c), BM1 first, then BM2.  Every
+    chunk works in the same slots of one slab: dw, w, inner (dw, w, spare,
+    dw2, w2 for two_bm).  At large grids the slab is above malloc's largest
+    mmap threshold (32 MiB), so it is mapped and unmapped whole and the
+    peak memory does not depend on how the heap was reused.
+
+    One worker thread fills the increments; the calling thread does all the
+    rest (paths, products, einsums and every `@ trapw`), while the worker
+    fills the next chunk into a slot the caller is done with:
+
+    * one BM: chunk c+1 goes into dw as soon as chunk c's w is formed;
+    * two BMs: chunk c+1's BM1 goes into the spare slot when chunk c
+      starts.  Once the einsums have read dw and dw2, w^2 takes dw2, the
+      running integral takes dw and w2 is squared in place; the four gemvs
+      then run back to back, and chunk c+1's BM2 goes into dw2.  dw and
+      spare swap roles.  The gemvs are bunched because OpenBLAS's threads
+      spin for about 0.1 s after each threaded call, taking a CPU from the
+      worker; bunched, they spin once per chunk instead of four times.
+
+    The bits equal those of drawing and reducing one chunk after the other:
+    each chunk has its own stream and the single worker runs the fills in
+    the order they were submitted, so every stream yields the same normals;
+    the caller makes the same elementwise, cumsum, einsum and gemv calls on
+    arrays of the same shapes, strides and 64-byte alignment, so OpenBLAS
+    splits the gemvs as before.  The worker calls only `standard_normal`
+    and an in-place scale, nothing that perfbench/tracer.py wraps: the
+    tracer's span stack is single-threaded.
+    """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if n_draws < 1:
@@ -97,43 +145,60 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     trapw = np.full(grid_n + 1, dt)
     trapw[0] = trapw[-1] = dt / 2.0
     chunk = max(1, _CHUNK_ELEMENTS // (grid_n + 1))
-    # Every chunk works in the same buffers, carved from one slab: dw, w,
-    # inner (and dw2, w2 for two_bm).  At large grids the slab is above
-    # malloc's largest mmap threshold (32 MiB), so it is mapped and unmapped
-    # whole and the peak memory does not depend on how the heap was reused.
-    rows = min(chunk, n_draws)
-    slot = -(-rows * (grid_n + 1) // 8) * 8  # 64-byte aligned slots
+    sizes = [min(chunk, n_draws - start) for start in range(0, n_draws, chunk)]
+    slot = -(-sizes[0] * (grid_n + 1) // 8) * 8  # 64-byte aligned slots
     slab = np.empty((5 if two_bm else 3) * slot)
 
-    def buffer(index: int, m: int, width: int) -> np.ndarray:
+    def buffer(index: int, m: int, width: int = grid_n + 1) -> np.ndarray:
         return slab[index * slot:index * slot + m * width].reshape(m, width)
 
     parts = []
-    for chunk_index, start in enumerate(range(0, n_draws, chunk)):
-        m = min(chunk, n_draws - start)
-        gen = rng.stream(seed, rng.DOMAIN_LIMIT, chunk_index)
-        dw, w = buffer(0, m, grid_n), buffer(1, m, grid_n + 1)
-        _one_bm_chunk(gen, dw, w)
-        z1 = w @ trapw
-        inner = np.multiply(w, w, out=buffer(2, m, grid_n + 1))
-        z2 = inner @ trapw
-        # inner = cumulative trapezoid of w, then z3 = trapezoid of inner^2
-        np.add(w[:, :-1], w[:, 1:], out=inner[:, 1:])
-        inner[:, 0] = 0.0
-        np.cumsum(inner[:, 1:], axis=1, out=inner[:, 1:])
-        inner *= dt / 2.0
-        z3 = np.multiply(inner, inner, out=inner) @ trapw
-        fields = dict(w1_end=w[:, -1].copy(), z1=z1, z2=z2, z3=z3)
-        if two_bm:
-            dw2, w2 = buffer(3, m, grid_n), buffer(4, m, grid_n + 1)
-            _one_bm_chunk(gen, dw2, w2)
-            fields["w2_end"] = w2[:, -1].copy()
-            fields["levy"] = (np.einsum("ij,ij->i", w[:, :-1], dw2)
-                              - np.einsum("ij,ij->i", w2[:, :-1], dw))
-            fields["q11"] = (np.einsum("ij,ij->i", w[:, :-1], dw)
-                             + np.einsum("ij,ij->i", w2[:, :-1], dw2))
-            fields["s2"] = z2 + np.multiply(w2, w2, out=inner) @ trapw
-        parts.append(fields)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+
+        def fill(gen: np.random.Generator, index: int, m: int):
+            return worker.submit(_fill_increments, gen, buffer(index, m, grid_n))
+
+        gen = rng.stream(seed, rng.DOMAIN_LIMIT, 0)
+        bm1 = fill(gen, 0, sizes[0])
+        bm2 = fill(gen, 3, sizes[0]) if two_bm else None
+        dw_slot, spare_slot = 0, 2
+        for c, m in enumerate(sizes):
+            m_next = sizes[c + 1] if c + 1 < len(sizes) else 0
+            if m_next:
+                gen = rng.stream(seed, rng.DOMAIN_LIMIT, c + 1)
+                if two_bm:
+                    bm1_next = fill(gen, spare_slot, m_next)
+            bm1.result()
+            dw, w = buffer(dw_slot, m, grid_n), buffer(1, m)
+            _path(dw, w)
+            fields = dict(w1_end=w[:, -1].copy())
+            if not two_bm:
+                if m_next:
+                    bm1 = fill(gen, dw_slot, m_next)
+                inner = buffer(2, m)
+                fields["z1"] = w @ trapw
+                fields["z2"] = np.multiply(w, w, out=inner) @ trapw
+                fields["z3"] = _running_integral_squared(w, inner, dt) @ trapw
+            else:
+                bm2.result()
+                dw2, w2 = buffer(3, m, grid_n), buffer(4, m)
+                _path(dw2, w2)
+                fields["w2_end"] = w2[:, -1].copy()
+                fields["levy"] = (np.einsum("ij,ij->i", w[:, :-1], dw2)
+                                  - np.einsum("ij,ij->i", w2[:, :-1], dw))
+                fields["q11"] = (np.einsum("ij,ij->i", w[:, :-1], dw)
+                                 + np.einsum("ij,ij->i", w2[:, :-1], dw2))
+                w_sq = np.multiply(w, w, out=buffer(3, m))
+                integral_sq = _running_integral_squared(w, buffer(dw_slot, m), dt)
+                w2_sq = np.multiply(w2, w2, out=w2)
+                fields["z1"] = w @ trapw
+                fields["z2"] = w_sq @ trapw
+                fields["z3"] = integral_sq @ trapw
+                fields["s2"] = fields["z2"] + w2_sq @ trapw
+                if m_next:
+                    bm1, bm2 = bm1_next, fill(gen, 3, m_next)
+                dw_slot, spare_slot = spare_slot, dw_slot
+            parts.append(fields)
     merged = {
         key: np.concatenate([p[key] for p in parts])
         for key in parts[0]

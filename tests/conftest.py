@@ -1,7 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 from car2 import ModelParams, SimConfig, simulate
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves more live threads than it found (an executor
+    that is never shut down, say)."""
+    before = set(threading.enumerate())
+    yield
+    after = threading.enumerate()
+    assert len(after) <= len(before), [t.name for t in after if t not in before]
 
 
 @pytest.fixture

@@ -77,6 +77,8 @@ class TestSubcommandOutputs:
         assert outputs[1] == outputs[0]
         record = json.loads(est["estimate.json"])
         assert (record["T"], record["n"], record["seed"]) == (5.0, 500, 3)
+        # the sigma the estimator used: the path's own, read from its meta file
+        assert record["sigma_used"] == json.loads(sim["path.meta.json"])["params"]["sigma"] == 1.0
 
     def test_limit_sample(self, tmp_path, capsys):
         outputs = []

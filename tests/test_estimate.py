@@ -15,14 +15,13 @@ from car2 import (
     mle,
     normalized_llr,
     rescale_time,
-    residual_oracle,
     simulate,
     sufficient_stats,
 )
-from car2.estimate import gram_det, reconstructed_stats, wiener_numerator
 from car2.simulate import SamplePath
 
 from conftest import sorted_regime_points
+from oracles import gram_det, reconstructed_stats, residual_oracle, wiener_numerator
 
 # Fixed example sequence, small enough to keep the suite fast.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)

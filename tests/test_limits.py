@@ -1,8 +1,13 @@
 import math
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import car2.limits
 from car2 import (
     ModelParams,
     SimConfig,
@@ -11,11 +16,14 @@ from car2 import (
     classify,
     estimate_path,
     ks_two_sample,
+    rng,
     sample_limit,
     simulate,
 )
 
 from conftest import REGIME_POINTS
+
+FUNCTIONALS = ("w1_end", "z1", "z2", "z3", "w2_end", "levy", "q11", "s2")
 
 
 def setup(name, sigma=1.0, x0=0.0, dx0=0.0):
@@ -87,6 +95,191 @@ class TestBrownianFunctionals:
             assert len(getattr(longer, name)) == 2 * chunk + 3
             assert np.all(np.isfinite(getattr(longer, name)))
         assert not np.array_equal(longer.z3[chunk:2 * chunk], longer.z3[:chunk])
+
+
+def sequential_functionals(grid_n, seed, two_bm, n_draws, chunk_elements):
+    """Oracle: the sampler without its fill worker, each chunk drawn and then
+    reduced in turn in one slab of fixed slots (dw, w, inner, dw2, w2)."""
+    dt = 1.0 / grid_n
+    trapw = np.full(grid_n + 1, dt)
+    trapw[0] = trapw[-1] = dt / 2.0
+    chunk = max(1, chunk_elements // (grid_n + 1))
+    rows = min(chunk, n_draws)
+    slot = -(-rows * (grid_n + 1) // 8) * 8
+    slab = np.empty((5 if two_bm else 3) * slot)
+
+    def buffer(index, m, width):
+        return slab[index * slot:index * slot + m * width].reshape(m, width)
+
+    def one_bm(gen, dw, w):
+        gen.standard_normal(out=dw)
+        dw *= math.sqrt(1.0 / dw.shape[1])
+        w[:, 0] = 0.0
+        np.cumsum(dw, axis=1, out=w[:, 1:])
+
+    parts = []
+    for chunk_index, start in enumerate(range(0, n_draws, chunk)):
+        m = min(chunk, n_draws - start)
+        gen = rng.stream(seed, rng.DOMAIN_LIMIT, chunk_index)
+        dw, w = buffer(0, m, grid_n), buffer(1, m, grid_n + 1)
+        one_bm(gen, dw, w)
+        z1 = w @ trapw
+        inner = np.multiply(w, w, out=buffer(2, m, grid_n + 1))
+        z2 = inner @ trapw
+        np.add(w[:, :-1], w[:, 1:], out=inner[:, 1:])
+        inner[:, 0] = 0.0
+        np.cumsum(inner[:, 1:], axis=1, out=inner[:, 1:])
+        inner *= dt / 2.0
+        z3 = np.multiply(inner, inner, out=inner) @ trapw
+        fields = dict(w1_end=w[:, -1].copy(), z1=z1, z2=z2, z3=z3)
+        if two_bm:
+            dw2, w2 = buffer(3, m, grid_n), buffer(4, m, grid_n + 1)
+            one_bm(gen, dw2, w2)
+            fields["w2_end"] = w2[:, -1].copy()
+            fields["levy"] = (np.einsum("ij,ij->i", w[:, :-1], dw2)
+                              - np.einsum("ij,ij->i", w2[:, :-1], dw))
+            fields["q11"] = (np.einsum("ij,ij->i", w[:, :-1], dw)
+                             + np.einsum("ij,ij->i", w2[:, :-1], dw2))
+            fields["s2"] = z2 + np.multiply(w2, w2, out=inner) @ trapw
+        parts.append(fields)
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
+class EagerExecutor:
+    """Stands in for the fill worker and runs each fill as it is submitted,
+    as the fastest worker would: a fill into a slot the caller still reads
+    then changes the bits."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def run_bounded(call, timeout=60.0):
+    """Run call on a thread; fail if it has not returned within timeout.
+
+    Returns the exception it raised, or None."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except BaseException as exc:  # noqa: BLE001 - handed back to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "brownian_functionals did not return"
+    return raised[0] if raised else None
+
+
+class TestFillPipeline:
+    """The worker that fills the increments changes no bit and no slot."""
+
+    @pytest.mark.parametrize("grid_n,chunk", [(50, 4), (257, 3), (2000, 10)])
+    @pytest.mark.parametrize("two_bm", [False, True])
+    @pytest.mark.parametrize("eager", [False, True], ids=["worker", "eager"])
+    def test_bits_equal_sequential_loop(self, monkeypatch, grid_n, chunk, two_bm, eager):
+        # 2000 x 10 rows is large enough for a threaded gemv
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
+        if eager:
+            monkeypatch.setattr(car2.limits, "ThreadPoolExecutor", EagerExecutor)
+        for n_draws in (1, chunk - 1, chunk, 2 * chunk + 3, 7 * chunk + 1):
+            got = brownian_functionals(grid_n, seed=5, two_bm=two_bm, n_draws=n_draws)
+            want = sequential_functionals(grid_n, 5, two_bm, n_draws, chunk * (grid_n + 1))
+            names = FUNCTIONALS if two_bm else FUNCTIONALS[:4]
+            assert set(want) == set(names)
+            for name in names:
+                assert getattr(got, name).tobytes() == want[name].tobytes(), (n_draws, name)
+            assert all(getattr(got, name) is None for name in FUNCTIONALS if name not in names)
+
+    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
+        # four callers, each with its own worker, on a switch interval short
+        # enough to interleave them mid-chunk: a slot shared across calls or
+        # filled too early would change some caller's bits
+        grid_n, chunk = 300, 5
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
+        want = {seed: sequential_functionals(grid_n, seed, True, 4 * chunk + 2,
+                                             chunk * (grid_n + 1)) for seed in range(4)}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda seed=seed: got.__setitem__(
+                seed, brownian_functionals(grid_n, seed, True, 4 * chunk + 2)))
+                for seed in want]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(got) == set(want)
+        for seed, fields in want.items():
+            for name, value in fields.items():
+                assert getattr(got[seed], name).tobytes() == value.tobytes(), (seed, name)
+
+    @pytest.mark.parametrize("two_bm", [False, True])
+    def test_worker_error_propagates(self, monkeypatch, two_bm):
+        fill = car2.limits._fill_increments
+        calls = []
+
+        def failing_fill(gen, dw):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("fill failed")
+            fill(gen, dw)
+
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", 4 * 101)
+        monkeypatch.setattr(car2.limits, "_fill_increments", failing_fill)
+        error = run_bounded(lambda: brownian_functionals(100, seed=1, two_bm=two_bm,
+                                                         n_draws=40))
+        assert isinstance(error, RuntimeError) and str(error) == "fill failed"
+        # the fills submitted before the error surfaced ran (with two BMs,
+        # chunk 2's BM1 is submitted as chunk 1 starts); nothing after them
+        assert len(calls) == (5 if two_bm else 3)
+
+    @pytest.mark.parametrize("two_bm", [False, True])
+    def test_caller_error_propagates(self, monkeypatch, two_bm):
+        path = car2.limits._path
+        calls = []
+
+        def failing_path(dw, w):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("path failed")
+            path(dw, w)
+
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", 4 * 101)
+        monkeypatch.setattr(car2.limits, "_path", failing_path)
+        error = run_bounded(lambda: brownian_functionals(100, seed=1, two_bm=two_bm,
+                                                         n_draws=40))
+        assert isinstance(error, FloatingPointError) and str(error) == "path failed"
+
+    def test_peak_memory_is_the_slab(self, monkeypatch):
+        grid_n, chunk = 1000, 200
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
+        slot_bytes = 8 * (-(-chunk * (grid_n + 1) // 8) * 8)
+        brownian_functionals(grid_n, seed=2, two_bm=True, n_draws=3)  # warm up
+        tracemalloc.start()
+        try:
+            brownian_functionals(grid_n, seed=2, two_bm=True, n_draws=4 * chunk + 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 5 * slot_bytes <= peak <= 5 * slot_bytes + 2**20
 
 
 class TestClosedFormSamplers:

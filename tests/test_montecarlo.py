@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 import car2.estimate
 import car2.montecarlo
@@ -61,6 +63,14 @@ def merge_ks(a, b) -> float:
 # Small integer grids scaled by an inexact step: many ties, unequal sizes.
 tied_samples = st.lists(st.integers(-6, 6), min_size=1, max_size=60).map(
     lambda ks: np.asarray(ks, dtype=float) * 0.1)
+# The same with a NaN for every 7 drawn.
+tied_samples_with_nan = st.lists(st.integers(-6, 7), min_size=1, max_size=60).map(
+    lambda ks: np.array([math.nan if k == 7 else k for k in ks]) * 0.1)
+
+
+def same_float(x, y) -> bool:
+    """Bit-for-bit equal, or both NaN."""
+    return (math.isnan(x) and math.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
 class TestKsTwoSample:
@@ -87,8 +97,6 @@ class TestKsTwoSample:
         assert exceed <= 2
 
     def test_matches_scipy(self):
-        from scipy.stats import ks_2samp
-
         rng = np.random.default_rng(5)
         a = rng.normal(size=313)
         b = rng.normal(loc=0.3, size=271)
@@ -99,10 +107,25 @@ class TestKsTwoSample:
             ks_two_sample([], [1.0])
 
     @PROPERTY
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # 1x1 p-value
     @given(a=tied_samples, b=tied_samples)
     def test_matches_merge_reference_bit_for_bit(self, a, b):
         assert ks_two_sample(a, b) == merge_ks(a, b)
+
+    @PROPERTY
+    @given(a=tied_samples_with_nan, b=tied_samples_with_nan)
+    def test_matches_scipy_statistic_bit_for_bit(self, a, b):
+        # method="asymp": "auto" rounds small samples' statistic to a multiple
+        # of 1/lcm(n1, n2) for its exact p-value
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy's 1x1 p-value
+            want = ks_2samp(a, b, method="asymp").statistic
+        assert same_float(ks_two_sample(a, b), want)
+
+    def test_one_point_samples_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ks_two_sample([0.0], [1.0]) == 1.0
+            assert ks_two_sample([0.5], [0.5]) == 0.0
 
     def test_large_samples_match_merge_reference(self):
         rng_ = np.random.default_rng(6)
