@@ -5,10 +5,11 @@ functional regimes simulate standard Brownian motion on a fine grid over
 [0, 1] and evaluate the required path functionals (dt-integrals by
 trapezoid, stochastic integrals by left-point Ito sums).
 
-The Brownian sampler is a two-stage pipeline: one worker thread draws the
-normal increments of the next chunk of paths (numpy releases the GIL while
-it fills an array) while the calling thread reduces the current one, bit
-for bit as if the chunks were drawn and reduced in turn.
+The Brownian sampler computes only the functionals the limit laws read
+(see BrownianFunctionals).  It is a two-stage pipeline: one worker thread
+draws the normal increments of the next chunk of paths (numpy releases the
+GIL while it fills an array) while the calling thread reduces the current
+one, bit for bit as if the chunks were drawn and reduced in turn.
 
 Draws are returned jointly as (l1, l2): wherever the theory couples the two
 coordinates (one limit a fixed negative multiple of the other, or both built
@@ -54,18 +55,20 @@ _SIGMA_DEPENDENT = frozenset({
 class BrownianFunctionals:
     """Functionals of BM on [0, 1]; arrays of shape (n_draws,).
 
-    z1 = int w, z2 = int w^2, z3 = int (int_0^t w)^2 dt.  With a second
-    independent BM: levy = int w1 dw2 - int w2 dw1, q11 = int w1 dw1 +
-    int w2 dw2, s2 = int (w1^2 + w2^2) dt.
+    One BM, for the zero-root laws: w1_end = w(1), z1 = int w, z2 = int w^2
+    and z3 = int (int_0^t w)^2 dt.  Two independent BMs, for the Harmonic
+    law, which sees the planar BM only through w1(1), w2(1), the Levy area
+    and int (w1^2 + w2^2): w1_end, w2_end, levy = int w1 dw2 - int w2 dw1,
+    s2 = int (w1^2 + w2^2) dt, and z2 = int w1^2, the first term of s2.
+    The fields a mode does not compute are None.
     """
 
     w1_end: np.ndarray
-    z1: np.ndarray
     z2: np.ndarray
-    z3: np.ndarray
+    z1: np.ndarray | None = None
+    z3: np.ndarray | None = None
     w2_end: np.ndarray | None = None
     levy: np.ndarray | None = None
-    q11: np.ndarray | None = None
     s2: np.ndarray | None = None
 
 
@@ -95,18 +98,11 @@ def _path(dw: np.ndarray, w: np.ndarray) -> None:
     np.cumsum(dw, axis=1, out=w[:, 1:])
 
 
-def _running_integral_squared(w: np.ndarray, out: np.ndarray, dt: float) -> np.ndarray:
-    """out = (cumulative trapezoid of w)^2."""
-    np.add(w[:, :-1], w[:, 1:], out=out[:, 1:])
-    out[:, 0] = 0.0
-    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
-    out *= dt / 2.0
-    return np.multiply(out, out, out=out)
-
-
 def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                          n_draws: int = 1) -> BrownianFunctionals:
     """Simulate the Brownian functionals on a grid of grid_n steps.
+
+    two_bm selects the mode, and so the fields, that BrownianFunctionals lists.
 
     Draws come in chunks of `_CHUNK_ELEMENTS // (grid_n + 1)` paths; chunk c
     draws from stream (seed, DOMAIN_LIMIT, c), BM1 first, then BM2.  Every
@@ -121,12 +117,11 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
 
     * one BM: chunk c+1 goes into dw as soon as chunk c's w is formed;
     * two BMs: chunk c+1's BM1 goes into the spare slot when chunk c
-      starts.  Once the einsums have read dw and dw2, w^2 takes dw2, the
-      running integral takes dw and w2 is squared in place; the four gemvs
-      then run back to back, and chunk c+1's BM2 goes into dw2.  dw and
-      spare swap roles.  The gemvs are bunched because OpenBLAS's threads
-      spin for about 0.1 s after each threaded call, taking a CPU from the
-      worker; bunched, they spin once per chunk instead of four times.
+      starts, and its BM2 into dw2 as soon as the Levy einsums have read
+      dw and dw2.  w and w2 are then squared in place and their two gemvs
+      run back to back (OpenBLAS's threads spin for about 0.1 s after each
+      threaded call, taking a CPU from the worker; bunched, they spin once
+      per chunk).  dw and spare swap roles.
 
     The bits equal those of drawing and reducing one chunk after the other:
     each chunk has its own stream and the single worker runs the fills in
@@ -178,7 +173,11 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                 inner = buffer(2, m)
                 fields["z1"] = w @ trapw
                 fields["z2"] = np.multiply(w, w, out=inner) @ trapw
-                fields["z3"] = _running_integral_squared(w, inner, dt) @ trapw
+                np.add(w[:, :-1], w[:, 1:], out=inner[:, 1:])  # running trapezoid of w
+                inner[:, 0] = 0.0
+                np.cumsum(inner[:, 1:], axis=1, out=inner[:, 1:])
+                inner *= dt / 2.0
+                fields["z3"] = np.multiply(inner, inner, out=inner) @ trapw
             else:
                 bm2.result()
                 dw2, w2 = buffer(3, m, grid_n), buffer(4, m)
@@ -186,17 +185,12 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                 fields["w2_end"] = w2[:, -1].copy()
                 fields["levy"] = (np.einsum("ij,ij->i", w[:, :-1], dw2)
                                   - np.einsum("ij,ij->i", w2[:, :-1], dw))
-                fields["q11"] = (np.einsum("ij,ij->i", w[:, :-1], dw)
-                                 + np.einsum("ij,ij->i", w2[:, :-1], dw2))
-                w_sq = np.multiply(w, w, out=buffer(3, m))
-                integral_sq = _running_integral_squared(w, buffer(dw_slot, m), dt)
-                w2_sq = np.multiply(w2, w2, out=w2)
-                fields["z1"] = w @ trapw
-                fields["z2"] = w_sq @ trapw
-                fields["z3"] = integral_sq @ trapw
-                fields["s2"] = fields["z2"] + w2_sq @ trapw
                 if m_next:
                     bm1, bm2 = bm1_next, fill(gen, 3, m_next)
+                w *= w
+                w2 *= w2
+                fields["z2"] = w @ trapw
+                fields["s2"] = fields["z2"] + w2 @ trapw
                 dw_slot, spare_slot = spare_slot, dw_slot
             parts.append(fields)
     merged = {
@@ -207,8 +201,6 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
 
 
 def _cauchy_offset(roots: RootPair, params: ModelParams, q: float) -> float:
-    if params.sigma == 0.0:
-        raise ValueError("sigma = 0: the Cauchy-type limit offset c is undefined")
     p = roots.p.real
     return math.sqrt(2.0 * q) * (params.dx0 - p * params.x0) / params.sigma
 
@@ -224,8 +216,6 @@ def _unstable_oscillation(roots: RootPair, params: ModelParams, n: int,
     terms of the (h_c, h_s) covariance are dropped.
     """
     lam, nu, sig = roots.lam, roots.nu, params.sigma
-    if sig == 0.0:
-        raise ValueError("sigma = 0: unstable-oscillation limit is degenerate")
     phi = math.atan2(nu, lam)
     psi_phase = 2.0 * nu * horizon - phi
     s2l = lam * lam + nu * nu
@@ -256,6 +246,17 @@ def _unstable_oscillation(roots: RootPair, params: ModelParams, n: int,
     return l1, l2
 
 
+def check_limit_law(regime: Regime, params: ModelParams, grid_n: int) -> None:
+    """Raise ValueError if sample_limit cannot draw the regime's limit law."""
+    kind = regime.tag
+    if kind in _FUNCTIONAL_REGIMES and grid_n < MIN_FUNCTIONAL_GRID:
+        raise ValueError(
+            f"grid_n >= {MIN_FUNCTIONAL_GRID} required for functional regime {kind.value}"
+        )
+    if kind in _SIGMA_DEPENDENT and params.sigma == 0.0:
+        raise ValueError(f"sigma = 0: limit law of {kind.value} undefined")
+
+
 def sample_limit(regime: Regime, roots: RootPair, params: ModelParams, n: int,
                  grid_n: int = 10_000, seed: int = 0,
                  horizon: float | None = None) -> LimitSampleSet:
@@ -267,15 +268,13 @@ def sample_limit(regime: Regime, roots: RootPair, params: ModelParams, n: int,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    check_limit_law(regime, params, grid_n)
     kind = regime.tag
-    if kind in _FUNCTIONAL_REGIMES and grid_n < MIN_FUNCTIONAL_GRID:
-        raise ValueError(
-            f"grid_n >= {MIN_FUNCTIONAL_GRID} required for functional regime {kind.value}"
-        )
-    if kind in _SIGMA_DEPENDENT and params.sigma == 0.0:
-        raise ValueError(f"sigma = 0: limit law of {kind.value} undefined")
     gen = rng.stream(seed, rng.DOMAIN_LIMIT, 2**40)  # scalar draws; BM uses its own streams
-    used_grid = grid_n if kind in _FUNCTIONAL_REGIMES else 0
+    used_grid = 0
+    if kind in _FUNCTIONAL_REGIMES:
+        used_grid = grid_n
+        fn = brownian_functionals(grid_n, seed, kind is RegimeKind.HARMONIC, n)
 
     if kind is RegimeKind.ERGODIC:
         t1, t2 = roots.theta1, roots.theta2
@@ -301,23 +300,19 @@ def sample_limit(regime: Regime, roots: RootPair, params: ModelParams, n: int,
         l2 = -q * l1
     elif kind is RegimeKind.LARGER_ROOT_ZERO:
         t1 = roots.theta1
-        fn = brownian_functionals(grid_n, seed, n_draws=n)
         l1 = math.sqrt(2.0) * abs(t1) * gen.standard_normal(n)
         l2 = abs(t1) * (fn.w1_end**2 - 1.0) / (2.0 * fn.z2)
     elif kind is RegimeKind.SMALLER_ROOT_ZERO:
         t1 = roots.theta1
-        fn = brownian_functionals(grid_n, seed, n_draws=n)
         l1 = t1 * (fn.w1_end**2 - 1.0) / (2.0 * fn.z2)
         l2 = -l1
     elif kind is RegimeKind.ZERO_DOUBLE:
-        fn = brownian_functionals(grid_n, seed, n_draws=n)
         w1 = fn.w1_end
         den = 4.0 * fn.z2 * fn.z3 - fn.z1**4
         l1 = (2.0 * fn.z3 * (w1**2 - 1.0) - 2.0 * fn.z1**2 * (w1 * fn.z1 - fn.z2)) / den
         l2 = (4.0 * fn.z2 * (w1 * fn.z1 - fn.z2) - fn.z1**2 * (w1**2 - 1.0)) / den
     elif kind is RegimeKind.HARMONIC:
         nu = roots.nu
-        fn = brownian_functionals(grid_n, seed, two_bm=True, n_draws=n)
         # Numerator orientation (w1^2 + w2^2 - 2): follows from the proof-level
         # limits of int X'dW and int X'^2 dt; the theorem display has it flipped.
         l1 = (fn.w1_end**2 + fn.w2_end**2 - 2.0) / fn.s2

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .estimate import Estimate, SingularDesignError, SufficientStats, estimate_path
-from .limits import sample_limit
+from .limits import check_limit_law, sample_limit
 from .model import (
     ModelParams,
     Regime,
@@ -335,6 +335,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     rate_spec = rate_functions(regime, roots)
     if cfg.normalization == "nlrr" and regime.tag not in SCALAR_NLRR:
         raise NoNlrrError(f"regime {regime.tag.value} has no NLRR normalization in scalar form")
+    if cfg.comparison == "limit_sampler":
+        check_limit_law(regime, cfg.params, cfg.grid_n)
 
     results = []
     limit_draws = {}
@@ -415,20 +417,17 @@ class ConvergenceReport:
         }
 
 
-def convergence_study(cfg: ExperimentConfig, rates=None) -> ConvergenceReport:
+def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     """Median |theta_i_hat - theta_i| across horizons, raw and rate-normalized.
 
     The normalized median "stabilizes" when every consecutive-horizon ratio
-    lies in RATIO_BAND while the raw median shrinks.  `rates` overrides the
-    registry normalizations with a pair of callables (used by the wrong-rate
-    control, which applies the dominant root's rate on purpose).
+    lies in RATIO_BAND while the raw median shrinks.
     """
     if len(cfg.horizons) < 3:
         raise ValueError("need at least 3 horizons")
     roots = char_roots(cfg.params)
     regime = classify(roots)
     spec = rate_functions(regime, roots)
-    v1, v2 = rates if rates is not None else (spec.v1, spec.v2)
 
     rows = []
     for horizon in cfg.horizons:
@@ -438,7 +437,8 @@ def convergence_study(cfg: ExperimentConfig, rates=None) -> ConvergenceReport:
                          abs(est.theta2_hat - cfg.params.theta2)))
         m1 = float(np.median([d1 for d1, _ in errors]))
         m2 = float(np.median([d2 for _, d2 in errors]))
-        rows.append(ConvergenceRow(horizon, m1, m2, v1(horizon) * m1, v2(horizon) * m2,
+        rows.append(ConvergenceRow(horizon, m1, m2,
+                                   spec.v1(horizon) * m1, spec.v2(horizon) * m2,
                                    len(reps), cfg.n_reps - len(reps)))
 
     def stabilized(values):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import car2.io
+import car2.montecarlo
 from car2 import ExperimentConfig, run_experiment
 from car2.cli import main
 
@@ -232,6 +233,26 @@ class TestConfigErrors:
                                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "no NLRR" in err
+
+    @pytest.mark.parametrize("edit", [
+        dict(params={"theta1": 0.0, "theta2": -1.0}, grid_n=500),  # Harmonic
+        dict(params={"theta1": 3.0, "theta2": -2.0, "sigma": 0.0}),  # DistinctPositive
+        dict(params={"theta1": 0.5, "theta2": -1.0625, "sigma": 0.0}),  # UnstableOscillation
+    ], ids=["harmonic_coarse_grid", "distinct_positive_sigma_0", "unstable_sigma_0"])
+    def test_undrawable_limit_law_exits_2_before_simulating(self, tmp_path, capsys,
+                                                             monkeypatch, edit):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return simulate_exact(*args, **kwargs)
+
+        simulate_exact = car2.montecarlo.simulate_exact
+        monkeypatch.setattr(car2.montecarlo, "simulate_exact", recording)
+        code, _, err = _run(capsys, ["experiment", "--config", _write(tmp_path, _config(**edit)),
+                                     "--out", str(tmp_path / "out")])
+        assert code == 2 and err.startswith("error: ")
+        assert calls == []
 
     def test_nlrr_on_unstable_oscillation_exits_2(self, tmp_path, capsys):
         # The regime table says "yes": its NLRR exists only in matrix form.

@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,10 @@ from car2 import (
 
 from conftest import REGIME_POINTS
 
-FUNCTIONALS = ("w1_end", "z1", "z2", "z3", "w2_end", "levy", "q11", "s2")
+TESTS = Path(__file__).resolve().parent
+
+ONE_BM_FIELDS = ("w1_end", "z1", "z2", "z3")
+TWO_BM_FIELDS = ("w1_end", "z2", "w2_end", "levy", "s2")
 
 
 def setup(name, sigma=1.0, x0=0.0, dx0=0.0):
@@ -64,15 +70,6 @@ class TestBrownianFunctionals:
         assert abs(skew) <= 0.1
         assert fn.s2.min() > 0
 
-    def test_ito_sum_identity_rms(self):
-        # int w dw = (w(1)^2 - 1)/2 pathwise to O(grid^-1/2) in RMS.
-        for grid in (400, 1600):
-            fn = brownian_functionals(grid, seed=3, two_bm=True, n_draws=4000)
-            ito = fn.q11  # here: int w1 dw1 + int w2 dw2
-            identity = (fn.w1_end**2 - 1.0) / 2.0 + (fn.w2_end**2 - 1.0) / 2.0
-            rms = math.sqrt(((ito - identity) ** 2).mean())
-            assert rms <= 4.0 * math.sqrt(1.0 / grid)
-
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
             brownian_functionals(1, seed=0)
@@ -90,11 +87,11 @@ class TestBrownianFunctionals:
         chunk = 2**22 // (grid + 1)
         short = brownian_functionals(grid, seed=4, two_bm=True, n_draws=chunk)
         longer = brownian_functionals(grid, seed=4, two_bm=True, n_draws=2 * chunk + 3)
-        for name in ("w1_end", "z1", "z2", "z3", "w2_end", "levy", "q11", "s2"):
+        for name in TWO_BM_FIELDS:
             assert np.array_equal(getattr(longer, name)[:chunk], getattr(short, name))
             assert len(getattr(longer, name)) == 2 * chunk + 3
             assert np.all(np.isfinite(getattr(longer, name)))
-        assert not np.array_equal(longer.z3[chunk:2 * chunk], longer.z3[:chunk])
+        assert not np.array_equal(longer.s2[chunk:2 * chunk], longer.s2[:chunk])
 
 
 def sequential_functionals(grid_n, seed, two_bm, n_draws, chunk_elements):
@@ -143,6 +140,17 @@ def sequential_functionals(grid_n, seed, two_bm, n_draws, chunk_elements):
             fields["s2"] = z2 + np.multiply(w2, w2, out=inner) @ trapw
         parts.append(fields)
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+
+def assert_fields_equal(got, want, two_bm, context):
+    """got (BrownianFunctionals) has exactly its mode's fields, each equal
+    bit for bit to the oracle's; the oracle also returns z1, z3 and q11 with
+    two BMs, which the sampler leaves out."""
+    names = TWO_BM_FIELDS if two_bm else ONE_BM_FIELDS
+    for name in names:
+        assert getattr(got, name).tobytes() == want[name].tobytes(), (context, name)
+    for name in set(ONE_BM_FIELDS + TWO_BM_FIELDS) - set(names):
+        assert getattr(got, name) is None, (context, name)
 
 
 class EagerExecutor:
@@ -198,11 +206,7 @@ class TestFillPipeline:
         for n_draws in (1, chunk - 1, chunk, 2 * chunk + 3, 7 * chunk + 1):
             got = brownian_functionals(grid_n, seed=5, two_bm=two_bm, n_draws=n_draws)
             want = sequential_functionals(grid_n, 5, two_bm, n_draws, chunk * (grid_n + 1))
-            names = FUNCTIONALS if two_bm else FUNCTIONALS[:4]
-            assert set(want) == set(names)
-            for name in names:
-                assert getattr(got, name).tobytes() == want[name].tobytes(), (n_draws, name)
-            assert all(getattr(got, name) is None for name in FUNCTIONALS if name not in names)
+            assert_fields_equal(got, want, two_bm, n_draws)
 
     def test_concurrent_callers_under_fast_switching(self, monkeypatch):
         # four callers, each with its own worker, on a switch interval short
@@ -228,8 +232,7 @@ class TestFillPipeline:
             sys.setswitchinterval(interval)
         assert set(got) == set(want)
         for seed, fields in want.items():
-            for name, value in fields.items():
-                assert getattr(got[seed], name).tobytes() == value.tobytes(), (seed, name)
+            assert_fields_equal(got[seed], fields, True, seed)
 
     @pytest.mark.parametrize("two_bm", [False, True])
     def test_worker_error_propagates(self, monkeypatch, two_bm):
@@ -267,6 +270,18 @@ class TestFillPipeline:
         error = run_bounded(lambda: brownian_functionals(100, seed=1, two_bm=two_bm,
                                                          n_draws=40))
         assert isinstance(error, FloatingPointError) and str(error) == "path failed"
+
+    def test_bits_equal_sequential_loop_one_blas_thread(self):
+        # gemv results can depend on the BLAS thread count; pipeline and
+        # oracle make the same calls, so they agree at one thread as well
+        test = f"{__file__}::TestFillPipeline::test_bits_equal_sequential_loop"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(TESTS.parent / "src")}
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               test, "-k", "worker and 2000"], cwd=TESTS.parent,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "2 passed" in proc.stdout
 
     def test_peak_memory_is_the_slab(self, monkeypatch):
         grid_n, chunk = 1000, 200
@@ -370,6 +385,17 @@ class TestFunctionalSamplers:
         assert abs(np.median(draws.l2)) <= 0.15
         assert abs(draws.l1.mean() * 0) == 0  # finite draws
         assert np.isfinite(draws.l1).all()
+
+    def test_harmonic_draws_are_the_law_of_the_oracle_fields(self, monkeypatch):
+        grid_n, chunk, n = 1000, 7, 30
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
+        params, roots, regime = setup("Harmonic")
+        draws = sample_limit(regime, roots, params, n, grid_n=grid_n, seed=21)
+        fn = sequential_functionals(grid_n, 21, True, n, chunk * (grid_n + 1))
+        l1 = (fn["w1_end"]**2 + fn["w2_end"]**2 - 2.0) / fn["s2"]
+        l2 = 2.0 * roots.nu * fn["levy"] / fn["s2"]
+        assert draws.l1.tobytes() == l1.tobytes()
+        assert draws.l2.tobytes() == l2.tobytes()
 
     def test_grid_refinement_percentile_stability(self):
         # 10/50/90 percentiles at grid 1e3 vs 1e4 differ < 2%.

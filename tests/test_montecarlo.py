@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -389,14 +390,22 @@ class TestConvergenceStudy:
         assert report.stabilized1 and report.stabilized2
         assert len(report.rows) == 3
 
-    def test_wrong_rate_diverges(self):
+    def test_wrong_rate_diverges(self, monkeypatch):
         # Distinct positive roots p=2, q=1: e^{qT} stabilizes, e^{pT} explodes.
         cfg = ergodic_cfg(params=ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0,
                                              x0=0.1, dx0=0.1),
                           horizons=(6.0, 8.0, 10.0), n_reps=100,
                           steps_per_unit_time=100, comparison="none")
         right = convergence_study(cfg)
-        wrong = convergence_study(cfg, rates=(lambda T: math.exp(2 * T),) * 2)
+        registry = car2.montecarlo.rate_functions
+
+        def dominant_root_rates(regime, roots):
+            def f(T):
+                return math.exp(2 * T)
+            return dataclasses.replace(registry(regime, roots), v1=f, v2=f)
+
+        monkeypatch.setattr(car2.montecarlo, "rate_functions", dominant_root_rates)
+        wrong = convergence_study(cfg)
         assert right.stabilized1
         wrong_norm = [r.normalized_median1 for r in wrong.rows]
         assert wrong_norm[-1] > 10.0 * wrong_norm[0]
