@@ -4,8 +4,8 @@ Commands: roots, simulate, estimate, limit-sample, experiment, convergence.
 JSON configs are validated by ExperimentConfig.from_dict (unknown keys
 rejected); the CLI itself reads only their "command" and "write_residuals"
 keys.  CSV holds bulk numbers.  Exit codes: 0 success, 2 argument/config
-error (including NLRR normalization for a regime that has none), 3 numeric
-failure (singular design, overflow, no valid replications).
+or file error (including NLRR normalization for a regime that has none),
+3 numeric failure (singular design, overflow, no valid replications).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from .estimate import estimate_path, estimate_sigma
 from .io import dump_json, read_path_csv, write_path_csv, write_rows_csv
 from .limits import sample_limit
-from .model import ModelParams, char_roots, classify
+from .model import ModelParams, classify_params
 from .montecarlo import ExperimentConfig, convergence_study, run_experiment
 from .regimes import rate_functions
 from .simulate import SimConfig, rescale_time, simulate
@@ -59,9 +59,8 @@ def _params_from_args(args) -> ModelParams:
 
 
 def _roots_info(params: ModelParams, tol: float | None) -> dict:
-    roots = char_roots(params)
-    regime = classify(roots, tol)
-    spec = rate_functions(regime, roots)
+    regime = classify_params(params, tol)
+    roots, spec = regime.roots, rate_functions(regime)
     return {
         "p": [roots.p.real, roots.p.imag],
         "q": [roots.q.real, roots.q.imag],
@@ -142,9 +141,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_limit_sample(args) -> int:
     params = _params_from_args(args)
-    roots = char_roots(params)
-    regime = classify(roots, args.tol)
-    draws = sample_limit(regime, roots, params, args.n, grid_n=args.grid_n,
+    regime = classify_params(params, args.tol)
+    roots = regime.roots
+    draws = sample_limit(regime, params, args.n, grid_n=args.grid_n,
                          seed=args.seed, horizon=args.horizon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ArithmeticError) as exc:

@@ -58,7 +58,10 @@ def write_path_csv(path: SamplePath, dest: str | Path) -> None:
 
 
 def read_path_csv(src: str | Path, params: ModelParams) -> SamplePath:
-    """Rebuild a SamplePath from CSV plus its model parameters."""
+    """Rebuild a SamplePath from CSV plus its model parameters.
+
+    The estimator assumes t_i = i*T/n, so any other t column is a ValueError.
+    """
     with open(src) as handle:
         header = handle.readline().strip()
         if header != "t,x,v,dw":
@@ -75,6 +78,11 @@ def read_path_csv(src: str | Path, params: ModelParams) -> SamplePath:
             x.append(float(fields[1]))
             v.append(float(fields[2]))
             dw.append(fields[3])
+    t = np.array(t)
+    n = t.size - 1
+    if n < 1 or t[0] != 0.0 or not (
+            np.abs(t - np.linspace(0.0, t[-1], n + 1)).max() < 1e-9 * t[-1]):
+        raise ValueError("t column must be the uniform grid 0, T/n, 2T/n, ..., T")
     noise_fields = dw[:-1]
     if all(f == "" for f in noise_fields):
         dw_arr = None
@@ -82,7 +90,7 @@ def read_path_csv(src: str | Path, params: ModelParams) -> SamplePath:
         dw_arr = np.array([float(f) for f in noise_fields])
     else:
         raise ValueError("dw column must be all empty or filled on every step row")
-    return SamplePath(t=np.array(t), x=np.array(x), v=np.array(v), dw=dw_arr,
+    return SamplePath(t=t, x=np.array(x), v=np.array(v), dw=dw_arr,
                       sigma=params.sigma, params=params)
 
 

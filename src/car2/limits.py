@@ -257,19 +257,19 @@ def check_limit_law(regime: Regime, params: ModelParams, grid_n: int) -> None:
         raise ValueError(f"sigma = 0: limit law of {kind.value} undefined")
 
 
-def sample_limit(regime: Regime, roots: RootPair, params: ModelParams, n: int,
-                 grid_n: int = 10_000, seed: int = 0,
-                 horizon: float | None = None) -> LimitSampleSet:
+def sample_limit(regime: Regime, params: ModelParams, n: int, grid_n: int = 10_000,
+                 seed: int = 0, horizon: float | None = None) -> LimitSampleSet:
     """Draw n joint samples (l1, l2) from the regime's limit law.
 
     l1 is the limit of v1(T)(theta1_hat - theta1), l2 of
-    v2(T)(theta2_hat - theta2).  horizon is required only for
-    UnstableOscillation, whose limit depends on the phase 2*nu*T.
+    v2(T)(theta2_hat - theta2); the law's constants come from regime.roots,
+    its initial-state offsets and sigma from params.  horizon is required
+    only for UnstableOscillation, whose limit depends on the phase 2*nu*T.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_limit_law(regime, params, grid_n)
-    kind = regime.tag
+    kind, roots = regime.tag, regime.roots
     gen = rng.stream(seed, rng.DOMAIN_LIMIT, 2**40)  # scalar draws; BM uses its own streams
     used_grid = 0
     if kind in _FUNCTIONAL_REGIMES:

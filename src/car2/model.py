@@ -122,8 +122,10 @@ class RegimeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Regime:
+    """A regime with the roots classify assigned it from, so the two agree."""
+
     tag: RegimeKind
-    classified_with_tol: float
+    roots: RootPair
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ def default_tol(roots: RootPair) -> float:
 
 
 def classify(roots: RootPair, tol: float | None = None) -> Regime:
-    """Assign one of the nine asymptotic regimes.
+    """Assign one of the nine asymptotic regimes; the Regime keeps roots.
 
     Root components with magnitude <= tol are snapped to zero, and the pair
     is declared a double root when |p - q| <= tol*(1 + |p| + |q|).  The
@@ -190,8 +192,8 @@ def classify(roots: RootPair, tol: float | None = None) -> Regime:
     """
     if tol is None:
         tol = default_tol(roots)
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
     def snap(value: float) -> float:
         return 0.0 if abs(value) <= tol else value
@@ -206,7 +208,7 @@ def classify(roots: RootPair, tol: float | None = None) -> Regime:
             kind = RegimeKind.HARMONIC
         else:
             kind = RegimeKind.UNSTABLE_OSCILLATION
-        return Regime(kind, tol)
+        return Regime(kind, roots)
 
     p_re, q_re = snap(p.real), snap(q.real)
     double = abs(p_re - q_re) <= tol * (1.0 + abs(p_re) + abs(q_re))
@@ -228,7 +230,7 @@ def classify(roots: RootPair, tol: float | None = None) -> Regime:
         kind = RegimeKind.SMALLER_ROOT_ZERO
     else:
         kind = RegimeKind.DISTINCT_POSITIVE
-    return Regime(kind, tol)
+    return Regime(kind, roots)
 
 
 def classify_params(params: ModelParams, tol: float | None = None) -> Regime:

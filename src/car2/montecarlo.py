@@ -37,15 +37,7 @@ import numpy as np
 from . import rng
 from .estimate import Estimate, SingularDesignError, SufficientStats, estimate_path
 from .limits import check_limit_law, sample_limit
-from .model import (
-    ModelParams,
-    Regime,
-    RegimeKind,
-    RootPair,
-    char_roots,
-    check_number,
-    classify,
-)
+from .model import ModelParams, Regime, RegimeKind, RootPair, check_number, classify_params
 from .regimes import (SCALAR_NLRR, NoNlrrError, nlrr_rate, rate_functions,
                       rotation_template, scaling_matrix)
 from .simulate import simulate_exact
@@ -116,8 +108,8 @@ class ExperimentConfig:
         object.__setattr__(self, "horizons", horizons)
         if not horizons or any(T <= 0 for T in horizons):
             raise ValueError("horizons must be positive")
-        if list(horizons) != sorted(horizons):
-            raise ValueError("horizons must be increasing")
+        if any(a >= b for a, b in zip(horizons, horizons[1:])):
+            raise ValueError("horizons must be strictly increasing")
         _check_int("n_reps", self.n_reps, 2)
         _check_int("seed", self.seed, 0)
         _check_int("steps_per_unit_time", self.steps_per_unit_time, 1)
@@ -243,28 +235,28 @@ def _estimate_u_hat(stats: SufficientStats, roots: RootPair) -> tuple[float, flo
     return u_s, u_c
 
 
-def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, roots: RootPair,
-                          rate_spec, horizon: float, est: Estimate) -> tuple[float, float]:
+def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, rate_spec,
+                          horizon: float, est: Estimate) -> tuple[float, float]:
     p = cfg.params
     d1 = est.theta1_hat - p.theta1
     d2 = est.theta2_hat - p.theta2
     if cfg.normalization == "deterministic_rate":
         return rate_spec.v1(horizon) * d1, rate_spec.v2(horizon) * d2
     if cfg.normalization == "nlrr":
-        rates = nlrr_rate(regime, roots, est.stats)
+        rates = nlrr_rate(regime, est.stats)
         r2 = rates.r2 * d2 if rates.r2 is not None else math.nan
         return rates.r1 * d1, r2
     # matrix mode: components of B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1)
-    a_t = scaling_matrix(regime, roots, horizon)
+    a_t = scaling_matrix(regime, horizon)
     vec = a_t @ (est.psi @ np.array([d2, d1]))
     if regime.tag is RegimeKind.UNSTABLE_OSCILLATION:
-        u_s, u_c = _estimate_u_hat(est.stats, roots)
+        u_s, u_c = _estimate_u_hat(est.stats, regime.roots)
         vec = rotation_template(u_s, u_c) @ vec
     return float(vec[0]), float(vec[1])
 
 
-def _reference_samples(cfg: ExperimentConfig, regime: Regime, roots: RootPair,
-                       horizon_index: int, horizon: float, limit_draws: dict):
+def _reference_samples(cfg: ExperimentConfig, regime: Regime, horizon_index: int,
+                       horizon: float, limit_draws: dict):
     """Reference draws (ref1, ref2, reused) for one horizon.
 
     A NormalReference is drawn afresh from the stream of horizon_index.
@@ -287,7 +279,7 @@ def _reference_samples(cfg: ExperimentConfig, regime: Regime, roots: RootPair,
     key = horizon if regime.tag is RegimeKind.UNSTABLE_OSCILLATION else None
     reused = key in limit_draws
     if not reused:
-        limit_draws[key] = sample_limit(regime, roots, cfg.params, cfg.n_reference,
+        limit_draws[key] = sample_limit(regime, cfg.params, cfg.n_reference,
                                         grid_n=cfg.grid_n, seed=cfg.seed, horizon=horizon)
     draws = limit_draws[key]
     return draws.l1, draws.l2, reused
@@ -330,9 +322,8 @@ def _replicate(cfg: ExperimentConfig, horizon: float, reduce):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full experiment.  Deterministic given cfg (incl. seed)."""
     start = time.perf_counter()
-    roots = char_roots(cfg.params)
-    regime = classify(roots)
-    rate_spec = rate_functions(regime, roots)
+    regime = classify_params(cfg.params)
+    rate_spec = rate_functions(regime)
     if cfg.normalization == "nlrr" and regime.tag not in SCALAR_NLRR:
         raise NoNlrrError(f"regime {regime.tag.value} has no NLRR normalization in scalar form")
     if cfg.comparison == "limit_sampler":
@@ -343,12 +334,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for horizon_index, horizon in enumerate(cfg.horizons):
         n_steps, reps, pairs, excluded = _replicate(
             cfg, horizon,
-            lambda est: _normalized_residuals(cfg, regime, roots, rate_spec, horizon, est))
+            lambda est: _normalized_residuals(cfg, regime, rate_spec, horizon, est))
         r1_arr = np.asarray([r1 for r1, _ in pairs])
         r2_arr = np.asarray([r2 for _, r2 in pairs])
 
-        ref1, ref2, reused = _reference_samples(cfg, regime, roots, horizon_index,
-                                                horizon, limit_draws)
+        ref1, ref2, reused = _reference_samples(cfg, regime, horizon_index, horizon,
+                                                limit_draws)
         ks1 = ks_two_sample(r1_arr, ref1) if ref1 is not None else None
         ks2 = None
         if ref2 is not None and np.isfinite(r2_arr).all():
@@ -425,9 +416,8 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     """
     if len(cfg.horizons) < 3:
         raise ValueError("need at least 3 horizons")
-    roots = char_roots(cfg.params)
-    regime = classify(roots)
-    spec = rate_functions(regime, roots)
+    regime = classify_params(cfg.params)
+    spec = rate_functions(regime)
 
     rows = []
     for horizon in cfg.horizons:

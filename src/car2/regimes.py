@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .estimate import SufficientStats
-from .model import Regime, RegimeKind, RootPair, classify
+from .model import Regime, RegimeKind
 
 __all__ = [
     "RateSpec",
@@ -80,18 +80,9 @@ SCALAR_NLRR = frozenset(kind for kind, row in _TABLE.items() if row[2] != "no"
                         and kind is not RegimeKind.UNSTABLE_OSCILLATION)
 
 
-def _check_consistent(regime: Regime, roots: RootPair) -> None:
-    derived = classify(roots, regime.classified_with_tol)
-    if derived.tag is not regime.tag:
-        raise ValueError(
-            f"regime {regime.tag.value} inconsistent with roots p={roots.p}, q={roots.q}"
-        )
-
-
-def rate_functions(regime: Regime, roots: RootPair) -> RateSpec:
-    """Deterministic rates and labels for the given regime."""
-    _check_consistent(regime, roots)
-    kind = regime.tag
+def rate_functions(regime: Regime) -> RateSpec:
+    """Deterministic rates and labels of the regime, from its roots."""
+    kind, roots = regime.tag, regime.roots
     p, q = roots.p.real, roots.q.real
     theta1 = roots.theta1
 
@@ -147,8 +138,10 @@ def rate_functions(regime: Regime, roots: RootPair) -> RateSpec:
     )
 
 
-def nlrr_rate(regime: Regime, roots: RootPair, stats: SufficientStats) -> NlrrRates:
+def nlrr_rate(regime: Regime, stats: SufficientStats) -> NlrrRates:
     """Random normalizations with a Gaussian limit, from observed statistics.
+
+    The projection rates read the regime's larger root p.
 
     Ergodic: (sqrt(SVV), sqrt(SXX)), limits N(0, sigma^2) each.
     Opposite sign / distinct positive: common rate sqrt(int (X'-pX)^2 dt).
@@ -158,7 +151,6 @@ def nlrr_rate(regime: Regime, roots: RootPair, stats: SufficientStats) -> NlrrRa
     SmallerRootZero, and UnstableOscillation, which has only the matrix
     normalization (use scaling_matrix and rotation_template).
     """
-    _check_consistent(regime, roots)
     kind = regime.tag
     if kind not in SCALAR_NLRR:
         raise NoNlrrError(f"regime {kind.value} has no NLRR normalization in scalar form")
@@ -166,7 +158,7 @@ def nlrr_rate(regime: Regime, roots: RootPair, stats: SufficientStats) -> NlrrRa
     if kind is RegimeKind.ERGODIC:
         return NlrrRates(math.sqrt(stats.svv), math.sqrt(stats.sxx))
     if kind in (RegimeKind.OPPOSITE_SIGN, RegimeKind.DISTINCT_POSITIVE):
-        p = roots.p.real
+        p = regime.roots.p.real
         val = stats.svv - 2.0 * p * stats.sxv + p * p * stats.sxx
         r = math.sqrt(max(val, 0.0))
         return NlrrRates(r, r)
@@ -176,12 +168,14 @@ def nlrr_rate(regime: Regime, roots: RootPair, stats: SufficientStats) -> NlrrRa
     return NlrrRates(stats.sxx / T**1.5, None)  # LargerRootZero: theta1 only
 
 
-def scaling_matrix(regime: Regime, roots: RootPair, horizon: float) -> np.ndarray:
-    """Normalization A_T of l_T(u) = L_T(theta + A_T u), (theta2, theta1) order."""
-    _check_consistent(regime, roots)
+def scaling_matrix(regime: Regime, horizon: float) -> np.ndarray:
+    """Normalization A_T of l_T(u) = L_T(theta + A_T u), (theta2, theta1) order.
+
+    The explosive and oscillating forms read the regime's roots.
+    """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    kind = regime.tag
+    kind, roots = regime.tag, regime.roots
     T = horizon
     p = roots.p.real
     if kind is RegimeKind.ERGODIC:

@@ -1,7 +1,7 @@
 """The `car2` command-line contract: outputs, reruns and exit codes.
 
-Exit codes: 0 success, 2 argument or config error (including a regime with
-no NLRR normalization), 3 numeric failure.
+Exit codes: 0 success, 2 argument, config or file error (including a regime
+with no NLRR normalization), 3 numeric failure.
 """
 
 import json
@@ -177,6 +177,7 @@ REJECTED = {
     "horizons_empty": _set("horizons", []),
     "horizon_zero": _set("horizons", [0.0, 1.0]),
     "horizon_bool": _set("horizons", [True]),
+    "horizons_repeated": _set("horizons", [5.0, 5.0]),
     "normalization_unknown": _set("normalization", "bogus"),
     "comparison_unknown": _set("comparison", "bogus"),
     "comparison_number": _set("comparison", 3),
@@ -221,6 +222,31 @@ class TestConfigErrors:
         code, _, err = _run(capsys, ["experiment", "--config", str(tmp_path / "missing.json")])
         assert code == 2 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["roots", "limit-sample"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, command, tol):
+        # tol inf snapped every root to 0 (ZeroDouble), nan acted like 0.
+        extra = ["--n", "5", "--out", str(tmp_path / "out")] if command == "limit-sample" else []
+        code, out, err = _run(capsys, [command, *MODEL, "--tol", tol, *extra])
+        assert code == 2 and err.startswith("error: ") and "tol" in err
+        assert out == "" and not (tmp_path / "out").exists()
+
+    def test_missing_path_csv_exits_2(self, tmp_path, capsys):
+        sim_dir = _simulate(tmp_path, capsys)
+        code, _, err = _run(capsys, ["estimate", "--path", str(tmp_path / "missing.csv"),
+                                     "--meta", str(sim_dir / "path.meta.json"),
+                                     "--out", str(tmp_path / "est")])
+        assert code == 2 and err.startswith("error: ")
+        assert "Traceback" not in err and not (tmp_path / "est").exists()
+
+    def test_simulate_out_is_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        code, _, err = _run(capsys, ["simulate", *MODEL, "--horizon", "1", "--n-steps", "10",
+                                     "--out", str(taken)])
+        assert code == 2 and err.startswith("error: ")
+        assert taken.read_text() == "keep\n"
+
     def test_negative_seed_override(self, tmp_path, capsys):
         code, _, err = _run(capsys, ["experiment", "--config", _write(tmp_path, _config()),
                                      "--seed", "-1", "--out", str(tmp_path / "out")])
@@ -262,6 +288,44 @@ class TestConfigErrors:
                                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "no NLRR" in err and "UnstableOscillation" in err
+
+
+def _simulate(tmp_path, capsys, *extra):
+    sim_dir = tmp_path / "sim"
+    argv = ["simulate", *MODEL, "--horizon", "5", "--n-steps", "500", "--seed", "3",
+            "--out", str(sim_dir), *extra]
+    assert _run(capsys, argv)[0] == 0
+    return sim_dir
+
+
+class TestPathTimeColumn:
+    """estimate reads only paths on the grid t_i = i*T/n that simulate writes."""
+
+    @pytest.mark.parametrize("extra", [[], ["--rescale", "3"]], ids=["plain", "rescaled"])
+    def test_simulated_paths_read_back(self, tmp_path, capsys, extra):
+        sim_dir = _simulate(tmp_path, capsys, *extra)
+        code, _, _ = _run(capsys, ["estimate", "--path", str(sim_dir / "path.csv"),
+                                   "--out", str(tmp_path / "est")])
+        assert code == 0
+        record = json.loads((tmp_path / "est" / "estimate.json").read_text())
+        assert record["n"] == 500
+        assert record["T"] == pytest.approx(5.0 / 3.0 if extra else 5.0, rel=1e-15)
+
+    @pytest.mark.parametrize("retime", [
+        lambda i, t: t + 10.0,  # shifted to start at 10
+        lambda i, t: t if i <= 250 else 2.5 + 1.5 * (t - 2.5),  # stretched second half
+    ], ids=["shifted", "non_uniform"])
+    def test_other_time_columns_exit_2(self, tmp_path, capsys, retime):
+        sim_dir = _simulate(tmp_path, capsys)
+        csv = sim_dir / "path.csv"
+        header, *rows = csv.read_text().splitlines()
+        rows = [",".join([repr(retime(i, float(t))), rest])
+                for i, (t, rest) in enumerate(row.split(",", 1) for row in rows)]
+        csv.write_text("\n".join([header, *rows]) + "\n")
+        code, _, err = _run(capsys, ["estimate", "--path", str(csv),
+                                     "--out", str(tmp_path / "est")])
+        assert code == 2 and err.startswith("error: ") and "t column" in err
+        assert not (tmp_path / "est").exists()
 
 
 def test_residuals_written_through_io(tmp_path, capsys, monkeypatch):

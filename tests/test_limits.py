@@ -300,7 +300,7 @@ class TestFillPipeline:
 class TestClosedFormSamplers:
     def test_ergodic_variances(self):
         params, roots, regime = setup("Ergodic")  # theta1=-3, theta2=-2
-        draws = sample_limit(regime, roots, params, 100_000, seed=5)
+        draws = sample_limit(regime, params, 100_000, seed=5)
         n = draws.l1.size
         v1 = 2.0 * params.theta1**2
         v2 = 2.0 * abs(params.theta2) * params.theta1**2
@@ -314,7 +314,7 @@ class TestClosedFormSamplers:
     def test_ergodic_unit_coefficient(self):
         params = ModelParams(theta1=-1.0, theta2=-1.0, sigma=1.0)
         roots = char_roots(params)
-        draws = sample_limit(classify(roots), roots, params, 100_000, seed=6)
+        draws = sample_limit(classify(roots), params, 100_000, seed=6)
         assert abs(draws.l1.var() - 2.0) <= 4.0 * 2.0 * math.sqrt(2.0 / draws.l1.size)
 
     def test_cauchy_zero_offset_median_and_iqr(self):
@@ -322,7 +322,7 @@ class TestClosedFormSamplers:
         # 2(p+q)q/(p-q); median ~ 0 and IQR = 2*scale.
         params, roots, regime = setup("DistinctPositive")  # p=2, q=1
         scale = 2.0 * 3.0 * 1.0 / 1.0
-        draws = sample_limit(regime, roots, params, 100_000, seed=7)
+        draws = sample_limit(regime, params, 100_000, seed=7)
         med = np.median(draws.l1)
         # SE of the median of a Cauchy sample: pi*scale/(2 sqrt(n))
         band = 4.0 * math.pi * scale / (2.0 * math.sqrt(draws.l1.size))
@@ -334,7 +334,7 @@ class TestClosedFormSamplers:
         for name, factor_root in (("OppositeSign", "p"), ("DistinctPositive", "p"),
                                   ("PositiveDouble", "q")):
             params, roots, regime = setup(name)
-            draws = sample_limit(regime, roots, params, 1000, seed=8)
+            draws = sample_limit(regime, params, 1000, seed=8)
             root = roots.p.real if factor_root == "p" else (roots.p.real + roots.q.real) / 2
             np.testing.assert_array_equal(draws.l2, -root * draws.l1)
 
@@ -342,12 +342,12 @@ class TestClosedFormSamplers:
         for name in ("DistinctPositive", "PositiveDouble", "UnstableOscillation"):
             params, roots, regime = setup(name, sigma=0.0)
             with pytest.raises(ValueError):
-                sample_limit(regime, roots, params, 10, horizon=5.0)
+                sample_limit(regime, params, 10, horizon=5.0)
 
     def test_small_grid_rejected_for_functional_regime(self):
         params, roots, regime = setup("ZeroDouble")
         with pytest.raises(ValueError):
-            sample_limit(regime, roots, params, 10, grid_n=100)
+            sample_limit(regime, params, 10, grid_n=100)
 
 
 class TestFunctionalSamplers:
@@ -361,18 +361,18 @@ class TestFunctionalSamplers:
         assert abs(num_a.mean()) <= 4.0 * num_a.std() / math.sqrt(n)
         assert abs(num_b.mean()) <= 4.0 * num_b.std() / math.sqrt(n)
         params, roots, regime = setup("ZeroDouble")
-        draws = sample_limit(regime, roots, params, 5000, grid_n=2000, seed=11)
+        draws = sample_limit(regime, params, 5000, grid_n=2000, seed=11)
         assert np.isfinite(draws.l1).all() and np.isfinite(draws.l2).all()
         assert draws.grid_n == 2000
 
     def test_smaller_root_zero_coupling(self):
         params, roots, regime = setup("SmallerRootZero")
-        draws = sample_limit(regime, roots, params, 5000, grid_n=2000, seed=12)
+        draws = sample_limit(regime, params, 5000, grid_n=2000, seed=12)
         np.testing.assert_array_equal(draws.l2, -draws.l1)
 
     def test_larger_root_zero_independence(self):
         params, roots, regime = setup("LargerRootZero")
-        draws = sample_limit(regime, roots, params, 30_000, grid_n=1500, seed=13)
+        draws = sample_limit(regime, params, 30_000, grid_n=1500, seed=13)
         corr = np.corrcoef(draws.l1, draws.l2)[0, 1]
         assert abs(corr) <= 4.0 / math.sqrt(draws.l1.size)
         v1 = 2.0 * params.theta1**2
@@ -380,7 +380,7 @@ class TestFunctionalSamplers:
 
     def test_harmonic_medians_and_levy(self):
         params, roots, regime = setup("Harmonic")
-        draws = sample_limit(regime, roots, params, 20_000, grid_n=1500, seed=14)
+        draws = sample_limit(regime, params, 20_000, grid_n=1500, seed=14)
         # l2 is symmetric; l1's numerator is mean zero but left-skewed
         assert abs(np.median(draws.l2)) <= 0.15
         assert abs(draws.l1.mean() * 0) == 0  # finite draws
@@ -390,7 +390,7 @@ class TestFunctionalSamplers:
         grid_n, chunk, n = 1000, 7, 30
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         params, roots, regime = setup("Harmonic")
-        draws = sample_limit(regime, roots, params, n, grid_n=grid_n, seed=21)
+        draws = sample_limit(regime, params, n, grid_n=grid_n, seed=21)
         fn = sequential_functionals(grid_n, 21, True, n, chunk * (grid_n + 1))
         l1 = (fn["w1_end"]**2 + fn["w2_end"]**2 - 2.0) / fn["s2"]
         l2 = 2.0 * roots.nu * fn["levy"] / fn["s2"]
@@ -401,8 +401,8 @@ class TestFunctionalSamplers:
         # 10/50/90 percentiles at grid 1e3 vs 1e4 differ < 2%.
         for name in ("ZeroDouble", "Harmonic"):
             params, roots, regime = setup(name)
-            a = sample_limit(regime, roots, params, 25_000, grid_n=1000, seed=15)
-            b = sample_limit(regime, roots, params, 25_000, grid_n=10_000, seed=16)
+            a = sample_limit(regime, params, 25_000, grid_n=1000, seed=15)
+            b = sample_limit(regime, params, 25_000, grid_n=10_000, seed=16)
             pa = np.percentile(a.l1, [10, 50, 90])
             pb = np.percentile(b.l1, [10, 50, 90])
             spread = pb[2] - pb[0]
@@ -420,7 +420,7 @@ class TestSamplersAgainstSimulation:
         T = 14.0
         d1, d2 = simulated_residuals(params, T, h=0.005, n_reps=1000)
         rate = math.exp(q * T) / (q * T)
-        draws = sample_limit(regime, roots, params, 20_000, seed=17)
+        draws = sample_limit(regime, params, 20_000, seed=17)
         assert ks_two_sample(rate * d1, draws.l1) <= 0.12
         assert ks_two_sample(rate * d2, draws.l2) <= 0.12
 
@@ -430,7 +430,7 @@ class TestSamplersAgainstSimulation:
         regime = classify(roots)
         T = 20.0
         d1, d2 = simulated_residuals(params, T, h=0.005, n_reps=600)
-        draws = sample_limit(regime, roots, params, 20_000, grid_n=4000, seed=18)
+        draws = sample_limit(regime, params, 20_000, grid_n=4000, seed=18)
         l1_emp = params.theta1 * T * d1
         l2_emp = T * (d2 + params.theta2)  # theta2 = 0: this is T * theta2_hat
         ks_right = ks_two_sample(l1_emp, draws.l1)
@@ -447,14 +447,14 @@ class TestSamplersAgainstSimulation:
         T = 24.0
         d1, d2 = simulated_residuals(params, T, h=0.01, n_reps=800)
         scale = math.exp(lam * T)
-        draws = sample_limit(regime, roots, params, 20_000, seed=19, horizon=T)
+        draws = sample_limit(regime, params, 20_000, seed=19, horizon=T)
         assert ks_two_sample(scale * d1, draws.l1) <= 0.08
         assert ks_two_sample(scale * d2, draws.l2) <= 0.08
 
     def test_unstable_oscillation_requires_horizon(self):
         params, roots, regime = setup("UnstableOscillation")
         with pytest.raises(ValueError):
-            sample_limit(regime, roots, params, 10)
+            sample_limit(regime, params, 10)
 
     def test_opposite_sign_normal_limit(self):
         # p = 1, q = -1; T keeps e^{pT}*eps far below the O(1) residual
@@ -465,5 +465,5 @@ class TestSamplersAgainstSimulation:
         q = abs(roots.q.real)
         T = 25.0
         d1, _ = simulated_residuals(params, T, h=0.005, n_reps=700)
-        draws = sample_limit(regime, roots, params, 20_000, seed=20)
+        draws = sample_limit(regime, params, 20_000, seed=20)
         assert ks_two_sample(math.sqrt(q * T) * d1, draws.l1) <= 0.2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from car2 import ModelParams, RegimeKind, RootPair, char_roots, classify, transition
+from car2 import ModelParams, Regime, RegimeKind, RootPair, char_roots, classify, transition
 from car2.estimate import SufficientStats
 from car2.model import (
     DOUBLE_ROOT_SWITCH,
@@ -144,6 +145,17 @@ class TestClassify:
         r = roots_of(0.3, 0.4)
         assert classify(r, 1e-9) == classify(r, 1e-9)
 
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-9, 0.5])
+    def test_regime_keeps_the_classified_roots(self, tol):
+        r = roots_of(0.5, -1.0625)
+        assert classify(r, tol).roots is r
+        assert [f.name for f in dataclasses.fields(Regime)] == ["tag", "roots"]
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            classify(roots_of(-3.0, -2.0), tol)
+
 
 # Dyadic root values: theta = (p + q, -p q) and the roots recovered from
 # it are exact, so zero and double roots really are zero and double.
@@ -186,14 +198,14 @@ class TestClassifyAgreesWithRegistry:
         roots = roots_of(t1, t2)
         regime = classify(roots)
         assert regime.tag is kind
-        # The registry accepts classify's regime (it re-classifies and raises
-        # on a mismatch) and keys every entry by it.
-        spec = rate_functions(regime, roots)
+        # The registry reads the regime's own roots and keys every entry by
+        # its tag.
+        spec = rate_functions(regime)
         assert spec.regime is kind
         for T in (0.5, 2.0, 10.0):
             for v, log_v in ((spec.v1, spec.log_v1), (spec.v2, spec.log_v2)):
                 assert math.isfinite(log_v(T)) and v(T) > 0.0
-            assert np.isfinite(scaling_matrix(regime, roots, T)).all()
+            assert np.isfinite(scaling_matrix(regime, T)).all()
         # NLRR availability follows the table; UnstableOscillation's "yes"
         # means the matrix normalization only, so nlrr_rate refuses it.
         stats = SufficientStats(sxx=2.0, svv=3.0, sxv=0.5, ixdv=0.0, ivdv=0.0,
@@ -201,9 +213,9 @@ class TestClassifyAgreesWithRegistry:
                                 sigma_used=1.0)
         if spec.nlrr == "no" or kind is RegimeKind.UNSTABLE_OSCILLATION:
             with pytest.raises(NoNlrrError):
-                nlrr_rate(regime, roots, stats)
+                nlrr_rate(regime, stats)
         else:
-            rates = nlrr_rate(regime, roots, stats)
+            rates = nlrr_rate(regime, stats)
             assert (rates.r2 is None) == (spec.nlrr == "theta1_only")
 
 

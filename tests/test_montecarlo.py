@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import car2.estimate
+import car2.model
 import car2.montecarlo
+import car2.regimes
 from car2 import (
     ExperimentConfig,
     ModelParams,
@@ -346,11 +348,10 @@ class TestReferenceDraws:
         cfg = three_horizon_cfg(params)
         report = run_experiment(cfg)
         assert limit_calls == drawn_at
-        roots = char_roots(params)
-        regime = classify(roots)
+        regime = classify(char_roots(params))
         for res in report.results:
             # The shared draws are the ones a fresh call for this horizon makes.
-            fresh = sample_limit(regime, roots, params, cfg.n_reference,
+            fresh = sample_limit(regime, params, cfg.n_reference,
                                  grid_n=cfg.grid_n, seed=cfg.seed, horizon=res.horizon)
             assert res.ks1 == ks_two_sample(res.r1, fresh.l1)
             assert res.ks2 == ks_two_sample(res.r2, fresh.l2)
@@ -381,6 +382,23 @@ class TestReferenceDraws:
         assert len(firsts) == 3
 
 
+def test_experiment_classifies_once(monkeypatch):
+    # The Regime carries its roots, so the per-replication scaling_matrix
+    # calls of matrix mode do not classify again.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    for module in (car2.model, car2.regimes, car2.montecarlo):
+        if getattr(module, "classify", None) is classify:
+            monkeypatch.setattr(module, "classify", counting)
+    cfg = three_horizon_cfg(UNSTABLE_OSCILLATION, normalization="matrix")
+    assert [res.n_used for res in run_experiment(cfg).results] == [20, 20, 20]
+    assert len(calls) == 1
+
+
 class TestConvergenceStudy:
     def test_ergodic_medians_shrink_and_stabilize(self):
         cfg = ergodic_cfg(horizons=(25.0, 50.0, 100.0), n_reps=80,
@@ -399,10 +417,10 @@ class TestConvergenceStudy:
         right = convergence_study(cfg)
         registry = car2.montecarlo.rate_functions
 
-        def dominant_root_rates(regime, roots):
+        def dominant_root_rates(regime):
             def f(T):
                 return math.exp(2 * T)
-            return dataclasses.replace(registry(regime, roots), v1=f, v2=f)
+            return dataclasses.replace(registry(regime), v1=f, v2=f)
 
         monkeypatch.setattr(car2.montecarlo, "rate_functions", dominant_root_rates)
         wrong = convergence_study(cfg)

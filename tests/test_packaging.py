@@ -1,5 +1,6 @@
 """Every third-party module the package and its tests import is declared,
-and importing the CLI costs no numeric module beyond scipy.signal's."""
+the package uses every name it imports, and importing the CLI costs no
+numeric module beyond scipy.signal's."""
 
 import ast
 import os
@@ -42,6 +43,29 @@ def test_third_party_imports_are_declared():
     third_party = found - set(sys.stdlib_module_names) - {"car2"}
     assert third_party, "expected at least numpy among the imports"
     assert third_party <= _declared(), sorted(third_party - _declared())
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; names in __all__ count as read."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_package_uses_every_import():
+    unused = {module.name: _unused_imports(module.read_text())
+              for module in sorted((ROOT / "src" / "car2").glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+    assert _unused_imports("from .model import Regime, RootPair\nx: Regime\n") == ["RootPair"]
 
 
 def test_test_imports_are_declared_in_the_test_extra():

@@ -26,7 +26,7 @@ def setup_regime(name):
 
 def spec_for(name):
     roots, regime = setup_regime(name)
-    return rate_functions(regime, roots), roots
+    return rate_functions(regime), roots
 
 
 class TestRateFunctions:
@@ -101,12 +101,6 @@ class TestRateFunctions:
                 assert spec.v2(2 * T) > spec.v2(T)
             assert spec.log_v1(400.0) > spec.log_v1(200.0)
 
-    def test_consistency_check_rejects_mismatch(self):
-        roots_erg, regime_erg = setup_regime("Ergodic")
-        roots_harm, _ = setup_regime("Harmonic")
-        with pytest.raises(ValueError):
-            rate_functions(regime_erg, roots_harm)
-
 
 class TestNlrr:
     def stats_for(self, name, seed=3):
@@ -123,7 +117,7 @@ class TestNlrr:
             roots, regime = setup_regime(name)
             stats = self.stats_for(name)
             try:
-                rates = nlrr_rate(regime, roots, stats)
+                rates = nlrr_rate(regime, stats)
                 available[name] = "theta1_only" if rates.r2 is None else "yes"
             except NoNlrrError:
                 available[name] = "no"
@@ -143,14 +137,14 @@ class TestNlrr:
     def test_ergodic_values(self):
         roots, regime = setup_regime("Ergodic")
         stats = self.stats_for("Ergodic")
-        rates = nlrr_rate(regime, roots, stats)
+        rates = nlrr_rate(regime, stats)
         assert rates.r1 == pytest.approx(math.sqrt(stats.svv))
         assert rates.r2 == pytest.approx(math.sqrt(stats.sxx))
 
     def test_projection_rate_formula(self):
         roots, regime = setup_regime("OppositeSign")
         stats = self.stats_for("OppositeSign")
-        rates = nlrr_rate(regime, roots, stats)
+        rates = nlrr_rate(regime, stats)
         p = roots.p.real
         expected = math.sqrt(stats.svv - 2 * p * stats.sxv + p * p * stats.sxx)
         assert rates.r1 == pytest.approx(expected)
@@ -165,19 +159,19 @@ class TestNlrr:
         stats = SufficientStats(sxx=0.0, svv=0.0, sxv=0.0, ixdv=0.0, ivdv=0.0,
                                 horizon=10.0, x0=0.0, v0=0.0, x_end=0.0, v_end=0.0,
                                 sigma_used=1.0)
-        rates = nlrr_rate(regime, roots, stats)
+        rates = nlrr_rate(regime, stats)
         assert rates.r1 == 0.0
 
 
 class TestScalingMatrix:
     def test_ergodic_diagonal(self):
         roots, regime = setup_regime("Ergodic")
-        np.testing.assert_allclose(scaling_matrix(regime, roots, 100.0),
+        np.testing.assert_allclose(scaling_matrix(regime, 100.0),
                                    np.diag([0.1, 0.1]))
 
     def test_explosive_outer_product(self):
         roots, regime = setup_regime("DistinctPositive")  # p = 2
-        a_t = scaling_matrix(regime, roots, 3.0)
+        a_t = scaling_matrix(regime, 3.0)
         expected = math.exp(-6.0) * np.array([[1.0, 2.0], [2.0, 4.0]])
         np.testing.assert_allclose(a_t, expected, rtol=1e-12)
 
@@ -190,24 +184,24 @@ class TestScalingMatrix:
 
     def test_double_root_includes_t_factor(self):
         roots, regime = setup_regime("PositiveDouble")  # p = q = 1
-        a_t = scaling_matrix(regime, roots, 4.0)
+        a_t = scaling_matrix(regime, 4.0)
         expected = math.exp(-4.0) / 4.0 * np.array([[1.0, 1.0], [1.0, 1.0]])
         np.testing.assert_allclose(a_t, expected, rtol=1e-12)
 
     def test_mixed_and_functional_diagonals(self):
         roots, regime = setup_regime("LargerRootZero")
-        np.testing.assert_allclose(scaling_matrix(regime, roots, 16.0),
+        np.testing.assert_allclose(scaling_matrix(regime, 16.0),
                                    np.diag([1.0 / 16.0, 0.25]))
         roots, regime = setup_regime("ZeroDouble")
-        np.testing.assert_allclose(scaling_matrix(regime, roots, 4.0),
+        np.testing.assert_allclose(scaling_matrix(regime, 4.0),
                                    np.diag([1.0 / 16.0, 0.25]))
         roots, regime = setup_regime("Harmonic")
-        np.testing.assert_allclose(scaling_matrix(regime, roots, 5.0),
+        np.testing.assert_allclose(scaling_matrix(regime, 5.0),
                                    np.diag([0.2, 0.2]))
 
     def test_unstable_oscillation_matrix(self):
         roots, regime = setup_regime("UnstableOscillation")  # lam=.25, nu=1
-        a_t = scaling_matrix(regime, roots, 8.0)
+        a_t = scaling_matrix(regime, 8.0)
         expected = math.exp(-2.0) * np.array([[1.0, 0.0], [0.25, -1.0]])
         np.testing.assert_allclose(a_t, expected, rtol=1e-12)
 
@@ -222,6 +216,6 @@ class TestScalingMatrix:
 
     def test_smaller_root_zero_uses_dominant_root(self):
         roots, regime = setup_regime("SmallerRootZero")  # p = 1
-        a_t = scaling_matrix(regime, roots, 2.0)
+        a_t = scaling_matrix(regime, 2.0)
         expected = math.exp(-2.0) * np.array([[1.0, 1.0], [1.0, 1.0]])
         np.testing.assert_allclose(a_t, expected, rtol=1e-12)
