@@ -22,7 +22,8 @@ starts from `sufficient_stats` and solves in a pathwise change of basis
 r = X' - b X (b the discrete projection coefficient), where every quantity
 is computed at its own scale; it agrees with `mle` wherever `mle` is
 well-conditioned and stays accurate where it is not.  Monte Carlo code
-should use it.  Both keep the stats on the Estimate (`est.stats`).
+should use it, on a block of rows at once (`estimate_block`).  Both keep
+the stats on the Estimate (`est.stats`).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "sufficient_stats",
     "mle",
     "estimate_path",
+    "estimate_block",
     "estimate_sigma",
     "log_likelihood_ratio",
     "normalized_llr",
@@ -93,33 +95,27 @@ class Estimate:
         return self.stats.psi()
 
 
-def _trapezoid_weights(n_points: int, h: float) -> np.ndarray:
-    w = np.full(n_points, h)
-    w[0] = w[-1] = h / 2.0
-    return w
-
-
-def _stats_and_weights(path: SamplePath) -> tuple[SufficientStats, np.ndarray]:
-    """`sufficient_stats` of the path and the trapezoid weights it used."""
-    if path.n_steps < 2:
+def _block_stats(t: np.ndarray, x: np.ndarray, v: np.ndarray, sigma: float):
+    """([each row's `sufficient_stats`], the trapezoid weights, the rows' SXX)."""
+    n = len(t) - 1
+    if n < 2:
         raise ValueError("need at least 2 steps")
-    if not (np.isfinite(path.x).all() and np.isfinite(path.v).all()):
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise ValueError("path contains non-finite samples")
-    w = _trapezoid_weights(len(path.t), path.step)
-    sxx = float((path.x * path.x) @ w)
-    svv = float((path.v * path.v) @ w)
-    T = path.horizon
-    x0, v0 = float(path.x[0]), float(path.v[0])
-    xT, vT = float(path.x[-1]), float(path.v[-1])
-    sxv = (xT * xT - x0 * x0) / 2.0
-    ivdv = (vT * vT - path.sigma**2 * T - v0 * v0) / 2.0
-    ixdv = xT * vT - x0 * v0 - svv
-    return SufficientStats(sxx, svv, sxv, ixdv, ivdv, T, x0, v0, xT, vT, path.sigma), w
+    T = float(t[-1])
+    w = np.full(n + 1, T / n)
+    w[0] = w[-1] = T / n / 2.0
+    sxx = np.vecdot(x * x, w)
+    cols = (sxx, np.vecdot(v * v, w), x[:, 0], v[:, 0], x[:, -1], v[:, -1])
+    stats = [SufficientStats(sxx_i, svv, (xT * xT - x0 * x0) / 2.0, xT * vT - x0 * v0 - svv,
+                             (vT * vT - sigma**2 * T - v0 * v0) / 2.0, T, x0, v0, xT, vT, sigma)
+             for sxx_i, svv, x0, v0, xT, vT in zip(*(c.tolist() for c in cols))]
+    return stats, w, sxx
 
 
 def sufficient_stats(path: SamplePath) -> SufficientStats:
     """Path functionals via trapezoid (SXX, SVV) and the exact identities."""
-    return _stats_and_weights(path)[0]
+    return _block_stats(path.t, path.x[None], path.v[None], path.sigma)[0][0]
 
 
 def _singular_threshold(sxx_svv: float) -> float:
@@ -151,7 +147,16 @@ def mle(stats: SufficientStats) -> Estimate:
 
 
 def estimate_path(path: SamplePath) -> Estimate:
-    """Numerically stable evaluation of the MLE from the full path.
+    """Numerically stable MLE from the full path: `estimate_block` on one row."""
+    (est,) = estimate_block(path.t, path.x[None], path.v[None], path.sigma)
+    if isinstance(est, SingularDesignError):
+        raise est
+    return est
+
+
+def estimate_block(t: np.ndarray, x: np.ndarray, v: np.ndarray,
+                   sigma: float) -> list[Estimate | SingularDesignError]:
+    """Numerically stable MLE of each row of (x, v), sampled on the grid t.
 
     Change of basis r = X' - b X with b = trap(XX')/trap(X^2), the discrete
     least-squares projection, so trap(X r) vanishes by construction and no
@@ -163,32 +168,38 @@ def estimate_path(path: SamplePath) -> Estimate:
         int X dr = X(T)r(T) - X(0)r(0) - int r X' dt.
 
     Solving the 2x2 normal equations for (a2, a1) and mapping back gives the
-    same estimator as `mle` in exact arithmetic.
+    same estimator as `mle` in exact arithmetic.  Each O(n) sum is one dot
+    product per row (`np.vecdot` rounds as a 1-d `@`, unlike a blocked gemv),
+    so no estimate depends on its block.  A singular row gives its
+    SingularDesignError; OverflowError from `sxv**2` (Python floats) propagates.
     """
-    stats, w = _stats_and_weights(path)
-    x, v = path.x, path.v
-    sxx = stats.sxx
-    if sxx <= 0.0:
-        raise SingularDesignError(0.0, _singular_threshold(0.0))
-    b = float((x * v) @ w) / sxx
-    r = v - b * x
-    sxr = float((x * r) @ w)
-    srr = float((r * r) @ w)
-    det = sxx * srr - sxr * sxr
-    # Degeneracy is judged against the rotated system's own scale: in
-    # explosive regimes det is legitimately ~ e^{-2(p-q)T} times SXX*SVV and
-    # the naive-scale threshold would reject perfectly estimable paths.
-    threshold = _singular_threshold(sxx * srr)
-    if det <= threshold:
-        raise SingularDesignError(det, threshold)
-    j_rx = srr + b * sxr  # int r dX = int r X' dt
-    j_xr = x[-1] * r[-1] - x[0] * r[0] - j_rx
-    j_rr = (r[-1] ** 2 - stats.sigma_used**2 * stats.horizon - r[0] ** 2) / 2.0
-    a2 = (srr * j_xr - sxr * j_rr) / det
-    a1 = (sxx * j_rr - sxr * j_xr) / det
-    th1 = a1 + b
-    th2 = a2 - b * a1
-    return Estimate(float(th1), float(th2), det, stats, _naive_det(stats)[1])
+    stats, w, sxx = _block_stats(t, x, v, sigma)
+    with np.errstate(divide="ignore", invalid="ignore"):  # SXX = 0 rows are singular
+        b = np.vecdot(x * v, w) / sxx
+    r = v - b[:, None] * x
+    out = []
+    # Endpoints stay numpy scalars: Python's float ** raises where numpy's gives inf.
+    for st, b_i, sxr, srr, x0, xT, r0, rT in zip(
+            stats, b.tolist(), np.vecdot(x * r, w).tolist(), np.vecdot(r * r, w).tolist(),
+            x[:, 0], x[:, -1], r[:, 0], r[:, -1]):
+        if st.sxx <= 0.0:
+            out.append(SingularDesignError(0.0, _singular_threshold(0.0)))
+            continue
+        det = st.sxx * srr - sxr * sxr
+        # Degeneracy is judged against the rotated system's own scale: in
+        # explosive regimes det is legitimately ~ e^{-2(p-q)T} times SXX*SVV
+        # and the naive-scale threshold would reject perfectly estimable paths.
+        threshold = _singular_threshold(st.sxx * srr)
+        if det <= threshold:
+            out.append(SingularDesignError(det, threshold))
+            continue
+        j_rx = srr + b_i * sxr  # int r dX = int r X' dt
+        j_xr = xT * rT - x0 * r0 - j_rx
+        j_rr = (rT ** 2 - sigma**2 * st.horizon - r0 ** 2) / 2.0
+        a2 = (srr * j_xr - sxr * j_rr) / det
+        a1 = (st.sxx * j_rr - sxr * j_xr) / det
+        out.append(Estimate(float(a1 + b_i), float(a2 - b_i * a1), det, st, _naive_det(st)[1]))
+    return out
 
 
 def estimate_sigma(path: SamplePath) -> float:

@@ -268,6 +268,8 @@ def sample_limit(regime: Regime, params: ModelParams, n: int, grid_n: int = 10_0
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     check_limit_law(regime, params, grid_n)
     kind, roots = regime.tag, regime.roots
     gen = rng.stream(seed, rng.DOMAIN_LIMIT, 2**40)  # scalar draws; BM uses its own streams

@@ -15,10 +15,10 @@ index and stay per horizon.
 
 A horizon's replications come from the block kernel `simulate_exact`, which
 builds the transition kernel once and simulates rows in blocks of a fixed
-element budget.  Each path is then estimated on its own: per-row dot
-products and a row-blocked matrix-vector product round differently, and the
-artifacts must stay bit-stable.  Reducers take the Estimate, never the
-path: NLRR rates and Psi_T read the statistics `estimate_path` summed.
+element budget, and `estimate_block` estimates each block at once.  Its
+sums are per-row dot products, so every estimate is bit for bit the one
+`estimate_path` gives for that path alone.  Reducers take the Estimate,
+never the path: NLRR rates and Psi_T read the statistics the block summed.
 
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
@@ -31,11 +31,12 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from . import rng
-from .estimate import Estimate, SingularDesignError, SufficientStats, estimate_path
+from .estimate import Estimate, SingularDesignError, SufficientStats, estimate_block
 from .limits import check_limit_law, sample_limit
 from .model import ModelParams, Regime, RegimeKind, RootPair, check_number, classify_params
 from .regimes import (SCALAR_NLRR, NoNlrrError, nlrr_rate, rate_functions,
@@ -159,8 +160,9 @@ class HorizonResult:
     ks2: float | None
     reference_reused: bool  # limit draws shared with an earlier horizon
     excluded_overflow: int  # simulation left the float64 range
-    excluded_singular: int  # singular design in estimate_path
+    excluded_singular: int  # singular design in estimate_block
     first_excluded_rep: int | None
+    cond_flagged: int  # used replications whose Estimate.cond_flag is set
 
 
 @dataclass
@@ -236,7 +238,7 @@ def _estimate_u_hat(stats: SufficientStats, roots: RootPair) -> tuple[float, flo
 
 
 def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, rate_spec,
-                          horizon: float, est: Estimate) -> tuple[float, float]:
+                          horizon: float, a_t, est: Estimate) -> tuple[float, float]:
     p = cfg.params
     d1 = est.theta1_hat - p.theta1
     d2 = est.theta2_hat - p.theta2
@@ -247,7 +249,6 @@ def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, rate_spec,
         r2 = rates.r2 * d2 if rates.r2 is not None else math.nan
         return rates.r1 * d1, r2
     # matrix mode: components of B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1)
-    a_t = scaling_matrix(regime, horizon)
     vec = a_t @ (est.psi @ np.array([d2, d1]))
     if regime.tag is RegimeKind.UNSTABLE_OSCILLATION:
         u_s, u_c = _estimate_u_hat(est.stats, regime.roots)
@@ -294,29 +295,28 @@ def _quantiles(values: np.ndarray) -> dict[int, float]:
 
 
 def _replicate(cfg: ExperimentConfig, horizon: float, reduce):
-    """Simulate and estimate the n_reps exact paths of one horizon.
+    """Simulate and estimate the n_reps exact paths of one horizon, a block at a time.
 
     reduce(est) maps a replication's estimate to its value; a replication whose
     simulation overflows or whose design is singular is excluded.  Returns
-    (n_steps, surviving indices, their values, {excluded index: reason}),
-    the reason "overflow" or "singular".
+    (n_steps, surviving indices, their values, {excluded index: reason}, the
+    number of surviving estimates with cond_flag), reason "overflow" or "singular".
     """
     n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
-    reps, values, excluded = [], [], {}
-    paths = simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed)
-    for k, (path, overflowed) in enumerate(paths):
-        if overflowed:
-            excluded[k] = "overflow"
-            continue
-        try:
-            values.append(reduce(estimate_path(path)))
-        except SingularDesignError:
-            excluded[k] = "singular"
-            continue
-        reps.append(k)
+    reps, values, excluded, flagged = [], [], {}, 0
+    for blk in simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed):
+        excluded.update((k, "overflow") for k in compress(blk.reps, blk.overflow))
+        ests = estimate_block(blk.t, blk.x[~blk.overflow], blk.v[~blk.overflow], cfg.params.sigma)
+        for k, est in zip(compress(blk.reps, ~blk.overflow), ests):
+            if isinstance(est, SingularDesignError):
+                excluded[k] = "singular"
+                continue
+            values.append(reduce(est))
+            reps.append(k)
+            flagged += est.cond_flag
     if not reps:
         raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
-    return n_steps, reps, values, excluded
+    return n_steps, reps, values, excluded, flagged
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -332,9 +332,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     results = []
     limit_draws = {}
     for horizon_index, horizon in enumerate(cfg.horizons):
-        n_steps, reps, pairs, excluded = _replicate(
+        a_t = scaling_matrix(regime, horizon) if cfg.normalization == "matrix" else None
+        n_steps, reps, pairs, excluded, flagged = _replicate(
             cfg, horizon,
-            lambda est: _normalized_residuals(cfg, regime, rate_spec, horizon, est))
+            lambda est: _normalized_residuals(cfg, regime, rate_spec, horizon, a_t, est))
         r1_arr = np.asarray([r1 for r1, _ in pairs])
         r2_arr = np.asarray([r2 for _, r2 in pairs])
 
@@ -352,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             ks1=ks1, ks2=ks2, reference_reused=reused,
             excluded_overflow=sum(r == "overflow" for r in excluded.values()),
             excluded_singular=sum(r == "singular" for r in excluded.values()),
-            first_excluded_rep=min(excluded, default=None),
+            first_excluded_rep=min(excluded, default=None), cond_flagged=flagged,
         ))
 
     comparison_name = (cfg.comparison if isinstance(cfg.comparison, str)
@@ -421,7 +422,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
 
     rows = []
     for horizon in cfg.horizons:
-        _, reps, errors, _ = _replicate(
+        _, reps, errors, _, _ = _replicate(
             cfg, horizon,
             lambda est: (abs(est.theta1_hat - cfg.params.theta1),
                          abs(est.theta2_hat - cfg.params.theta2)))

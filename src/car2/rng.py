@@ -20,14 +20,19 @@ _DOMAIN_SHIFT = 56
 
 
 def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
-    """Generator for (seed, domain, index), bit-stable across runs.
+    """Generator for (seed, domain, index), bit-stable across runs."""
+    return rekey(np.random.Generator(np.random.Philox()), seed, domain, index)
 
-    Philox is keyed directly (no SeedSequence hashing), so the stream is a
-    pure function of the three integers.
-    """
+
+def rekey(gen: np.random.Generator, seed: int, domain: int, index: int = 0) -> np.random.Generator:
+    """Reset Philox generator gen to the start of the (seed, domain, index) stream,
+    keyed directly: a new Philox would hash OS entropy even when given a key."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if not 0 <= index < 2**_DOMAIN_SHIFT:
         raise ValueError(f"stream index out of range: {index}")
     key = np.array([seed, (int(domain) << _DOMAIN_SHIFT) | int(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
+                               "state": {"counter": np.zeros(4, np.uint64), "key": key},
+                               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen

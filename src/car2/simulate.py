@@ -15,7 +15,7 @@ the mean path, the transition kernel and its noise factor once, then fills
 rows of replications, each from its own Philox stream, and filters a block
 of rows in one `lfilter` call.  A block holds at most `_BLOCK_ELEMENTS`
 elements per (rows, n+1) array (one row if n is larger), so memory stays
-flat in the number of replications.  `simulate` is the kernel with one row.
+flat in the number of replications.  `simulate` is row 0 of a one-row block.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -33,6 +34,7 @@ from .model import ModelParams, char_roots, fundamental_solutions, transition
 __all__ = [
     "SimConfig",
     "SamplePath",
+    "SimBlock",
     "SimulationOverflowError",
     "simulate",
     "simulate_exact",
@@ -108,6 +110,16 @@ class SamplePath:
         return float(self.t[-1])
 
 
+class SimBlock(NamedTuple):
+    """Rows of replications reps on grid t; overflow flags rows that left float64."""
+    reps: Sequence[int]
+    t: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    dw: np.ndarray | None
+    overflow: np.ndarray
+
+
 # Elements per (rows, n+1) array of a `simulate_exact` block.
 _BLOCK_ELEMENTS = 2**13
 
@@ -147,12 +159,12 @@ def _noise_factor(cov: np.ndarray) -> np.ndarray:
 
 def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                    reps: Sequence[int], seed: int = 0,
-                   record_noise: bool = False) -> Iterator[tuple[SamplePath, bool]]:
-    """(path, overflowed) of each replication in reps, simulated in blocks.
+                   record_noise: bool = False) -> Iterator[SimBlock]:
+    """The replications in reps, simulated in blocks of consecutive rows.
 
-    Path k is bit for bit `simulate(params, SimConfig(horizon, n_steps,
-    seed=seed, replication_index=k, record_noise=record_noise))`; a path
-    that left the float64 range is flagged instead of raised.
+    The row of replication k is bit for bit that of a one-row call with
+    reps=[k], so it does not depend on the blocking; a row that left the
+    float64 range is flagged instead of raised.
     """
     SimConfig(horizon=horizon, n_steps=n_steps)  # validates the grid
     n = n_steps
@@ -167,12 +179,13 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
             kern = transition(params, horizon / n)
             factor_t = _noise_factor(kern.cov_matrix).T
     rows = max(1, _BLOCK_ELEMENTS // (n + 1))
+    gen = np.random.Generator(np.random.Philox())  # re-keyed before each row's draws
     for start in range(0, len(reps), rows):
         block = reps[start:start + rows]
         if params.sigma > 0.0:
             draws = np.empty((len(block), n, 3))
             for i, k in enumerate(block):
-                rng.stream(seed, rng.DOMAIN_SIM_EXACT, k).standard_normal(out=draws[i])
+                rng.rekey(gen, seed, rng.DOMAIN_SIM_EXACT, k).standard_normal(out=draws[i])
             with np.errstate(over="ignore", invalid="ignore"):
                 draws = draws @ factor_t
                 zx, zv = _second_order_filter(kern.mean_matrix, draws[..., 1],
@@ -183,16 +196,15 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
             x, v = (np.broadcast_to(a, (len(block), n + 1)) for a in (x_mean, v_mean))
             dw = np.zeros((len(block), n))
         overflow = ~(np.isfinite(x) & np.isfinite(v)).all(axis=1)
-        for i in range(len(block)):
-            yield SamplePath(t=t, x=x[i], v=v[i], dw=dw[i] if record_noise else None,
-                             sigma=params.sigma, params=params), bool(overflow[i])
+        yield SimBlock(block, t, x, v, dw if record_noise else None, overflow)
 
 
 def simulate(params: ModelParams, cfg: SimConfig) -> SamplePath:
     """Simulate one path.  Deterministic given (seed, replication_index)."""
     if cfg.scheme == "exact":
-        ((path, _),) = simulate_exact(params, cfg.horizon, cfg.n_steps,
-                                      [cfg.replication_index], cfg.seed, cfg.record_noise)
+        (blk,) = simulate_exact(params, cfg.horizon, cfg.n_steps, [cfg.replication_index],
+                                cfg.seed, cfg.record_noise)
+        t, x, v, dw = blk.t, blk.x[0], blk.v[0], None if blk.dw is None else blk.dw[0]
     else:
         n, h = cfg.n_steps, cfg.horizon / cfg.n_steps
         m = np.array([[1.0, h], [params.theta2 * h, 1.0 + params.theta1 * h]])
@@ -204,9 +216,8 @@ def simulate(params: ModelParams, cfg: SimConfig) -> SamplePath:
         with np.errstate(over="ignore", invalid="ignore"):
             x, v = _second_order_filter(m, np.zeros(n), params.sigma * dw,
                                         (params.x0, params.dx0))
-        path = SamplePath(t=np.linspace(0.0, cfg.horizon, n + 1), x=x, v=v,
-                          dw=dw if cfg.record_noise else None,
-                          sigma=params.sigma, params=params)
+        t, dw = np.linspace(0.0, cfg.horizon, n + 1), dw if cfg.record_noise else None
+    path = SamplePath(t=t, x=x, v=v, dw=dw, sigma=params.sigma, params=params)
     bad = ~(np.isfinite(path.x) & np.isfinite(path.v))
     if bad.any():
         k = int(np.argmax(bad))

@@ -1,12 +1,56 @@
-"""Test-only oracles for the MLE residual: the N/D decomposition of
-theta_hat - theta as discrete sums over a path's recorded noise."""
+"""Test-only oracles: the per-path estimator that `estimate_block` replaces,
+and the N/D decomposition of the MLE residual theta_hat - theta as discrete
+sums over a path's recorded noise."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from car2.estimate import SingularDesignError, SufficientStats, _singular_threshold, _theta_vec
+from car2.estimate import (Estimate, SingularDesignError, SufficientStats, _naive_det,
+                           _singular_threshold, _theta_vec)
 from car2.simulate import SamplePath
+
+
+def per_path_stats(path: SamplePath) -> tuple[SufficientStats, np.ndarray]:
+    """`sufficient_stats` of one path with 1-d dot products, and its weights."""
+    if path.n_steps < 2:
+        raise ValueError("need at least 2 steps")
+    if not (np.isfinite(path.x).all() and np.isfinite(path.v).all()):
+        raise ValueError("path contains non-finite samples")
+    w = np.full(len(path.t), path.step)
+    w[0] = w[-1] = path.step / 2.0
+    sxx = float((path.x * path.x) @ w)
+    svv = float((path.v * path.v) @ w)
+    T = path.horizon
+    x0, v0 = float(path.x[0]), float(path.v[0])
+    xT, vT = float(path.x[-1]), float(path.v[-1])
+    sxv = (xT * xT - x0 * x0) / 2.0
+    ivdv = (vT * vT - path.sigma**2 * T - v0 * v0) / 2.0
+    ixdv = xT * vT - x0 * v0 - svv
+    return SufficientStats(sxx, svv, sxv, ixdv, ivdv, T, x0, v0, xT, vT, path.sigma), w
+
+
+def per_path_estimate(path: SamplePath) -> Estimate:
+    """`estimate_path` one path at a time: the rotated solve on numpy scalars."""
+    stats, w = per_path_stats(path)
+    x, v = path.x, path.v
+    sxx = stats.sxx
+    if sxx <= 0.0:
+        raise SingularDesignError(0.0, _singular_threshold(0.0))
+    b = float((x * v) @ w) / sxx
+    r = v - b * x
+    sxr = float((x * r) @ w)
+    srr = float((r * r) @ w)
+    det = sxx * srr - sxr * sxr
+    threshold = _singular_threshold(sxx * srr)
+    if det <= threshold:
+        raise SingularDesignError(det, threshold)
+    j_rx = srr + b * sxr
+    j_xr = x[-1] * r[-1] - x[0] * r[0] - j_rx
+    j_rr = (r[-1] ** 2 - stats.sigma_used**2 * stats.horizon - r[0] ** 2) / 2.0
+    a2 = (srr * j_xr - sxr * j_rr) / det
+    a1 = (sxx * j_rr - sxr * j_xr) / det
+    return Estimate(float(a1 + b), float(a2 - b * a1), det, stats, _naive_det(stats)[1])
 
 
 def gram_det(f: np.ndarray, g: np.ndarray, h: float) -> float:

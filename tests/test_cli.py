@@ -231,6 +231,18 @@ class TestConfigErrors:
         assert code == 2 and err.startswith("error: ") and "tol" in err
         assert out == "" and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("theta", [("0.5", "-1.0625"), ("-3", "-2")],
+                             ids=["unstable_oscillation", "ergodic"])
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-5"])
+    def test_bad_limit_horizon_exits_2(self, tmp_path, capsys, theta, horizon):
+        # nan wrote all-NaN UnstableOscillation draws; inf wrote
+        # "horizon": Infinity, which is not JSON.
+        code, out, err = _run(capsys, ["limit-sample", "--theta1", theta[0], "--theta2", theta[1],
+                                       "--n", "3", "--horizon", horizon,
+                                       "--out", str(tmp_path / "out")])
+        assert code == 2 and err.startswith("error: ") and "horizon" in err
+        assert out == "" and not (tmp_path / "out").exists()
+
     def test_missing_path_csv_exits_2(self, tmp_path, capsys):
         sim_dir = _simulate(tmp_path, capsys)
         code, _, err = _run(capsys, ["estimate", "--path", str(tmp_path / "missing.csv"),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from car2 import (
     simulate,
     sufficient_stats,
 )
-from car2.simulate import SamplePath
+from car2.estimate import Estimate, estimate_block
+from car2.simulate import SamplePath, simulate_exact
 
 from conftest import sorted_regime_points
-from oracles import gram_det, reconstructed_stats, residual_oracle, wiener_numerator
+from oracles import (gram_det, per_path_estimate, reconstructed_stats, residual_oracle,
+                     wiener_numerator)
 
 # Fixed example sequence, small enough to keep the suite fast.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -161,6 +165,91 @@ class TestEstimateKeepsStats:
         est = mle(stats)
         assert est.stats is stats
         assert np.array_equal(est.psi, stats.psi())
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _per_path(path):
+    """per_path_estimate's outcome: Estimate, or the exception it raised."""
+    try:
+        return per_path_estimate(path)
+    except (SingularDesignError, OverflowError) as exc:
+        return exc
+
+
+ROW_KINDS = ("constant", "huge", "overflow", "path", "zero")
+
+
+def _row(kind, x, v):
+    """A row of a mixed block, made from a simulated path's (x, v): constant
+    (det = 0), scaled so the sums overflow to inf (NaN estimates), scaled so
+    that Python's sxv**2 raises OverflowError, kept, or zeroed (SXX = 0)."""
+    if kind == "constant":
+        return np.full_like(x, 1.5), np.zeros_like(v)
+    scale = {"huge": 1e200, "overflow": 1e100, "path": 1.0, "zero": 0.0}[kind]
+    return x * scale, v * scale
+
+
+class TestEstimateBlock:
+    @PROPERTY
+    @given(point=st.sampled_from(sorted_regime_points()), seed=st.integers(0, 2**32),
+           n_steps=st.integers(2, 40),
+           kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8))
+    def test_rows_equal_per_path_oracle(self, point, seed, n_steps, kinds):
+        t1, t2, horizon = point[1]
+        params = ModelParams(theta1=t1, theta2=t2, sigma=1.0, x0=0.3, dx0=-0.2)
+        (blk,) = simulate_exact(params, horizon, n_steps, range(len(kinds)), seed=seed)
+        x, v = blk.x.copy(), blk.v.copy()
+        for i, kind in enumerate(kinds):
+            x[i], v[i] = _row(kind, x[i], v[i])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = [_per_path(SamplePath(blk.t, x[i].copy(), v[i].copy(), None, 1.0, params))
+                    for i in range(len(kinds))]
+            if any(isinstance(w, OverflowError) for w in want):
+                with pytest.raises(OverflowError):
+                    estimate_block(blk.t, x, v, 1.0)
+                return
+            got = estimate_block(blk.t, x, v, 1.0)
+        assert len(got) == len(kinds)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            if isinstance(w, SingularDesignError):
+                assert _bits(g.det, g.threshold) == _bits(w.det, w.threshold)
+            else:
+                assert g.cond_flag == w.cond_flag
+                assert (_bits(g.theta1_hat, g.theta2_hat, g.det_D)
+                        == _bits(w.theta1_hat, w.theta2_hat, w.det_D))
+                assert _bits(*dataclasses.astuple(g.stats)) == _bits(*dataclasses.astuple(w.stats))
+
+    def test_every_row_kind_reached(self):
+        # Each row kind reaches its outcome, so the property above covers
+        # estimates, both singular branches, NaN estimates and the
+        # OverflowError of sxv**2.
+        params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
+        path = simulate(params, SimConfig(horizon=5.0, n_steps=30, seed=1))
+        outcomes = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for kind in ROW_KINDS:
+                outcomes[kind] = _per_path(SamplePath(path.t, *_row(kind, path.x, path.v),
+                                                      None, 1.0, params))
+        assert isinstance(outcomes["path"], Estimate)
+        assert outcomes["zero"].det == 0.0 and outcomes["constant"].det == 0.0
+        assert isinstance(outcomes["constant"], SingularDesignError)
+        assert math.isnan(outcomes["huge"].theta1_hat)
+        assert isinstance(outcomes["overflow"], OverflowError)
+
+    def test_estimate_path_is_one_row(self, make_path):
+        # On this path libm's pow(r(T), 2) is not r(T) * r(T) rounded, so
+        # the tail must square the endpoints with ** as the per-path solve did.
+        path = make_path(0.0, -1.0, horizon=20.0, n_steps=500, seed=31)
+        (row,) = estimate_block(path.t, path.x[None], path.v[None], path.sigma)
+        want = per_path_estimate(path)
+        assert row == estimate_path(path)
+        assert _bits(row.theta1_hat, row.theta2_hat) == _bits(want.theta1_hat, want.theta2_hat)
 
 
 class TestEstimateSigma:

@@ -456,6 +456,14 @@ class TestSamplersAgainstSimulation:
         with pytest.raises(ValueError):
             sample_limit(regime, params, 10)
 
+    @pytest.mark.parametrize("name", ["UnstableOscillation", "Ergodic"])
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+    def test_horizon_must_be_finite_and_positive(self, name, horizon):
+        # nan gave all-NaN UnstableOscillation draws; other regimes ignored it.
+        params, roots, regime = setup(name)
+        with pytest.raises(ValueError, match="horizon"):
+            sample_limit(regime, params, 10, horizon=horizon)
+
     def test_opposite_sign_normal_limit(self):
         # p = 1, q = -1; T keeps e^{pT}*eps far below the O(1) residual
         # process, the float64 information budget for this regime.

@@ -202,19 +202,23 @@ class TestRunExperiment:
         assert calls == []
 
     def test_nlrr_walks_each_path_once(self, monkeypatch):
-        # estimate_path sums the path; the NLRR rates read its statistics.
-        calls = []
+        # The block estimator sums each replication's row exactly once; the
+        # NLRR rates read the statistics it returned.
+        rows = []
 
-        def counting(*args):
-            calls.append(args)
-            return trapezoid_weights(*args)
+        def recording(t, x, v, sigma):
+            rows.extend(x.copy())
+            return block_stats(t, x, v, sigma)
 
-        trapezoid_weights = car2.estimate._trapezoid_weights
-        monkeypatch.setattr(car2.estimate, "_trapezoid_weights", counting)
+        block_stats = car2.estimate._block_stats
+        monkeypatch.setattr(car2.estimate, "_block_stats", recording)
         cfg = ergodic_cfg(normalization="nlrr", n_reps=12, comparison="none")
         res = run_experiment(cfg).results[0]
         assert res.n_used == 12
-        assert len(calls) == 12
+        want = [simulate(cfg.params, SimConfig(horizon=20.0, n_steps=res.n_steps, seed=cfg.seed,
+                                               replication_index=k)).x for k in range(12)]
+        assert len(rows) == 12
+        assert all(np.array_equal(got, x) for got, x in zip(rows, want))
 
     def test_nlrr_with_limit_sampler_rejected(self):
         with pytest.raises(ValueError):
@@ -383,8 +387,8 @@ class TestReferenceDraws:
 
 
 def test_experiment_classifies_once(monkeypatch):
-    # The Regime carries its roots, so the per-replication scaling_matrix
-    # calls of matrix mode do not classify again.
+    # The Regime carries its roots, so the scaling_matrix calls of matrix
+    # mode do not classify again.
     calls = []
 
     def counting(*args, **kwargs):
@@ -397,6 +401,39 @@ def test_experiment_classifies_once(monkeypatch):
     cfg = three_horizon_cfg(UNSTABLE_OSCILLATION, normalization="matrix")
     assert [res.n_used for res in run_experiment(cfg).results] == [20, 20, 20]
     assert len(calls) == 1
+
+
+def test_matrix_mode_scales_once_per_horizon(monkeypatch):
+    # A_T depends on the horizon alone; it was rebuilt for every replication.
+    calls = []
+
+    def recording(regime, horizon):
+        calls.append(horizon)
+        return scaling_matrix(regime, horizon)
+
+    scaling_matrix = car2.montecarlo.scaling_matrix
+    monkeypatch.setattr(car2.montecarlo, "scaling_matrix", recording)
+    cfg = three_horizon_cfg(UNSTABLE_OSCILLATION, normalization="matrix", comparison="none")
+    assert [res.n_used for res in run_experiment(cfg).results] == [20, 20, 20]
+    assert calls == [2.0, 3.0, 4.0]
+
+
+def test_cond_flagged_counts_used_replications(monkeypatch):
+    # On harness grids the trapezoid's O(h^2) error keeps D/(SXX*SVV) far
+    # above COND_FLAG_TOL; raised, the tolerance flags part of the
+    # replications.  The count stays out of the artifact.
+    monkeypatch.setattr(car2.estimate, "COND_FLAG_TOL", 0.006)
+    params = ModelParams(theta1=1.5, theta2=-0.5, sigma=1.0, x0=0.3, dx0=-0.2)
+    cfg = ergodic_cfg(params=params, horizons=(4.0,), n_reps=20, steps_per_unit_time=20,
+                      comparison="none")
+    report = run_experiment(cfg)
+    res = report.results[0]
+    flags = [estimate_path(simulate(params, SimConfig(horizon=4.0, n_steps=res.n_steps,
+                                                      seed=cfg.seed, replication_index=k)))
+             .cond_flag for k in res.reps]
+    assert 0 < res.cond_flagged == sum(flags) < res.n_used
+    assert set(report.to_artifact_dict()["horizons"][0]) == ARTIFACT_HORIZON_KEYS
+    assert run_experiment(ergodic_cfg(n_reps=5)).results[0].cond_flagged == 0
 
 
 class TestConvergenceStudy:

@@ -11,7 +11,7 @@ from car2 import (
     transition,
 )
 from car2.io import read_path_csv, write_path_csv
-from car2.simulate import _BLOCK_ELEMENTS, simulate_exact
+from car2.simulate import _BLOCK_ELEMENTS, SamplePath, simulate_exact
 
 from conftest import sorted_regime_points
 
@@ -149,6 +149,15 @@ def assert_same_bits(a, b):
     assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+def exact_rows(params, *args, **kwargs):
+    """(path, overflowed) of each replication, read off simulate_exact's blocks."""
+    for blk in simulate_exact(params, *args, **kwargs):
+        for i in range(len(blk.reps)):
+            dw = None if blk.dw is None else blk.dw[i]
+            yield (SamplePath(blk.t, blk.x[i], blk.v[i], dw, params.sigma, params),
+                   bool(blk.overflow[i]))
+
+
 class TestBlockKernel:
     # 700 steps: a block holds _BLOCK_ELEMENTS // 701 = 11 rows, and 25 reps
     # fill two blocks and part of a third.
@@ -162,8 +171,8 @@ class TestBlockKernel:
         params = ModelParams(theta1=theta[0], theta2=theta[1], sigma=sigma,
                              x0=0.3, dx0=-0.2)
         assert self.N_REPS % (_BLOCK_ELEMENTS // (self.N_STEPS + 1)) != 0
-        paths = list(simulate_exact(params, 7.0, self.N_STEPS, range(self.N_REPS),
-                                    seed=4, record_noise=record_noise))
+        paths = list(exact_rows(params, 7.0, self.N_STEPS, range(self.N_REPS),
+                                seed=4, record_noise=record_noise))
         assert len(paths) == self.N_REPS
         for k, (got, overflowed) in enumerate(paths):
             assert not overflowed
@@ -184,8 +193,7 @@ class TestBlockKernel:
         params = ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
         assert _BLOCK_ELEMENTS // 710 > 9
         overflowed = []
-        for k, (path, flag) in enumerate(simulate_exact(params, 354.5, 709, range(24),
-                                                        seed=3)):
+        for k, (path, flag) in enumerate(exact_rows(params, 354.5, 709, range(24), seed=3)):
             cfg = SimConfig(horizon=354.5, n_steps=709, seed=3, replication_index=k)
             if flag:
                 overflowed.append(k)
@@ -198,11 +206,35 @@ class TestBlockKernel:
 
     def test_replication_subset(self):
         params = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0)
-        paths = simulate_exact(params, 2.0, 50, [7, 2], seed=1)
+        paths = exact_rows(params, 2.0, 50, [7, 2], seed=1)
         for k, (path, _) in zip((7, 2), paths):
             want = simulate(params, SimConfig(horizon=2.0, n_steps=50, seed=1,
                                               replication_index=k))
             assert_same_bits(path.x, want.x)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed,index", [(0, 0), (2**64 - 1, 2**56 - 1), (2**64 - 1, 0),
+                                            (0, 2**56 - 1)])
+    def test_rekeyed_generator_equals_fresh_stream(self, seed, index):
+        from car2 import rng as car2_rng
+
+        fresh = car2_rng.stream(seed, car2_rng.DOMAIN_SIM_EXACT, index)
+        gen = car2_rng.stream(3, car2_rng.DOMAIN_LIMIT, 5)
+        gen.standard_normal(7)  # mid-stream, with a buffered half-word
+        gen.integers(0, 2**16, dtype=np.uint16)
+        car2_rng.rekey(gen, seed, car2_rng.DOMAIN_SIM_EXACT, index)
+        assert_same_bits(gen.standard_normal(1001), fresh.standard_normal(1001))
+        assert gen.integers(0, 2**32, size=5, dtype=np.uint32).tolist() == \
+            fresh.integers(0, 2**32, size=5, dtype=np.uint32).tolist()
+
+    @pytest.mark.parametrize("seed,index", [(-1, 0), (2**64, 0), (0, -1), (0, 2**56)])
+    def test_rekey_rejects_out_of_range_keys(self, seed, index):
+        from car2 import rng as car2_rng
+
+        gen = car2_rng.stream(0, car2_rng.DOMAIN_SIM_EXACT)
+        with pytest.raises(ValueError):
+            car2_rng.rekey(gen, seed, car2_rng.DOMAIN_SIM_EXACT, index)
 
 
 class TestEulerScheme:
