@@ -53,6 +53,13 @@ def _load_experiment(args, command: str) -> tuple[ExperimentConfig, bool]:
     return cfg, write_residuals
 
 
+def _out_dir(args) -> Path:
+    """The output directory args.out, created if missing."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _params_from_args(args) -> ModelParams:
     return ModelParams(theta1=args.theta1, theta2=args.theta2, sigma=args.sigma,
                        x0=args.x0, dx0=args.dx0)
@@ -88,15 +95,12 @@ def cmd_simulate(args) -> int:
     path = simulate(params, cfg)
     if args.rescale != 1.0:
         path = rescale_time(path, args.rescale)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     csv_file = out / "path.csv"
     meta_file = out / "path.meta.json"
     write_path_csv(path, csv_file)
     dump_json({
-        "params": {"theta1": path.params.theta1, "theta2": path.params.theta2,
-                   "sigma": path.params.sigma, "x0": path.params.x0,
-                   "dx0": path.params.dx0},
+        "params": dataclasses.asdict(path.params),
         "horizon": path.horizon,
         "n_steps": path.n_steps,
         "scheme": cfg.scheme,
@@ -130,8 +134,7 @@ def cmd_estimate(args) -> int:
         "n": path.n_steps,
         "seed": meta.get("seed"),
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     dest = out / "estimate.json"
     dump_json(record, dest)
     print(f"estimate: theta1_hat={est.theta1_hat!r} theta2_hat={est.theta2_hat!r} "
@@ -145,8 +148,7 @@ def cmd_limit_sample(args) -> int:
     roots = regime.roots
     draws = sample_limit(regime, params, args.n, grid_n=args.grid_n,
                          seed=args.seed, horizon=args.horizon)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     csv_file = out / "limit.csv"
     meta_file = out / "limit.meta.json"
     write_rows_csv(zip(draws.l1, draws.l2), csv_file, "l1,l2")
@@ -166,8 +168,7 @@ def cmd_limit_sample(args) -> int:
 def cmd_experiment(args) -> int:
     cfg, write_residuals = _load_experiment(args, "experiment")
     report = run_experiment(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     dest = out / "report.json"
     dump_json(report.to_artifact_dict(), dest)
     written = [str(dest)]
@@ -183,8 +184,7 @@ def cmd_experiment(args) -> int:
 def cmd_convergence(args) -> int:
     cfg, _ = _load_experiment(args, "convergence")
     report = convergence_study(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     dest = out / "convergence.json"
     dump_json(report.to_artifact_dict(), dest)
     print(f"convergence: regime={report.regime} stabilized="

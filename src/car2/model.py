@@ -45,9 +45,12 @@ DOUBLE_ROOT_SWITCH = 1e-6
 
 
 def check_number(name: str, value) -> None:
-    """Raise TypeError unless value is a real number (bool is not one)."""
+    """Raise TypeError unless value is a real number (bool is not one), and
+    ValueError unless it is finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "sigma", "x0", "dx0"):
-            value = getattr(self, name)
-            check_number(name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            check_number(name, getattr(self, name))
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 

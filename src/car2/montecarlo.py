@@ -17,8 +17,9 @@ A horizon's replications come from the block kernel `simulate_exact`, which
 builds the transition kernel once and simulates rows in blocks of a fixed
 element budget, and `estimate_block` estimates each block at once.  Its
 sums are per-row dot products, so every estimate is bit for bit the one
-`estimate_path` gives for that path alone.  Reducers take the Estimate,
-never the path: NLRR rates and Psi_T read the statistics the block summed.
+`estimate_path` gives for that path alone.  The surviving estimates are then
+normalized together, as arrays: the rates and A_T are evaluated once per
+horizon, and NLRR rates and Psi_T read the statistics the block summed.
 
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
@@ -31,16 +32,15 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from . import rng
-from .estimate import Estimate, SingularDesignError, SufficientStats, estimate_block
+from .estimate import Estimate, SingularDesignError, estimate_block
 from .limits import check_limit_law, sample_limit
-from .model import ModelParams, Regime, RegimeKind, RootPair, check_number, classify_params
-from .regimes import (SCALAR_NLRR, NoNlrrError, nlrr_rate, rate_functions,
-                      rotation_template, scaling_matrix)
+from .model import ModelParams, Regime, RegimeKind, check_number, classify_params
+from .regimes import (check_scalar_nlrr, nlrr_rate, rate_functions, rotation_template,
+                      scaling_matrix)
 from .simulate import simulate_exact
 
 __all__ = [
@@ -224,36 +224,35 @@ def ks_two_sample(a, b) -> float:
     return float(max(d.max(), np.clip(-d.min(), 0, 1)))
 
 
-def _estimate_u_hat(stats: SufficientStats, roots: RootPair) -> tuple[float, float]:
-    """Terminal-state estimate of (u_s, u_c) for the oscillating rotation."""
-    lam, nu = roots.lam, roots.nu
-    T = stats.horizon
-    scale = math.exp(-lam * T)
-    x_t = stats.x_end
-    y_t = (stats.v_end - lam * x_t) / nu
-    s, c = math.sin(nu * T), math.cos(nu * T)
-    u_c = scale * (x_t * s + y_t * c)
-    u_s = scale * (y_t * s - x_t * c)
-    return u_s, u_c
+def _errors(cfg: ExperimentConfig, ests: list[Estimate]) -> tuple[np.ndarray, np.ndarray]:
+    """theta_i_hat - theta_i over the estimates, as arrays (d1, d2)."""
+    return (np.array([est.theta1_hat for est in ests]) - cfg.params.theta1,
+            np.array([est.theta2_hat for est in ests]) - cfg.params.theta2)
 
 
-def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, rate_spec,
-                          horizon: float, a_t, est: Estimate) -> tuple[float, float]:
-    p = cfg.params
-    d1 = est.theta1_hat - p.theta1
-    d2 = est.theta2_hat - p.theta2
+def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, rate_spec, horizon: float,
+                          ests: list[Estimate]) -> tuple[np.ndarray, np.ndarray]:
+    """The horizon's normalized residuals (r1, r2), one entry per estimate."""
+    d1, d2 = _errors(cfg, ests)
     if cfg.normalization == "deterministic_rate":
         return rate_spec.v1(horizon) * d1, rate_spec.v2(horizon) * d2
     if cfg.normalization == "nlrr":
-        rates = nlrr_rate(regime, est.stats)
-        r2 = rates.r2 * d2 if rates.r2 is not None else math.nan
-        return rates.r1 * d1, r2
-    # matrix mode: components of B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1)
-    vec = a_t @ (est.psi @ np.array([d2, d1]))
+        rates = [nlrr_rate(regime, est.stats) for est in ests]
+        r2 = np.array([math.nan if r.r2 is None else r.r2 for r in rates])
+        return np.array([r.r1 for r in rates]) * d1, r2 * d2
+    # matrix mode: B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1).  Every
+    # stacked operand is C-contiguous, so each row's matmul rounds as a lone 2x2 one.
+    psi = np.array([est.psi for est in ests])
+    vec = scaling_matrix(regime, horizon) @ (psi @ np.stack([d2, d1], axis=-1)[..., None])
     if regime.tag is RegimeKind.UNSTABLE_OSCILLATION:
-        u_s, u_c = _estimate_u_hat(est.stats, regime.roots)
-        vec = rotation_template(u_s, u_c) @ vec
-    return float(vec[0]), float(vec[1])
+        # B(u_s_hat, u_c_hat), with (u_s_hat, u_c_hat) read off the terminal state
+        lam, nu = regime.roots.lam, regime.roots.nu
+        scale = math.exp(-lam * horizon)
+        s, c = math.sin(nu * horizon), math.cos(nu * horizon)
+        x_t = np.array([est.stats.x_end for est in ests])
+        y_t = (np.array([est.stats.v_end for est in ests]) - lam * x_t) / nu
+        vec = rotation_template(scale * (y_t * s - x_t * c), scale * (x_t * s + y_t * c)) @ vec
+    return vec[:, 0, 0], vec[:, 1, 0]
 
 
 def _reference_samples(cfg: ExperimentConfig, regime: Regime, horizon_index: int,
@@ -294,29 +293,27 @@ def _quantiles(values: np.ndarray) -> dict[int, float]:
     return {lev: float(v) for lev, v in zip(QUANTILE_LEVELS, qs)}
 
 
-def _replicate(cfg: ExperimentConfig, horizon: float, reduce):
+def _replicate(cfg: ExperimentConfig, horizon: float):
     """Simulate and estimate the n_reps exact paths of one horizon, a block at a time.
 
-    reduce(est) maps a replication's estimate to its value; a replication whose
-    simulation overflows or whose design is singular is excluded.  Returns
-    (n_steps, surviving indices, their values, {excluded index: reason}, the
-    number of surviving estimates with cond_flag), reason "overflow" or "singular".
+    Returns (n_steps, the surviving estimates in replication order, each
+    replication's status): "ok", "overflow" (the simulation left float64) or
+    "singular" (the design is singular); only "ok" replications have an estimate.
     """
     n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
-    reps, values, excluded, flagged = [], [], {}, 0
+    ests, status = [], np.full(cfg.n_reps, "ok", dtype=object)
     for blk in simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed):
-        excluded.update((k, "overflow") for k in compress(blk.reps, blk.overflow))
-        ests = estimate_block(blk.t, blk.x[~blk.overflow], blk.v[~blk.overflow], cfg.params.sigma)
-        for k, est in zip(compress(blk.reps, ~blk.overflow), ests):
+        reps, kept = np.asarray(blk.reps), ~blk.overflow
+        status[reps[blk.overflow]] = "overflow"
+        for k, est in zip(reps[kept], estimate_block(blk.t, blk.x[kept], blk.v[kept],
+                                                     cfg.params.sigma)):
             if isinstance(est, SingularDesignError):
-                excluded[k] = "singular"
-                continue
-            values.append(reduce(est))
-            reps.append(k)
-            flagged += est.cond_flag
-    if not reps:
+                status[k] = "singular"
+            else:
+                ests.append(est)
+    if not ests:
         raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
-    return n_steps, reps, values, excluded, flagged
+    return n_steps, ests, status
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -324,36 +321,31 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
     regime = classify_params(cfg.params)
     rate_spec = rate_functions(regime)
-    if cfg.normalization == "nlrr" and regime.tag not in SCALAR_NLRR:
-        raise NoNlrrError(f"regime {regime.tag.value} has no NLRR normalization in scalar form")
+    if cfg.normalization == "nlrr":
+        check_scalar_nlrr(regime)
     if cfg.comparison == "limit_sampler":
         check_limit_law(regime, cfg.params, cfg.grid_n)
 
     results = []
     limit_draws = {}
     for horizon_index, horizon in enumerate(cfg.horizons):
-        a_t = scaling_matrix(regime, horizon) if cfg.normalization == "matrix" else None
-        n_steps, reps, pairs, excluded, flagged = _replicate(
-            cfg, horizon,
-            lambda est: _normalized_residuals(cfg, regime, rate_spec, horizon, a_t, est))
-        r1_arr = np.asarray([r1 for r1, _ in pairs])
-        r2_arr = np.asarray([r2 for _, r2 in pairs])
-
+        n_steps, ests, status = _replicate(cfg, horizon)
+        r1, r2 = _normalized_residuals(cfg, regime, rate_spec, horizon, ests)
+        excluded = np.flatnonzero(status != "ok")
         ref1, ref2, reused = _reference_samples(cfg, regime, horizon_index, horizon,
                                                 limit_draws)
-        ks1 = ks_two_sample(r1_arr, ref1) if ref1 is not None else None
-        ks2 = None
-        if ref2 is not None and np.isfinite(r2_arr).all():
-            ks2 = ks_two_sample(r2_arr, ref2)
+        ks1 = ks_two_sample(r1, ref1) if ref1 is not None else None
+        ks2 = ks_two_sample(r2, ref2) if ref2 is not None and np.isfinite(r2).all() else None
         results.append(HorizonResult(
-            horizon=horizon, n_steps=n_steps, n_used=len(reps),
-            n_excluded=cfg.n_reps - len(reps),
-            reps=np.asarray(reps), r1=r1_arr, r2=r2_arr,
-            quantiles1=_quantiles(r1_arr), quantiles2=_quantiles(r2_arr),
+            horizon=horizon, n_steps=n_steps, n_used=len(ests),
+            n_excluded=cfg.n_reps - len(ests),
+            reps=np.flatnonzero(status == "ok"), r1=r1, r2=r2,
+            quantiles1=_quantiles(r1), quantiles2=_quantiles(r2),
             ks1=ks1, ks2=ks2, reference_reused=reused,
-            excluded_overflow=sum(r == "overflow" for r in excluded.values()),
-            excluded_singular=sum(r == "singular" for r in excluded.values()),
-            first_excluded_rep=min(excluded, default=None), cond_flagged=flagged,
+            excluded_overflow=int((status == "overflow").sum()),
+            excluded_singular=int((status == "singular").sum()),
+            first_excluded_rep=int(excluded[0]) if excluded.size else None,
+            cond_flagged=sum(est.cond_flag for est in ests),
         ))
 
     comparison_name = (cfg.comparison if isinstance(cfg.comparison, str)
@@ -422,29 +414,21 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
 
     rows = []
     for horizon in cfg.horizons:
-        _, reps, errors, _, _ = _replicate(
-            cfg, horizon,
-            lambda est: (abs(est.theta1_hat - cfg.params.theta1),
-                         abs(est.theta2_hat - cfg.params.theta2)))
-        m1 = float(np.median([d1 for d1, _ in errors]))
-        m2 = float(np.median([d2 for _, d2 in errors]))
+        _, ests, _ = _replicate(cfg, horizon)
+        m1, m2 = (float(np.median(np.abs(d))) for d in _errors(cfg, ests))
         rows.append(ConvergenceRow(horizon, m1, m2,
                                    spec.v1(horizon) * m1, spec.v2(horizon) * m2,
-                                   len(reps), cfg.n_reps - len(reps)))
+                                   len(ests), cfg.n_reps - len(ests)))
 
     def stabilized(values):
         ratios = [b / a for a, b in zip(values, values[1:]) if a > 0]
         return bool(ratios) and all(RATIO_BAND[0] <= r <= RATIO_BAND[1] for r in ratios)
 
-    norm1 = [r.normalized_median1 for r in rows]
-    norm2 = [r.normalized_median2 for r in rows]
-    raw1 = [r.raw_median1 for r in rows]
-    raw2 = [r.raw_median2 for r in rows]
     return ConvergenceReport(
         regime=regime.tag.value,
         rows=rows,
-        stabilized1=stabilized(norm1),
-        stabilized2=stabilized(norm2),
-        raw_decreasing1=raw1[-1] < raw1[0],
-        raw_decreasing2=raw2[-1] < raw2[0],
+        stabilized1=stabilized([r.normalized_median1 for r in rows]),
+        stabilized2=stabilized([r.normalized_median2 for r in rows]),
+        raw_decreasing1=rows[-1].raw_median1 < rows[0].raw_median1,
+        raw_decreasing2=rows[-1].raw_median2 < rows[0].raw_median2,
     )

@@ -26,6 +26,7 @@ __all__ = [
     "NlrrRates",
     "NoNlrrError",
     "SCALAR_NLRR",
+    "check_scalar_nlrr",
     "rate_functions",
     "nlrr_rate",
     "scaling_matrix",
@@ -138,6 +139,12 @@ def rate_functions(regime: Regime) -> RateSpec:
     )
 
 
+def check_scalar_nlrr(regime: Regime) -> None:
+    """Raise NoNlrrError unless the regime has scalar NLRR rates (SCALAR_NLRR)."""
+    if regime.tag not in SCALAR_NLRR:
+        raise NoNlrrError(f"regime {regime.tag.value} has no NLRR normalization in scalar form")
+
+
 def nlrr_rate(regime: Regime, stats: SufficientStats) -> NlrrRates:
     """Random normalizations with a Gaussian limit, from observed statistics.
 
@@ -151,10 +158,8 @@ def nlrr_rate(regime: Regime, stats: SufficientStats) -> NlrrRates:
     SmallerRootZero, and UnstableOscillation, which has only the matrix
     normalization (use scaling_matrix and rotation_template).
     """
-    kind = regime.tag
-    if kind not in SCALAR_NLRR:
-        raise NoNlrrError(f"regime {kind.value} has no NLRR normalization in scalar form")
-    T = stats.horizon
+    check_scalar_nlrr(regime)
+    kind, T = regime.tag, stats.horizon
     if kind is RegimeKind.ERGODIC:
         return NlrrRates(math.sqrt(stats.svv), math.sqrt(stats.sxx))
     if kind in (RegimeKind.OPPOSITE_SIGN, RegimeKind.DISTINCT_POSITIVE):
@@ -199,9 +204,14 @@ def scaling_matrix(regime: Regime, horizon: float) -> np.ndarray:
     return math.exp(-lam * T) * np.array([[nu, 0.0], [lam, -1.0]])
 
 
-def rotation_template(x: float, y: float) -> np.ndarray:
-    """B(x, y) = [[x, y], [-y, x]] / (x^2 + y^2), the NLRR rotation."""
+def rotation_template(x, y) -> np.ndarray:
+    """B(x, y) = [[x, y], [-y, x]] / (x^2 + y^2), the NLRR rotation.
+
+    For arrays x, y of one shape S the result is the C-contiguous stack of
+    shape S + (2, 2), B(x[i], y[i]) at index i.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     denom = x * x + y * y
-    if denom == 0.0:
+    if (denom == 0.0).any():
         raise ValueError("rotation undefined at x = y = 0")
-    return np.array([[x, y], [-y, x]]) / denom
+    return (np.stack([x, y, -y, x], axis=-1) / denom[..., None]).reshape(x.shape + (2, 2))

@@ -1,13 +1,18 @@
 """Test-only oracles: the per-path estimator that `estimate_block` replaces,
-and the N/D decomposition of the MLE residual theta_hat - theta as discrete
-sums over a path's recorded noise."""
+the per-replication residual normalizer that the harness's array version
+replaces, and the N/D decomposition of the MLE residual theta_hat - theta as
+discrete sums over a path's recorded noise."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from car2.estimate import (Estimate, SingularDesignError, SufficientStats, _naive_det,
                            _singular_threshold, _theta_vec)
+from car2.model import RegimeKind, RootPair
+from car2.regimes import nlrr_rate
 from car2.simulate import SamplePath
 
 
@@ -51,6 +56,42 @@ def per_path_estimate(path: SamplePath) -> Estimate:
     a2 = (srr * j_xr - sxr * j_rr) / det
     a1 = (sxx * j_rr - sxr * j_xr) / det
     return Estimate(float(a1 + b), float(a2 - b * a1), det, stats, _naive_det(stats)[1])
+
+
+def _estimate_u_hat(stats: SufficientStats, roots: RootPair) -> tuple[float, float]:
+    """Terminal-state estimate of (u_s, u_c) for the oscillating rotation."""
+    lam, nu = roots.lam, roots.nu
+    T = stats.horizon
+    scale = math.exp(-lam * T)
+    x_t = stats.x_end
+    y_t = (stats.v_end - lam * x_t) / nu
+    s, c = math.sin(nu * T), math.cos(nu * T)
+    u_c = scale * (x_t * s + y_t * c)
+    u_s = scale * (y_t * s - x_t * c)
+    return u_s, u_c
+
+
+def per_rep_normalized_residuals(cfg, regime, rate_spec, horizon: float, a_t,
+                                 est: Estimate) -> tuple[float, float]:
+    """One replication's normalized residuals (r1, r2), on Python floats and
+    lone 2x2 matmuls; a_t is scaling_matrix(regime, horizon) in matrix mode,
+    and the UnstableOscillation rotation is the scalar B(u_s_hat, u_c_hat)."""
+    p = cfg.params
+    d1 = est.theta1_hat - p.theta1
+    d2 = est.theta2_hat - p.theta2
+    if cfg.normalization == "deterministic_rate":
+        return rate_spec.v1(horizon) * d1, rate_spec.v2(horizon) * d2
+    if cfg.normalization == "nlrr":
+        rates = nlrr_rate(regime, est.stats)
+        r2 = rates.r2 * d2 if rates.r2 is not None else math.nan
+        return rates.r1 * d1, r2
+    # matrix mode: components of B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1)
+    vec = a_t @ (est.psi @ np.array([d2, d1]))
+    if regime.tag is RegimeKind.UNSTABLE_OSCILLATION:
+        u_s, u_c = _estimate_u_hat(est.stats, regime.roots)
+        rotation = np.array([[u_s, u_c], [-u_c, u_s]]) / (u_s * u_s + u_c * u_c)
+        vec = rotation @ vec
+    return float(vec[0]), float(vec[1])
 
 
 def gram_det(f: np.ndarray, g: np.ndarray, h: float) -> float:

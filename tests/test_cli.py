@@ -5,6 +5,7 @@ with no NLRR normalization), 3 numeric failure.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -178,6 +179,11 @@ REJECTED = {
     "horizon_zero": _set("horizons", [0.0, 1.0]),
     "horizon_bool": _set("horizons", [True]),
     "horizons_repeated": _set("horizons", [5.0, 5.0]),
+    # json.load reads NaN and Infinity; they are not numbers a run can use.
+    "horizon_inf": _set("horizons", [1.0, math.inf]),
+    "horizon_nan": _set("horizons", [math.nan]),
+    "mean1_nan": _set("comparison", {**NORMAL_REF, "mean1": math.nan}),
+    "var1_inf": _set("comparison", {**NORMAL_REF, "var1": math.inf}),
     "normalization_unknown": _set("normalization", "bogus"),
     "comparison_unknown": _set("comparison", "bogus"),
     "comparison_number": _set("comparison", 3),
@@ -308,6 +314,29 @@ def _simulate(tmp_path, capsys, *extra):
             "--out", str(sim_dir), *extra]
     assert _run(capsys, argv)[0] == 0
     return sim_dir
+
+
+RESCALED_META = """{
+  "horizon": 1.6666666666666667,
+  "n_steps": 500,
+  "params": {
+    "dx0": -0.6000000000000001,
+    "sigma": 5.196152422706632,
+    "theta1": -9.0,
+    "theta2": -18.0,
+    "x0": 0.3
+  },
+  "replication_index": 0,
+  "scheme": "exact",
+  "seed": 3
+}
+"""
+
+
+def test_simulate_meta_pinned(tmp_path, capsys):
+    # The params block is every ModelParams field of the written (rescaled) path.
+    sim_dir = _simulate(tmp_path, capsys, "--rescale", "3")
+    assert (sim_dir / "path.meta.json").read_text() == RESCALED_META
 
 
 class TestPathTimeColumn:

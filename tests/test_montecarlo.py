@@ -30,8 +30,12 @@ from car2 import (
     sample_limit,
     simulate,
 )
-from car2.regimes import NoNlrrError
+from car2.model import classify_params
+from car2.regimes import SCALAR_NLRR, NoNlrrError, rate_functions, scaling_matrix
 from car2.simulate import simulate_exact
+
+from conftest import REGIME_POINTS
+from oracles import per_rep_normalized_residuals
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -266,6 +270,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ergodic_cfg(normalization="bogus")
 
+    @pytest.mark.parametrize("field, build", [
+        ("horizons", lambda value: ergodic_cfg(horizons=(1.0, value))),
+        ("mean1", lambda value: NormalReference(mean1=value, var1=1.0)),
+        ("var1", lambda value: NormalReference(mean1=0.0, var1=value)),
+        ("mean2", lambda value: NormalReference(mean1=0.0, var1=1.0, mean2=value)),
+        ("var2", lambda value: NormalReference(mean1=0.0, var1=1.0, mean2=0.0, var2=value)),
+    ], ids=lambda x: x if isinstance(x, str) else "")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, field, build, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(value)
+
 
 ARTIFACT_HORIZON_KEYS = {"horizon", "n_steps", "n_used", "n_excluded", "ks1", "ks2",
                          "quantiles1", "quantiles2"}
@@ -416,6 +432,70 @@ def test_matrix_mode_scales_once_per_horizon(monkeypatch):
     cfg = three_horizon_cfg(UNSTABLE_OSCILLATION, normalization="matrix", comparison="none")
     assert [res.n_used for res in run_experiment(cfg).results] == [20, 20, 20]
     assert calls == [2.0, 3.0, 4.0]
+
+
+def test_rates_evaluated_once_per_horizon(monkeypatch):
+    # v1(T) and v2(T) are constants of the horizon: one call each per horizon.
+    calls = []
+
+    def counting(regime):
+        spec = rate_functions(regime)
+
+        def count(name, rate):
+            def wrapped(T):
+                calls.append((name, T))
+                return rate(T)
+            return wrapped
+
+        return dataclasses.replace(spec, v1=count("v1", spec.v1), v2=count("v2", spec.v2))
+
+    rate_functions = car2.montecarlo.rate_functions
+    monkeypatch.setattr(car2.montecarlo, "rate_functions", counting)
+    cfg = three_horizon_cfg(HARMONIC, comparison="none")
+    assert [res.n_used for res in run_experiment(cfg).results] == [20, 20, 20]
+    assert calls == [("v1", 2.0), ("v2", 2.0), ("v1", 3.0), ("v2", 3.0), ("v1", 4.0), ("v2", 4.0)]
+
+
+# (regime, normalization): deterministic rates, the scalar NLRR rates of every
+# regime that has them (LargerRootZero's r2 is NaN), and the matrix form with
+# and without UnstableOscillation's rotation.
+RESIDUAL_CASES = [
+    ("Ergodic", "deterministic_rate"),
+    ("Harmonic", "deterministic_rate"),
+    *sorted((kind.value, "nlrr") for kind in SCALAR_NLRR),
+    ("UnstableOscillation", "matrix"),
+    ("DistinctPositive", "matrix"),
+]
+
+
+@pytest.mark.parametrize("name, normalization", RESIDUAL_CASES,
+                         ids=[f"{name}-{norm}" for name, norm in RESIDUAL_CASES])
+def test_normalized_residuals_match_per_rep_oracle(monkeypatch, name, normalization):
+    # The horizon's arrays equal the per-replication normalizer bit for bit,
+    # over a horizon of several simulate_exact blocks.
+    blocks = []
+
+    def counting(*args, **kwargs):
+        for blk in simulate_exact(*args, **kwargs):
+            blocks.append(len(blk.reps))
+            yield blk
+
+    monkeypatch.setattr(car2.montecarlo, "simulate_exact", counting)
+    theta1, theta2, horizon = REGIME_POINTS[name]
+    params = ModelParams(theta1=theta1, theta2=theta2, sigma=1.0, x0=0.3, dx0=-0.2)
+    cfg = ergodic_cfg(params=params, horizons=(horizon,), n_reps=60, steps_per_unit_time=100,
+                      normalization=normalization, comparison="none")
+    regime = classify_params(params)
+    spec = rate_functions(regime)
+    _, ests, _ = car2.montecarlo._replicate(cfg, horizon)
+    assert len(blocks) >= 3 and len(ests) == cfg.n_reps
+    r1, r2 = car2.montecarlo._normalized_residuals(cfg, regime, spec, horizon, ests)
+    a_t = scaling_matrix(regime, horizon) if normalization == "matrix" else None
+    want = [per_rep_normalized_residuals(cfg, regime, spec, horizon, a_t, est) for est in ests]
+    assert r1.shape == r2.shape == (len(want),)
+    assert all(same_float(a, w1) and same_float(b, w2) for a, b, (w1, w2) in zip(r1, r2, want))
+    assert np.isnan(r2).all() == (regime.tag is car2.model.RegimeKind.LARGER_ROOT_ZERO
+                                  and normalization == "nlrr")
 
 
 def test_cond_flagged_counts_used_replications(monkeypatch):

@@ -214,6 +214,15 @@ class TestScalingMatrix:
         with pytest.raises(ValueError):
             rotation_template(0.0, 0.0)
 
+    def test_rotation_template_stacks(self):
+        x, y = np.array([[0.6, -1.5, 2.0]]), np.array([[0.8, 0.25, 0.0]])
+        b = rotation_template(x, y)
+        assert b.shape == (1, 3, 2, 2) and b.flags.c_contiguous
+        for i in range(3):
+            assert np.array_equal(b[0, i], rotation_template(x[0, i], y[0, i]))
+        with pytest.raises(ValueError):
+            rotation_template(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
     def test_smaller_root_zero_uses_dominant_root(self):
         roots, regime = setup_regime("SmallerRootZero")  # p = 1
         a_t = scaling_matrix(regime, 2.0)
