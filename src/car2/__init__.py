@@ -6,9 +6,6 @@ from .estimate import (
     SufficientStats,
     estimate_path,
     estimate_sigma,
-    log_likelihood_ratio,
-    mle,
-    normalized_llr,
     sufficient_stats,
 )
 from .limits import BrownianFunctionals, LimitSampleSet, brownian_functionals, sample_limit
@@ -68,9 +65,6 @@ __all__ = [
     "estimate_sigma",
     "fundamental_solutions",
     "ks_two_sample",
-    "log_likelihood_ratio",
-    "mle",
-    "normalized_llr",
     "rate_functions",
     "nlrr_rate",
     "rescale_time",

@@ -5,7 +5,8 @@ JSON configs are validated by ExperimentConfig.from_dict (unknown keys
 rejected); the CLI itself reads only their "command" and "write_residuals"
 keys.  CSV holds bulk numbers.  Exit codes: 0 success, 2 argument/config
 or file error (including NLRR normalization for a regime that has none),
-3 numeric failure (singular design, overflow, no valid replications).
+3 numeric failure (singular design, overflow, a non-finite estimate, no
+valid replications).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -122,6 +124,8 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"cannot read path metadata {meta_file}: {exc}") from exc
     path = read_path_csv(args.path, params)
     est = estimate_path(path)
+    if not (math.isfinite(est.theta1_hat) and math.isfinite(est.theta2_hat)):
+        raise FloatingPointError(f"non-finite estimate ({est.theta1_hat!r}, {est.theta2_hat!r})")
     record = {
         "theta1_hat": est.theta1_hat,
         "theta2_hat": est.theta2_hat,

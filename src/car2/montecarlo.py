@@ -15,11 +15,10 @@ index and stay per horizon.
 
 A horizon's replications come from the block kernel `simulate_exact`, which
 builds the transition kernel once and simulates rows in blocks of a fixed
-element budget, and `estimate_block` estimates each block at once.  Its
-sums are per-row dot products, so every estimate is bit for bit the one
-`estimate_path` gives for that path alone.  The surviving estimates are then
-normalized together, as arrays: the rates and A_T are evaluated once per
-horizon, and NLRR rates and Psi_T read the statistics the block summed.
+element budget; `estimate_blocks` sums each block as it arrives and solves
+once per horizon, bit for bit as `estimate_path` on each path alone.  The
+surviving rows are normalized as columns, with the rates and A_T evaluated
+once per horizon.
 
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .estimate import Estimate, SingularDesignError, estimate_block
+from .estimate import Estimate, _map_rows, estimate_blocks
 from .limits import check_limit_law, sample_limit
 from .model import ModelParams, Regime, RegimeKind, check_number, classify_params
 from .regimes import (check_scalar_nlrr, nlrr_rate, rate_functions, rotation_template,
@@ -160,7 +159,7 @@ class HorizonResult:
     ks2: float | None
     reference_reused: bool  # limit draws shared with an earlier horizon
     excluded_overflow: int  # simulation left the float64 range
-    excluded_singular: int  # singular design in estimate_block
+    excluded_singular: int  # singular design in estimate_blocks
     first_excluded_rep: int | None
     cond_flagged: int  # used replications whose Estimate.cond_flag is set
 
@@ -224,33 +223,25 @@ def ks_two_sample(a, b) -> float:
     return float(max(d.max(), np.clip(-d.min(), 0, 1)))
 
 
-def _errors(cfg: ExperimentConfig, ests: list[Estimate]) -> tuple[np.ndarray, np.ndarray]:
-    """theta_i_hat - theta_i over the estimates, as arrays (d1, d2)."""
-    return (np.array([est.theta1_hat for est in ests]) - cfg.params.theta1,
-            np.array([est.theta2_hat for est in ests]) - cfg.params.theta2)
-
-
 def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, rate_spec, horizon: float,
-                          ests: list[Estimate]) -> tuple[np.ndarray, np.ndarray]:
-    """The horizon's normalized residuals (r1, r2), one entry per estimate."""
-    d1, d2 = _errors(cfg, ests)
+                          est: Estimate) -> tuple[np.ndarray, np.ndarray]:
+    """The horizon's normalized residuals (r1, r2), one entry per row of est."""
+    d1, d2 = est.theta1_hat - cfg.params.theta1, est.theta2_hat - cfg.params.theta2
     if cfg.normalization == "deterministic_rate":
         return rate_spec.v1(horizon) * d1, rate_spec.v2(horizon) * d2
     if cfg.normalization == "nlrr":
-        rates = [nlrr_rate(regime, est.stats) for est in ests]
-        r2 = np.array([math.nan if r.r2 is None else r.r2 for r in rates])
-        return np.array([r.r1 for r in rates]) * d1, r2 * d2
+        rates = nlrr_rate(regime, est.stats)
+        return rates.r1 * d1, (math.nan if rates.r2 is None else rates.r2) * d2
     # matrix mode: B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1).  Every
     # stacked operand is C-contiguous, so each row's matmul rounds as a lone 2x2 one.
-    psi = np.array([est.psi for est in ests])
-    vec = scaling_matrix(regime, horizon) @ (psi @ np.stack([d2, d1], axis=-1)[..., None])
+    vec = scaling_matrix(regime, horizon) @ (est.psi @ np.stack([d2, d1], axis=-1)[..., None])
     if regime.tag is RegimeKind.UNSTABLE_OSCILLATION:
         # B(u_s_hat, u_c_hat), with (u_s_hat, u_c_hat) read off the terminal state
         lam, nu = regime.roots.lam, regime.roots.nu
         scale = math.exp(-lam * horizon)
         s, c = math.sin(nu * horizon), math.cos(nu * horizon)
-        x_t = np.array([est.stats.x_end for est in ests])
-        y_t = (np.array([est.stats.v_end for est in ests]) - lam * x_t) / nu
+        x_t = est.stats.x_end
+        y_t = (est.stats.v_end - lam * x_t) / nu
         vec = rotation_template(scale * (y_t * s - x_t * c), scale * (x_t * s + y_t * c)) @ vec
     return vec[:, 0, 0], vec[:, 1, 0]
 
@@ -296,24 +287,24 @@ def _quantiles(values: np.ndarray) -> dict[int, float]:
 def _replicate(cfg: ExperimentConfig, horizon: float):
     """Simulate and estimate the n_reps exact paths of one horizon, a block at a time.
 
-    Returns (n_steps, the surviving estimates in replication order, each
+    Returns (n_steps, the surviving rows' Estimate in replication order, each
     replication's status): "ok", "overflow" (the simulation left float64) or
-    "singular" (the design is singular); only "ok" replications have an estimate.
+    "singular" (the design is singular); only "ok" replications have a row.
     """
     n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
-    ests, status = [], np.full(cfg.n_reps, "ok", dtype=object)
-    for blk in simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed):
-        reps, kept = np.asarray(blk.reps), ~blk.overflow
-        status[reps[blk.overflow]] = "overflow"
-        for k, est in zip(reps[kept], estimate_block(blk.t, blk.x[kept], blk.v[kept],
-                                                     cfg.params.sigma)):
-            if isinstance(est, SingularDesignError):
-                status[k] = "singular"
-            else:
-                ests.append(est)
-    if not ests:
+    status = np.full(cfg.n_reps, "ok", dtype=object)
+
+    def blocks():  # of consecutive replications, so the rows stay in replication order
+        for blk in simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed):
+            status[np.asarray(blk.reps)[blk.overflow]] = "overflow"
+            yield blk.t, blk.x[~blk.overflow], blk.v[~blk.overflow]
+
+    est, threshold = estimate_blocks(blocks(), cfg.params.sigma)
+    singular = est.det_D <= threshold
+    if singular.all():
         raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
-    return n_steps, ests, status
+    status[np.flatnonzero(status == "ok")[singular]] = "singular"
+    return n_steps, _map_rows(est, lambda col: col[~singular]), status
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -329,23 +320,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     results = []
     limit_draws = {}
     for horizon_index, horizon in enumerate(cfg.horizons):
-        n_steps, ests, status = _replicate(cfg, horizon)
-        r1, r2 = _normalized_residuals(cfg, regime, rate_spec, horizon, ests)
+        n_steps, est, status = _replicate(cfg, horizon)
+        r1, r2 = _normalized_residuals(cfg, regime, rate_spec, horizon, est)
         excluded = np.flatnonzero(status != "ok")
         ref1, ref2, reused = _reference_samples(cfg, regime, horizon_index, horizon,
                                                 limit_draws)
         ks1 = ks_two_sample(r1, ref1) if ref1 is not None else None
         ks2 = ks_two_sample(r2, ref2) if ref2 is not None and np.isfinite(r2).all() else None
         results.append(HorizonResult(
-            horizon=horizon, n_steps=n_steps, n_used=len(ests),
-            n_excluded=cfg.n_reps - len(ests),
+            horizon=horizon, n_steps=n_steps, n_used=r1.size,
+            n_excluded=cfg.n_reps - r1.size,
             reps=np.flatnonzero(status == "ok"), r1=r1, r2=r2,
             quantiles1=_quantiles(r1), quantiles2=_quantiles(r2),
             ks1=ks1, ks2=ks2, reference_reused=reused,
             excluded_overflow=int((status == "overflow").sum()),
             excluded_singular=int((status == "singular").sum()),
             first_excluded_rep=int(excluded[0]) if excluded.size else None,
-            cond_flagged=sum(est.cond_flag for est in ests),
+            cond_flagged=int(est.cond_flag.sum()),
         ))
 
     comparison_name = (cfg.comparison if isinstance(cfg.comparison, str)
@@ -414,11 +405,12 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
 
     rows = []
     for horizon in cfg.horizons:
-        _, ests, _ = _replicate(cfg, horizon)
-        m1, m2 = (float(np.median(np.abs(d))) for d in _errors(cfg, ests))
+        _, est, _ = _replicate(cfg, horizon)
+        d1, d2 = est.theta1_hat - cfg.params.theta1, est.theta2_hat - cfg.params.theta2
+        m1, m2 = float(np.median(np.abs(d1))), float(np.median(np.abs(d2)))
         rows.append(ConvergenceRow(horizon, m1, m2,
                                    spec.v1(horizon) * m1, spec.v2(horizon) * m2,
-                                   len(ests), cfg.n_reps - len(ests)))
+                                   d1.size, cfg.n_reps - d1.size))
 
     def stabilized(values):
         ratios = [b / a for a, b in zip(values, values[1:]) if a > 0]

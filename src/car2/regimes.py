@@ -5,9 +5,7 @@ normalizations v1(T), v2(T) under which v_i(T)(theta_i_hat - theta_i) has a
 nondegenerate limit, the limit-distribution family labels, the availability
 and value of the random (path-dependent) normalizations, and the matrix
 A_T normalizing the local log-likelihood ratio l_T(u) = L_T(theta + A_T u).
-
-Explosive rates are exposed in log space as well; callers decide when to
-exponentiate.
+Each rate is exponentiated from its log form.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ class RateSpec:
     regime: RegimeKind
     v1: Callable[[float], float]
     v2: Callable[[float], float]
-    log_v1: Callable[[float], float]
-    log_v2: Callable[[float], float]
     label1: str  # limit family of v1(T)(theta1_hat - theta1)
     label2: str
     nlrr: str  # "yes" | "no" | "theta1_only"
@@ -55,7 +51,8 @@ class RateSpec:
 
 @dataclass(frozen=True)
 class NlrrRates:
-    """Scalar random rates; r2 is None when only theta1 admits one."""
+    """Scalar random rates (arrays for array stats); r2 is None when only
+    theta1 admits one."""
 
     r1: float
     r2: float | None
@@ -128,8 +125,6 @@ def rate_functions(regime: Regime) -> RateSpec:
         regime=kind,
         v1=lambda T: math.exp(lv1(T)),
         v2=lambda T: math.exp(lv2(T)),
-        log_v1=lv1,
-        log_v2=lv2,
         label1=label1,
         label2=label2,
         nlrr=nlrr,
@@ -161,14 +156,14 @@ def nlrr_rate(regime: Regime, stats: SufficientStats) -> NlrrRates:
     check_scalar_nlrr(regime)
     kind, T = regime.tag, stats.horizon
     if kind is RegimeKind.ERGODIC:
-        return NlrrRates(math.sqrt(stats.svv), math.sqrt(stats.sxx))
+        return NlrrRates(np.sqrt(stats.svv), np.sqrt(stats.sxx))
     if kind in (RegimeKind.OPPOSITE_SIGN, RegimeKind.DISTINCT_POSITIVE):
         p = regime.roots.p.real
         val = stats.svv - 2.0 * p * stats.sxv + p * p * stats.sxx
-        r = math.sqrt(max(val, 0.0))
+        r = np.sqrt(np.maximum(val, 0.0))
         return NlrrRates(r, r)
     if kind is RegimeKind.POSITIVE_DOUBLE:
-        r = math.sqrt(stats.sxx) / T**2
+        r = np.sqrt(stats.sxx) / T**2
         return NlrrRates(r, r)
     return NlrrRates(stats.sxx / T**1.5, None)  # LargerRootZero: theta1 only
 

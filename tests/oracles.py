@@ -1,5 +1,6 @@
-"""Test-only oracles: the per-path estimator that `estimate_block` replaces,
-the per-replication residual normalizer that the harness's array version
+"""Test-only oracles: the per-path estimator and closed-form MLE that
+`estimate_blocks` replaces, the likelihood ratio of a path, the
+per-replication residual normalizer that the harness's array version
 replaces, and the N/D decomposition of the MLE residual theta_hat - theta as
 discrete sums over a path's recorded noise."""
 
@@ -9,11 +10,73 @@ import math
 
 import numpy as np
 
-from car2.estimate import (Estimate, SingularDesignError, SufficientStats, _naive_det,
-                           _singular_threshold, _theta_vec)
+from car2 import estimate
+from car2.estimate import Estimate, SingularDesignError, SufficientStats
 from car2.model import RegimeKind, RootPair
 from car2.regimes import nlrr_rate
 from car2.simulate import SamplePath
+
+
+def _singular_threshold(sxx_svv: float) -> float:
+    return estimate.SINGULAR_REL_TOL * max(sxx_svv, 1.0)
+
+
+def _naive_det(stats: SufficientStats) -> tuple[float, bool]:
+    """D = SXX*SVV - SXV^2, and whether float64 loses most of its digits."""
+    scale = stats.sxx * stats.svv
+    det = scale - stats.sxv**2  # Python floats: overflow raises OverflowError
+    return det, det < estimate.COND_FLAG_TOL * max(scale, 1.0)
+
+
+def mle(stats: SufficientStats) -> Estimate:
+    """Closed-form MLE from the sufficient statistics.
+
+    Raises SingularDesignError when D = SXX*SVV - SXV^2 is at or below the
+    singularity threshold.  cond_flag is set when D is so small relative to
+    SXX*SVV that float64 evaluation of this formula loses most digits; use
+    `estimate_path` in that case.
+    """
+    det, flagged = _naive_det(stats)
+    threshold = _singular_threshold(stats.sxx * stats.svv)
+    if det <= threshold:
+        raise SingularDesignError(det, threshold)
+    th1 = (stats.sxx * stats.ivdv - stats.sxv * stats.ixdv) / det
+    th2 = (stats.svv * stats.ixdv - stats.sxv * stats.ivdv) / det
+    return Estimate(th1, th2, det, stats, flagged)
+
+
+def _theta_vec(theta) -> np.ndarray:
+    arr = np.asarray(theta, dtype=float)
+    if arr.shape != (2,):
+        raise ValueError("theta must be a 2-vector (theta2, theta1)")
+    return arr
+
+
+def log_likelihood_ratio(stats: SufficientStats, theta_ref, theta_alt) -> float:
+    """log dP_alt/dP_ref of the observed path; thetas in (theta2, theta1) order.
+
+    Evaluates (1/s^2) int (alt - ref)^T Z dX' - (1/2s^2)(alt^T Psi alt -
+    ref^T Psi ref) with Z = (X, X'), expanded in the sufficient statistics:
+    int (a2, a1)^T Z dX' = a2*IXdV + a1*IVdV and int ((a2, a1)^T Z)^2 dt =
+    a^T Psi a.
+    """
+    if stats.sigma_used == 0.0:
+        raise ValueError("likelihood ratio undefined for sigma = 0")
+    ref = _theta_vec(theta_ref)
+    alt = _theta_vec(theta_alt)
+    s2 = stats.sigma_used**2
+    psi = stats.psi()
+    linear = (alt[0] - ref[0]) * stats.ixdv + (alt[1] - ref[1]) * stats.ivdv
+    quad = alt @ psi @ alt - ref @ psi @ ref
+    return float(linear / s2 - quad / (2.0 * s2))
+
+
+def normalized_llr(stats: SufficientStats, theta, a_matrix, u) -> float:
+    """Local log-likelihood ratio l_T(u) = LLR(theta, theta + A_T u)."""
+    theta = _theta_vec(theta)
+    a_matrix = np.asarray(a_matrix, dtype=float)
+    u = _theta_vec(u)
+    return log_likelihood_ratio(stats, theta, theta + a_matrix @ u)
 
 
 def per_path_stats(path: SamplePath) -> tuple[SufficientStats, np.ndarray]:

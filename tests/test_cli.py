@@ -399,6 +399,20 @@ def test_overflow_exits_3(tmp_path, capsys):
     assert err.startswith("numeric failure: ")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("horizon", ["120", "200"])
+def test_non_finite_path_estimate_exits_3(tmp_path, capsys, horizon):
+    # At T = 200 the sums overflow to NaN estimates; at T = 120 SXV^2 overflows.
+    # Neither writes an estimate.json, whose NaN would not be valid JSON.
+    sim_dir = tmp_path / "sim"
+    assert _run(capsys, ["simulate", "--theta1", "3", *MODEL[2:], "--horizon", horizon,
+                         "--n-steps", "4000", "--out", str(sim_dir)])[0] == 0
+    code, _, err = _run(capsys, ["estimate", "--path", str(sim_dir / "path.csv"),
+                                 "--out", str(tmp_path / "est")])
+    assert code == 3 and err.startswith("numeric failure: ")
+    assert not (tmp_path / "est").exists()
+
+
 def test_runs_without_jsonschema():
     script = ("import sys; sys.modules['jsonschema'] = None\n"
               "from car2.cli import main\n"

@@ -13,19 +13,16 @@ from car2 import (
     SingularDesignError,
     estimate_path,
     estimate_sigma,
-    log_likelihood_ratio,
-    mle,
-    normalized_llr,
     rescale_time,
     simulate,
     sufficient_stats,
 )
-from car2.estimate import Estimate, estimate_block
+from car2.estimate import Estimate, _map_rows, estimate_blocks
 from car2.simulate import SamplePath, simulate_exact
 
 from conftest import sorted_regime_points
-from oracles import (gram_det, per_path_estimate, reconstructed_stats, residual_oracle,
-                     wiener_numerator)
+from oracles import (gram_det, log_likelihood_ratio, mle, normalized_llr, per_path_estimate,
+                     reconstructed_stats, residual_oracle, wiener_numerator)
 
 # Fixed example sequence, small enough to keep the suite fast.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -192,32 +189,43 @@ def _row(kind, x, v):
     return x * scale, v * scale
 
 
+def _nth_row(est, i):
+    """Row i of a columnar Estimate, in Python floats."""
+    return _map_rows(est, lambda col: col[i].item())
+
+
 class TestEstimateBlock:
     @PROPERTY
     @given(point=st.sampled_from(sorted_regime_points()), seed=st.integers(0, 2**32),
            n_steps=st.integers(2, 40),
-           kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8))
-    def test_rows_equal_per_path_oracle(self, point, seed, n_steps, kinds):
+           kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8),
+           cuts=st.lists(st.integers(0, 8), max_size=2))
+    def test_rows_equal_per_path_oracle(self, point, seed, n_steps, kinds, cuts):
+        # The rows are split into one to three blocks at the cut points, so
+        # the columns are joined before the solve.
         t1, t2, horizon = point[1]
         params = ModelParams(theta1=t1, theta2=t2, sigma=1.0, x0=0.3, dx0=-0.2)
         (blk,) = simulate_exact(params, horizon, n_steps, range(len(kinds)), seed=seed)
         x, v = blk.x.copy(), blk.v.copy()
         for i, kind in enumerate(kinds):
             x[i], v[i] = _row(kind, x[i], v[i])
+        bounds = [0, *sorted(min(c, len(kinds)) for c in cuts), len(kinds)]
+        blocks = [(blk.t, x[a:b], v[a:b]) for a, b in zip(bounds, bounds[1:])]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             want = [_per_path(SamplePath(blk.t, x[i].copy(), v[i].copy(), None, 1.0, params))
                     for i in range(len(kinds))]
             if any(isinstance(w, OverflowError) for w in want):
                 with pytest.raises(OverflowError):
-                    estimate_block(blk.t, x, v, 1.0)
+                    estimate_blocks(blocks, 1.0)
                 return
-            got = estimate_block(blk.t, x, v, 1.0)
-        assert len(got) == len(kinds)
-        for g, w in zip(got, want):
-            assert type(g) is type(w)
+            est, threshold = estimate_blocks(blocks, 1.0)
+        assert est.theta1_hat.shape == threshold.shape == (len(kinds),)
+        for i, w in enumerate(want):
+            g = _nth_row(est, i)
+            assert (g.det_D <= threshold[i]) == isinstance(w, SingularDesignError)
             if isinstance(w, SingularDesignError):
-                assert _bits(g.det, g.threshold) == _bits(w.det, w.threshold)
+                assert _bits(g.det_D, threshold[i]) == _bits(w.det, w.threshold)
             else:
                 assert g.cond_flag == w.cond_flag
                 assert (_bits(g.theta1_hat, g.theta2_hat, g.det_D)
@@ -244,9 +252,10 @@ class TestEstimateBlock:
 
     def test_estimate_path_is_one_row(self, make_path):
         # On this path libm's pow(r(T), 2) is not r(T) * r(T) rounded, so
-        # the tail must square the endpoints with ** as the per-path solve did.
+        # the solve must square the endpoints with ** as the per-path solve did.
         path = make_path(0.0, -1.0, horizon=20.0, n_steps=500, seed=31)
-        (row,) = estimate_block(path.t, path.x[None], path.v[None], path.sigma)
+        est, _ = estimate_blocks([(path.t, path.x[None], path.v[None])], path.sigma)
+        row = _nth_row(est, 0)
         want = per_path_estimate(path)
         assert row == estimate_path(path)
         assert _bits(row.theta1_hat, row.theta2_hat) == _bits(want.theta1_hat, want.theta2_hat)

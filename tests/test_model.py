@@ -203,8 +203,8 @@ class TestClassifyAgreesWithRegistry:
         spec = rate_functions(regime)
         assert spec.regime is kind
         for T in (0.5, 2.0, 10.0):
-            for v, log_v in ((spec.v1, spec.log_v1), (spec.v2, spec.log_v2)):
-                assert math.isfinite(log_v(T)) and v(T) > 0.0
+            for v in (spec.v1, spec.v2):
+                assert 0.0 < v(T) < math.inf
             assert np.isfinite(scaling_matrix(regime, T)).all()
         # NLRR availability follows the table; UnstableOscillation's "yes"
         # means the matrix normalization only, so nlrr_rate refuses it.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -210,12 +211,12 @@ class TestRunExperiment:
         # NLRR rates read the statistics it returned.
         rows = []
 
-        def recording(t, x, v, sigma):
+        def recording(t, x, v):
             rows.extend(x.copy())
-            return block_stats(t, x, v, sigma)
+            return block_columns(t, x, v)
 
-        block_stats = car2.estimate._block_stats
-        monkeypatch.setattr(car2.estimate, "_block_stats", recording)
+        block_columns = car2.estimate._block_columns
+        monkeypatch.setattr(car2.estimate, "_block_columns", recording)
         cfg = ergodic_cfg(normalization="nlrr", n_reps=12, comparison="none")
         res = run_experiment(cfg).results[0]
         assert res.n_used == 12
@@ -487,15 +488,31 @@ def test_normalized_residuals_match_per_rep_oracle(monkeypatch, name, normalizat
                       normalization=normalization, comparison="none")
     regime = classify_params(params)
     spec = rate_functions(regime)
-    _, ests, _ = car2.montecarlo._replicate(cfg, horizon)
-    assert len(blocks) >= 3 and len(ests) == cfg.n_reps
-    r1, r2 = car2.montecarlo._normalized_residuals(cfg, regime, spec, horizon, ests)
+    _, est, _ = car2.montecarlo._replicate(cfg, horizon)
+    assert len(blocks) >= 3 and est.theta1_hat.size == cfg.n_reps
+    r1, r2 = car2.montecarlo._normalized_residuals(cfg, regime, spec, horizon, est)
     a_t = scaling_matrix(regime, horizon) if normalization == "matrix" else None
-    want = [per_rep_normalized_residuals(cfg, regime, spec, horizon, a_t, est) for est in ests]
+    rows = [car2.estimate._map_rows(est, lambda col: col[i].item()) for i in range(cfg.n_reps)]
+    want = [per_rep_normalized_residuals(cfg, regime, spec, horizon, a_t, row) for row in rows]
     assert r1.shape == r2.shape == (len(want),)
     assert all(same_float(a, w1) and same_float(b, w2) for a, b, (w1, w2) in zip(r1, r2, want))
     assert np.isnan(r2).all() == (regime.tag is car2.model.RegimeKind.LARGER_ROOT_ZERO
                                   and normalization == "nlrr")
+
+
+def test_replicate_holds_columns_not_per_replication_objects():
+    # A horizon's estimates are a few arrays, not objects per replication,
+    # and each block's columns are copies, so no block outlives its sums.
+    cfg = ergodic_cfg(horizons=(5.0,), n_reps=2000, steps_per_unit_time=100, comparison="none")
+    car2.montecarlo._replicate(dataclasses.replace(cfg, n_reps=2), 5.0)  # warm-up
+    tracemalloc.start()
+    try:
+        _, est, _ = car2.montecarlo._replicate(cfg, 5.0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.theta1_hat.size == cfg.n_reps
+    assert retained < 0.5e6 and peak < 4e6
 
 
 def test_cond_flagged_counts_used_replications(monkeypatch):

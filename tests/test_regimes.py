@@ -51,11 +51,9 @@ class TestRateFunctions:
         q = abs(roots.q.real)
         assert spec.v1(50.0) == pytest.approx(math.sqrt(50.0 * q))
 
-    def test_distinct_positive_log_rate(self):
+    def test_distinct_positive_rate(self):
         spec, roots = spec_for("DistinctPositive")  # q = 1
-        assert spec.log_v1(200.0) == pytest.approx(200.0)
-        # log-space value stays finite where the plain rate overflows
-        assert spec.log_v1(1000.0) == pytest.approx(1000.0)
+        assert spec.v1(200.0) == pytest.approx(math.exp(200.0))
 
     def test_larger_root_zero_rates(self):
         spec, _ = spec_for("LargerRootZero")  # theta1 = q = -2
@@ -99,7 +97,7 @@ class TestRateFunctions:
             for T in (2.0, 5.0, 10.0, 20.0):
                 assert spec.v1(2 * T) > spec.v1(T)
                 assert spec.v2(2 * T) > spec.v2(T)
-            assert spec.log_v1(400.0) > spec.log_v1(200.0)
+            assert spec.v1(400.0) > spec.v1(200.0)
 
 
 class TestNlrr:
