@@ -31,7 +31,7 @@ from .montecarlo import (
     run_experiment,
 )
 from .regimes import NlrrRates, NoNlrrError, RateSpec, nlrr_rate, rate_functions, scaling_matrix
-from .simulate import SamplePath, SimConfig, SimulationOverflowError, rescale_time, simulate
+from .simulate import SamplePath, SimulationOverflowError, rescale_time, simulate
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "RegimeKind",
     "RootPair",
     "SamplePath",
-    "SimConfig",
     "SimulationOverflowError",
     "SingularDesignError",
     "SufficientStats",

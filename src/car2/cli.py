@@ -24,7 +24,7 @@ from .limits import sample_limit
 from .model import ModelParams, classify_params
 from .montecarlo import ExperimentConfig, convergence_study, run_experiment
 from .regimes import rate_functions
-from .simulate import SimConfig, rescale_time, simulate
+from .simulate import rescale_time, simulate
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -91,10 +91,8 @@ def cmd_roots(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _params_from_args(args)
-    cfg = SimConfig(horizon=args.horizon, n_steps=args.n_steps, scheme=args.scheme,
-                    record_noise=args.record_noise, seed=args.seed,
-                    replication_index=args.rep)
-    path = simulate(params, cfg)
+    path = simulate(params, args.horizon, args.n_steps, scheme=args.scheme,
+                    record_noise=args.record_noise, seed=args.seed, rep=args.rep)
     if args.rescale != 1.0:
         path = rescale_time(path, args.rescale)
     out = _out_dir(args)
@@ -105,12 +103,12 @@ def cmd_simulate(args) -> int:
         "params": dataclasses.asdict(path.params),
         "horizon": path.horizon,
         "n_steps": path.n_steps,
-        "scheme": cfg.scheme,
-        "seed": cfg.seed,
-        "replication_index": cfg.replication_index,
+        "scheme": args.scheme,
+        "seed": args.seed,
+        "replication_index": args.rep,
     }, meta_file)
     print(f"simulate: wrote {csv_file} and {meta_file} "
-          f"({path.n_steps} steps, scheme={cfg.scheme})")
+          f"({path.n_steps} steps, scheme={args.scheme})")
     return 0
 
 

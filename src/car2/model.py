@@ -151,7 +151,6 @@ class TransitionKernel:
     increment plus the noise injected into position and velocity.
     """
 
-    step: float
     mean_matrix: np.ndarray
     cov_matrix: np.ndarray
 
@@ -382,4 +381,4 @@ def transition(params: ModelParams, h: float) -> TransitionKernel:
         cov[1, 1] = s * s * i_x2sq
         cov[1, 2] = cov[2, 1] = s * s * fs.x2 * fs.x2 / 2.0
         cov[2, 2] = s * s * i_dx2sq
-    return TransitionKernel(step=h, mean_matrix=mean, cov_matrix=cov)
+    return TransitionKernel(mean_matrix=mean, cov_matrix=cov)

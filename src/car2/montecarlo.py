@@ -4,8 +4,9 @@ An experiment runs n_reps exact-scheme replications per horizon, normalizes
 the estimation residuals by the regime's deterministic rates, by the random
 NLRR rates, or by the matrix normalization A_T Psi_T, and compares the
 empirical law against either the regime's limit sampler or a prescribed
-normal law via the two-sample Kolmogorov-Smirnov statistic (NaN in a
-sample gives NaN).
+normal law via the two-sample Kolmogorov-Smirnov statistic, which is None
+(null) unless every residual of its coordinate is finite.  Artifacts write
+NaN quantiles and convergence medians as null.
 
 Limit-sampler reference draws are made once per distinct limit law and
 shared across horizons: only UnstableOscillation's limit depends on T
@@ -155,7 +156,7 @@ class HorizonResult:
     r2: np.ndarray  # may contain nan when the coordinate has no normalization
     quantiles1: dict[int, float]
     quantiles2: dict[int, float]
-    ks1: float | None
+    ks1: float | None  # None without a reference or with a non-finite residual
     ks2: float | None
     reference_reused: bool  # limit draws shared with an earlier horizon
     excluded_overflow: int  # simulation left the float64 range
@@ -192,8 +193,8 @@ class ExperimentReport:
                     "n_excluded": res.n_excluded,
                     "ks1": res.ks1,
                     "ks2": res.ks2,
-                    "quantiles1": {str(k): v for k, v in res.quantiles1.items()},
-                    "quantiles2": {str(k): v for k, v in res.quantiles2.items()},
+                    "quantiles1": {str(k): _finite(v) for k, v in res.quantiles1.items()},
+                    "quantiles2": {str(k): _finite(v) for k, v in res.quantiles2.items()},
                 }
                 for res in self.results
             ],
@@ -204,6 +205,10 @@ class ExperimentReport:
         for res in self.results:
             for k, a, b in zip(res.reps, res.r1, res.r2):
                 yield int(k), res.horizon, float(a), float(b)
+
+
+def _finite(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def ks_two_sample(a, b) -> float:
@@ -325,8 +330,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         excluded = np.flatnonzero(status != "ok")
         ref1, ref2, reused = _reference_samples(cfg, regime, horizon_index, horizon,
                                                 limit_draws)
-        ks1 = ks_two_sample(r1, ref1) if ref1 is not None else None
-        ks2 = ks_two_sample(r2, ref2) if ref2 is not None and np.isfinite(r2).all() else None
+        ks1, ks2 = (ks_two_sample(r, ref) if ref is not None and np.isfinite(r).all() else None
+                    for r, ref in ((r1, ref1), (r2, ref2)))
         results.append(HorizonResult(
             horizon=horizon, n_steps=n_steps, n_used=r1.size,
             n_excluded=cfg.n_reps - r1.size,
@@ -382,8 +387,9 @@ class ConvergenceReport:
             "rows": [
                 {
                     "horizon": r.horizon,
-                    "raw_median": [r.raw_median1, r.raw_median2],
-                    "normalized_median": [r.normalized_median1, r.normalized_median2],
+                    "raw_median": [_finite(r.raw_median1), _finite(r.raw_median2)],
+                    "normalized_median": [_finite(r.normalized_median1),
+                                          _finite(r.normalized_median2)],
                     "n_used": r.n_used,
                     "n_excluded": r.n_excluded,
                 }

@@ -1,9 +1,11 @@
 """Sample paths of (X, X') on a uniform grid.
 
-The exact scheme draws, per step, the joint Gaussian triple
-(dW, noise-to-X, noise-to-X') from the transition kernel and advances the
-state with the kernel's mean matrix, so the simulated marginal law is exact
-at any step size.  An Euler-Maruyama scheme is included for cross-checks.
+`simulate(params, horizon, n_steps, *, scheme, record_noise, seed, rep)`
+gives one path.  The exact scheme draws, per step, the joint Gaussian
+triple (dW, noise-to-X, noise-to-X') from the transition kernel and
+advances the state with the kernel's mean matrix, so the simulated marginal
+law is exact at any step size.  An Euler-Maruyama scheme is included for
+cross-checks.
 
 The linear recursion state[k+1] = M state[k] + noise[k] is evaluated with
 scipy.signal.lfilter through its scalar second-order form (Cayley-Hamilton:
@@ -12,10 +14,11 @@ M (double roots) where diagonalization would not.
 
 Exact paths come from one block kernel, `simulate_exact`: per grid it builds
 the mean path, the transition kernel and its noise factor once, then fills
-rows of replications, each from its own Philox stream, and filters a block
-of rows in one `lfilter` call.  A block holds at most `_BLOCK_ELEMENTS`
-elements per (rows, n+1) array (one row if n is larger), so memory stays
-flat in the number of replications.  `simulate` is row 0 of a one-row block.
+rows of replications, each from its own Philox stream, and filters both
+state components of a block of rows in one `lfilter` call.  A block holds
+at most `_BLOCK_ELEMENTS` elements per (rows, n+1) array (one row if n is
+larger), so memory stays flat in the number of replications.  An exact
+`simulate` path is row 0 of a one-row block.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from . import rng
 from .model import ModelParams, char_roots, fundamental_solutions, transition
 
 __all__ = [
-    "SimConfig",
     "SamplePath",
     "SimBlock",
     "SimulationOverflowError",
@@ -55,24 +57,6 @@ class SimulationOverflowError(FloatingPointError):
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    horizon: float
-    n_steps: int
-    scheme: str = "exact"  # "exact" | "euler"
-    record_noise: bool = False
-    seed: int = 0
-    replication_index: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.scheme not in ("exact", "euler"):
-            raise ValueError(f"scheme must be 'exact' or 'euler', got {self.scheme!r}")
-
-
-@dataclass(frozen=True)
 class SamplePath:
     """Uniform-grid samples of (X, X') with optional driving noise increments.
 
@@ -88,10 +72,9 @@ class SamplePath:
     params: ModelParams
 
     def __post_init__(self):
-        n = len(self.t) - 1
-        if len(self.x) != n + 1 or len(self.v) != n + 1:
+        if not len(self.t) == len(self.x) == len(self.v):
             raise ValueError("t, x, v must have equal length")
-        if self.dw is not None and len(self.dw) != n:
+        if self.dw is not None and len(self.dw) != self.n_steps:
             raise ValueError("dw must have one entry per step")
         for arr in (self.t, self.x, self.v, self.dw):
             if arr is not None:
@@ -134,18 +117,22 @@ def _second_order_filter(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
     n = xi_x.shape[-1]
     tau = m[0, 0] + m[1, 1]
     delta = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    out = []
-    for comp, other, row in ((0, 1, (xi_x, xi_v)), (1, 0, (xi_v, xi_x))):
-        own, cross = row
-        u = np.zeros(own.shape[:-1] + (n + 1,))
-        u[..., 0] = y0[comp]
-        first = m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[..., 0]
-        u[..., 1] = first - tau * y0[comp]
-        if n > 1:
-            u[..., 2:] = (own[..., 1:] + (m[comp, comp] - tau) * own[..., :-1]
-                          + m[comp, other] * cross[..., :-1])
-        out.append(lfilter([1.0], [1.0, -tau, delta], u, axis=-1))
+    u = np.zeros((2,) + xi_x.shape[:-1] + (n + 1,))  # lfilter runs each 1-d slice alone
+    for comp, other, own, cross in ((0, 1, xi_x, xi_v), (1, 0, xi_v, xi_x)):
+        u[comp, ..., 0] = y0[comp]
+        u[comp, ..., 1] = (m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[..., 0]
+                           - tau * y0[comp])
+        u[comp, ..., 2:] = (own[..., 1:] + (m[comp, comp] - tau) * own[..., :-1]
+                            + m[comp, other] * cross[..., :-1])
+    out = lfilter([1.0], [1.0, -tau, delta], u, axis=-1)
     return out[0], out[1]
+
+
+def _check_grid(horizon: float, n_steps: int) -> None:
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
 
 def _noise_factor(cov: np.ndarray) -> np.ndarray:
@@ -166,7 +153,7 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
     reps=[k], so it does not depend on the blocking; a row that left the
     float64 range is flagged instead of raised.
     """
-    SimConfig(horizon=horizon, n_steps=n_steps)  # validates the grid
+    _check_grid(horizon, n_steps)
     n = n_steps
     t = np.linspace(0.0, horizon, n + 1)
     # Overflow in explosive regimes is flagged per row below; suppress the
@@ -199,24 +186,25 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         yield SimBlock(block, t, x, v, dw if record_noise else None, overflow)
 
 
-def simulate(params: ModelParams, cfg: SimConfig) -> SamplePath:
-    """Simulate one path.  Deterministic given (seed, replication_index)."""
-    if cfg.scheme == "exact":
-        (blk,) = simulate_exact(params, cfg.horizon, cfg.n_steps, [cfg.replication_index],
-                                cfg.seed, cfg.record_noise)
+def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str = "exact",
+             record_noise: bool = False, seed: int = 0, rep: int = 0) -> SamplePath:
+    """One path of n_steps steps over [0, horizon] by scheme "exact" or "euler";
+    dw is kept when record_noise is set.  Deterministic given (seed, rep)."""
+    if scheme == "exact":
+        (blk,) = simulate_exact(params, horizon, n_steps, [rep], seed, record_noise)
         t, x, v, dw = blk.t, blk.x[0], blk.v[0], None if blk.dw is None else blk.dw[0]
-    else:
-        n, h = cfg.n_steps, cfg.horizon / cfg.n_steps
+    elif scheme == "euler":
+        _check_grid(horizon, n_steps)
+        n, h = n_steps, horizon / n_steps
         m = np.array([[1.0, h], [params.theta2 * h, 1.0 + params.theta1 * h]])
-        if params.sigma > 0.0:
-            gen = rng.stream(cfg.seed, rng.DOMAIN_SIM_EULER, cfg.replication_index)
-            dw = math.sqrt(h) * gen.standard_normal(n)
-        else:
-            dw = np.zeros(n)
+        dw = (math.sqrt(h) * rng.stream(seed, rng.DOMAIN_SIM_EULER, rep).standard_normal(n)
+              if params.sigma > 0.0 else np.zeros(n))
         with np.errstate(over="ignore", invalid="ignore"):
             x, v = _second_order_filter(m, np.zeros(n), params.sigma * dw,
                                         (params.x0, params.dx0))
-        t, dw = np.linspace(0.0, cfg.horizon, n + 1), dw if cfg.record_noise else None
+        t, dw = np.linspace(0.0, horizon, n + 1), dw if record_noise else None
+    else:
+        raise ValueError(f"scheme must be 'exact' or 'euler', got {scheme!r}")
     path = SamplePath(t=t, x=x, v=v, dw=dw, sigma=params.sigma, params=params)
     bad = ~(np.isfinite(path.x) & np.isfinite(path.v))
     if bad.any():

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from car2 import ModelParams, SimConfig, simulate
+from car2 import ModelParams, simulate
 
 
 @pytest.fixture(autouse=True)
@@ -23,9 +23,8 @@ def make_path():
     def _make(theta1, theta2, sigma=1.0, x0=0.3, dx0=-0.2, horizon=5.0,
               n_steps=500, seed=7, rep=0, scheme="exact"):
         params = ModelParams(theta1=theta1, theta2=theta2, sigma=sigma, x0=x0, dx0=dx0)
-        cfg = SimConfig(horizon=horizon, n_steps=n_steps, scheme=scheme,
-                        record_noise=True, seed=seed, replication_index=rep)
-        return simulate(params, cfg)
+        return simulate(params, horizon, n_steps, scheme=scheme, record_noise=True,
+                        seed=seed, rep=rep)
 
     return _make
 

@@ -369,6 +369,121 @@ class TestPathTimeColumn:
         assert not (tmp_path / "est").exists()
 
 
+def _with_field(line, index, value):
+    fields = line.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
+class TestEstimateInputErrors:
+    """estimate exits 2 with an error line, and writes nothing, for a path
+    file or metadata it cannot use."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["t,x,v", *lines[1:]], "unexpected CSV header"),
+        (lambda lines: [*lines[:3], lines[3].rsplit(",", 1)[0], *lines[4:]],
+         "malformed CSV row"),
+        (lambda lines: [lines[0], _with_field(lines[1], 3, "0.1"), *lines[2:]],
+         "dw column must be all empty or filled on every step row"),
+        (lambda lines: [*lines[:3], _with_field(lines[3], 1, "nan"), *lines[4:]],
+         "path contains non-finite samples"),
+        (lambda lines: [lines[0], lines[1], "5.0,0.1,0.1,"], "need at least 2 steps"),
+    ], ids=["wrong_header", "three_field_row", "dw_on_one_row", "nan_sample", "one_step"])
+    def test_bad_path_csv_exits_2(self, tmp_path, capsys, edit, message):
+        csv = _simulate(tmp_path, capsys) / "path.csv"
+        csv.write_text("\n".join(edit(csv.read_text().splitlines())) + "\n")
+        code, out, err = _run(capsys, ["estimate", "--path", str(csv),
+                                       "--out", str(tmp_path / "est")])
+        assert code == 2 and err.startswith("error: ") and message in err
+        assert out == "" and not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("meta", [None, '{"seed": 3}\n'], ids=["missing", "no_params"])
+    def test_bad_meta_exits_2(self, tmp_path, capsys, meta):
+        sim_dir = _simulate(tmp_path, capsys)
+        meta_file = tmp_path / "other.meta.json"
+        if meta is not None:
+            meta_file.write_text(meta)
+        code, out, err = _run(capsys, ["estimate", "--path", str(sim_dir / "path.csv"),
+                                       "--meta", str(meta_file), "--out", str(tmp_path / "est")])
+        assert code == 2 and err.startswith("error: cannot read path metadata")
+        assert out == "" and not (tmp_path / "est").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--horizon", "0"], "horizon must be positive, got 0.0"),
+    (["--horizon", "nan"], "horizon must be positive, got nan"),
+    (["--n-steps", "0"], "n_steps must be >= 1, got 0"),
+    (["--rescale", "0"], "alpha must be positive, got 0.0"),
+], ids=["horizon_0", "horizon_nan", "n_steps_0", "rescale_0"])
+def test_bad_simulate_grid_exits_2(tmp_path, capsys, extra, message):
+    code, out, err = _run(capsys, ["simulate", *MODEL, "--horizon", "5", "--n-steps", "500",
+                                   *extra, "--out", str(tmp_path / "sim")])
+    assert (code, err) == (2, f"error: {message}\n")
+    assert out == "" and not (tmp_path / "sim").exists()
+
+
+def test_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(car2.io.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        car2.io.atomic_write_text(tmp_path / "out.txt", "text\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _strict_json(text):
+    """Parse JSON proper: the NaN and Infinity tokens json.dumps may write are errors."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+DISTINCT_POSITIVE = {"theta1": 3.0, "theta2": -2.0, "sigma": 1.0, "x0": 0.3, "dx0": -0.2}
+
+
+class TestNonFiniteStatistics:
+    """A statistic that is not a finite number is written as null; keys stay."""
+
+    def _artifact(self, tmp_path, capsys, config, name):
+        command = config["command"]
+        code, _, _ = _run(capsys, [command, "--config", _write(tmp_path, config),
+                                   "--out", str(tmp_path / "out")])
+        assert code == 0
+        return _strict_json((tmp_path / "out" / name).read_text())
+
+    def test_larger_root_zero_nlrr_has_no_theta2_statistics(self, tmp_path, capsys):
+        # The NLRR normalizes theta1 only, so every r2 is NaN by design.
+        config = _config(params={"theta1": -2.0, "theta2": 0.0, "x0": 0.3, "dx0": -0.2},
+                         horizons=[2.0, 4.0], n_reps=6, normalization="nlrr",
+                         comparison={"mean1": 0.0, "var1": 1.0, "mean2": 0.0, "var2": 1.0})
+        report = self._artifact(tmp_path, capsys, config, "report.json")
+        for h in report["horizons"]:
+            assert set(h) == {"horizon", "n_steps", "n_used", "n_excluded", "ks1", "ks2",
+                              "quantiles1", "quantiles2"}
+            assert 0.0 <= h["ks1"] <= 1.0 and h["ks2"] is None
+            assert all(isinstance(q, float) for q in h["quantiles1"].values())
+            assert list(h["quantiles2"].values()) == [None] * 9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_estimates_give_null_ks_and_quantiles(self, tmp_path, capsys):
+        # At T = 200 the paths near 1e300 overflow the sums to NaN estimates.
+        config = _config(params=DISTINCT_POSITIVE, horizons=[200.0], n_reps=4, seed=1)
+        (h,) = self._artifact(tmp_path, capsys, config, "report.json")["horizons"]
+        assert h["ks1"] is None and h["ks2"] is None
+        assert list(h["quantiles1"].values()) == list(h["quantiles2"].values()) == [None] * 9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_medians_are_null(self, tmp_path, capsys):
+        config = _config("convergence", params=DISTINCT_POSITIVE, horizons=[350.0, 352.0, 354.5],
+                         n_reps=4, seed=1, steps_per_unit_time=2, comparison="none")
+        report = self._artifact(tmp_path, capsys, config, "convergence.json")
+        assert [row["horizon"] for row in report["rows"]] == [350.0, 352.0, 354.5]
+        for row in report["rows"]:
+            assert row["raw_median"] == row["normalized_median"] == [None, None]
+        assert report["stabilized"] == [False, False]
+
+
 def test_residuals_written_through_io(tmp_path, capsys, monkeypatch):
     # One row writer in car2.io: ints via str, floats via repr.
     written = []

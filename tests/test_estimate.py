@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from car2 import (
     ModelParams,
-    SimConfig,
     SingularDesignError,
     estimate_path,
     estimate_sigma,
@@ -31,7 +30,7 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=N
 def linear_path(T=2.0, n=200, sigma=0.0):
     """Deterministic path X(t) = t, X' = 1."""
     params = ModelParams(theta1=0.0, theta2=0.0, sigma=sigma, x0=0.0, dx0=1.0)
-    return simulate(params, SimConfig(horizon=T, n_steps=n))
+    return simulate(params, T, n)
 
 
 class TestSufficientStats:
@@ -45,7 +44,7 @@ class TestSufficientStats:
 
     def test_constant_path_values(self):
         params = ModelParams(theta1=0.0, theta2=0.0, sigma=0.0, x0=1.0, dx0=0.0)
-        stats = sufficient_stats(simulate(params, SimConfig(horizon=1.0, n_steps=100)))
+        stats = sufficient_stats(simulate(params, 1.0, 100))
         assert stats.sxx == pytest.approx(1.0)
         assert stats.svv == 0.0
         assert stats.sxv == 0.0
@@ -72,21 +71,21 @@ class TestMle:
     def test_noiseless_recovery(self):
         # p = 2, q = 1 noiseless path: quadrature error only.
         params = ModelParams(theta1=3.0, theta2=-2.0, sigma=0.0, x0=1.0, dx0=0.0)
-        path = simulate(params, SimConfig(horizon=5.0, n_steps=1_000_000))
+        path = simulate(params, 5.0, 1_000_000)
         est = mle(sufficient_stats(path))
         assert est.theta1_hat == pytest.approx(3.0, rel=1e-4)
         assert est.theta2_hat == pytest.approx(-2.0, rel=1e-4)
 
     def test_singular_on_zero_path(self):
         params = ModelParams(theta1=0.0, theta2=0.0, sigma=0.0, x0=0.0, dx0=0.0)
-        path = simulate(params, SimConfig(horizon=1.0, n_steps=50))
+        path = simulate(params, 1.0, 50)
         with pytest.raises(SingularDesignError) as err:
             mle(sufficient_stats(path))
         assert err.value.det <= err.value.threshold
 
     def test_singular_on_constant_path(self):
         params = ModelParams(theta1=0.0, theta2=0.0, sigma=0.0, x0=1.0, dx0=0.0)
-        path = simulate(params, SimConfig(horizon=1.0, n_steps=50))
+        path = simulate(params, 1.0, 50)
         with pytest.raises(SingularDesignError):
             mle(sufficient_stats(path))
         with pytest.raises(SingularDesignError):
@@ -237,7 +236,7 @@ class TestEstimateBlock:
         # estimates, both singular branches, NaN estimates and the
         # OverflowError of sxv**2.
         params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
-        path = simulate(params, SimConfig(horizon=5.0, n_steps=30, seed=1))
+        path = simulate(params, 5.0, 30, seed=1)
         outcomes = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -276,11 +275,16 @@ class TestEstimateSigma:
         params = ModelParams(theta1=0.0, theta2=-1.0, sigma=0.0, x0=1.0, dx0=0.0)
         values = []
         for n in (100, 400, 1600):
-            path = simulate(params, SimConfig(horizon=2.0, n_steps=n))
+            path = simulate(params, 2.0, n)
             values.append(estimate_sigma(path))
         assert values[0] < 0.2
         assert values[1] == pytest.approx(values[0] / 2, rel=0.05)
         assert values[2] == pytest.approx(values[0] / 4, rel=0.05)
+
+    def test_one_step_path_rejected(self):
+        path = simulate(ModelParams(theta1=-3.0, theta2=-2.0), 1.0, 1)
+        with pytest.raises(ValueError, match="need at least 2 steps"):
+            estimate_sigma(path)
 
 
 class TestLikelihoodRatio:
@@ -344,8 +348,7 @@ class TestLikelihoodRatio:
         n_reps = 400
         vals = np.empty(n_reps)
         for k in range(n_reps):
-            path = simulate(params, SimConfig(horizon=T, n_steps=20_000, seed=29,
-                                              replication_index=k))
+            path = simulate(params, T, 20_000, seed=29, rep=k)
             vals[k] = normalized_llr(sufficient_stats(path), (t2, t1), a_t, u)
         band = 4.0 * vals.std() / math.sqrt(n_reps)
         assert abs(vals.mean() - expected) <= band
@@ -367,7 +370,7 @@ class TestResidualOracle:
 
     def test_noiseless_residual_zero(self):
         params = ModelParams(theta1=-1.0, theta2=-1.0, sigma=0.0, x0=1.0, dx0=0.5)
-        path = simulate(params, SimConfig(horizon=4.0, n_steps=400, record_noise=True))
+        path = simulate(params, 4.0, 400, record_noise=True)
         delta1, delta2 = residual_oracle(path, (-1.0, -1.0))
         assert delta1 == pytest.approx(0.0, abs=1e-12)
         assert delta2 == pytest.approx(0.0, abs=1e-12)
@@ -413,9 +416,8 @@ class TestConsistency:
         for T in (t0, 4.0 * t0):
             errs = []
             for k in range(100):
-                cfg = SimConfig(horizon=T, n_steps=max(60, int(T * 100)), seed=71,
-                                replication_index=k)
-                est = estimate_path(simulate(params, cfg))
+                est = estimate_path(simulate(params, T, max(60, int(T * 100)), seed=71,
+                                             rep=k))
                 errs.append(abs(est.theta1_hat - t1) + abs(est.theta2_hat - t2))
             medians.append(np.median(errs))
         assert medians[1] < medians[0]
@@ -447,8 +449,7 @@ class TestRescaleEquivariance:
         # has units 1/time, th2 1/time^2), not relative to a th that may be ~0.
         t1, t2, horizon = point[1]
         params = ModelParams(theta1=t1, theta2=t2, sigma=1.0, x0=0.3, dx0=-0.2)
-        path = simulate(params, SimConfig(horizon=horizon, n_steps=self.N_STEPS, seed=31,
-                                          replication_index=rep))
+        path = simulate(params, horizon, self.N_STEPS, seed=31, rep=rep)
         est, scaled = estimate_path(path), estimate_path(rescale_time(path, alpha))
         w = abs(est.theta1_hat) + math.sqrt(abs(est.theta2_hat))
         tol = 16 * self.N_STEPS * np.finfo(float).eps

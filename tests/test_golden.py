@@ -70,7 +70,7 @@ EXPECTED = {
         "3931ec1ae1ee2548da96d8428d7c4127f93005dd6f9d931c89741e3173e4b4de",
         "e5b1eae051cd24c4dfd883fbd138912475474bdb3f642071a85855f3d31e2d9a"),
     "overflow_exclusions": (
-        "2b0f4165fd70cd1b13642641da6f6cd4ea7f1ba1a52a50784e0307dd27156d47",
+        "938ccf05b132ae7ad74d71458583e7211b849e022a36002baf6698a14b6cefd8",
         "5775d9464e919e23dd03656a6316c6e92adbdad8022dde0c0bbd32607eb91f88"),
     "singular_exclusions": (
         "8b3bc5a0ffc408cca5465048d9da1e20d61124dbb3f2c8f1d08a57657ab76f4b",

@@ -13,7 +13,6 @@ import pytest
 import car2.limits
 from car2 import (
     ModelParams,
-    SimConfig,
     brownian_functionals,
     char_roots,
     classify,
@@ -44,8 +43,7 @@ def simulated_residuals(params, T, h, n_reps, seed=101):
     t2s = np.empty(n_reps)
     n = int(round(T / h))
     for k in range(n_reps):
-        path = simulate(params, SimConfig(horizon=T, n_steps=n, seed=seed,
-                                          replication_index=k))
+        path = simulate(params, T, n, seed=seed, rep=k)
         est = estimate_path(path)
         t1s[k] = est.theta1_hat - params.theta1
         t2s[k] = est.theta2_hat - params.theta2
@@ -73,6 +71,10 @@ class TestBrownianFunctionals:
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
             brownian_functionals(1, seed=0)
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError, match="n_draws must be >= 1, got 0"):
+            brownian_functionals(100, seed=0, n_draws=0)
 
     def test_deterministic(self):
         a = brownian_functionals(500, seed=9, n_draws=10)
@@ -343,6 +345,11 @@ class TestClosedFormSamplers:
             params, roots, regime = setup(name, sigma=0.0)
             with pytest.raises(ValueError):
                 sample_limit(regime, params, 10, horizon=5.0)
+
+    def test_no_samples_rejected(self):
+        params, _, regime = setup("Ergodic")
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            sample_limit(regime, params, 0)
 
     def test_small_grid_rejected_for_functional_regime(self):
         params, roots, regime = setup("ZeroDouble")

@@ -18,7 +18,6 @@ from car2 import (
     ExperimentConfig,
     ModelParams,
     NormalReference,
-    SimConfig,
     SimulationOverflowError,
     SingularDesignError,
     char_roots,
@@ -220,8 +219,8 @@ class TestRunExperiment:
         cfg = ergodic_cfg(normalization="nlrr", n_reps=12, comparison="none")
         res = run_experiment(cfg).results[0]
         assert res.n_used == 12
-        want = [simulate(cfg.params, SimConfig(horizon=20.0, n_steps=res.n_steps, seed=cfg.seed,
-                                               replication_index=k)).x for k in range(12)]
+        want = [simulate(cfg.params, 20.0, res.n_steps, seed=cfg.seed, rep=k).x
+                for k in range(12)]
         assert len(rows) == 12
         assert all(np.array_equal(got, x) for got, x in zip(rows, want))
 
@@ -271,6 +270,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ergodic_cfg(normalization="bogus")
 
+    @pytest.mark.parametrize("raw", [[], "config", None])
+    def test_from_dict_rejects_non_objects(self, raw):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            ExperimentConfig.from_dict(raw)
+
     @pytest.mark.parametrize("field, build", [
         ("horizons", lambda value: ergodic_cfg(horizons=(1.0, value))),
         ("mean1", lambda value: NormalReference(mean1=value, var1=1.0)),
@@ -292,9 +296,8 @@ def failing_reps(params, horizon, n_steps, n_reps, seed, error):
     """Replications whose per-path simulate + estimate_path raises error."""
     failed = []
     for k in range(n_reps):
-        cfg = SimConfig(horizon=horizon, n_steps=n_steps, seed=seed, replication_index=k)
         try:
-            estimate_path(simulate(params, cfg))
+            estimate_path(simulate(params, horizon, n_steps, seed=seed, rep=k))
         except error:
             failed.append(k)
     return failed
@@ -525,8 +528,7 @@ def test_cond_flagged_counts_used_replications(monkeypatch):
                       comparison="none")
     report = run_experiment(cfg)
     res = report.results[0]
-    flags = [estimate_path(simulate(params, SimConfig(horizon=4.0, n_steps=res.n_steps,
-                                                      seed=cfg.seed, replication_index=k)))
+    flags = [estimate_path(simulate(params, 4.0, res.n_steps, seed=cfg.seed, rep=k))
              .cond_flag for k in res.reps]
     assert 0 < res.cond_flagged == sum(flags) < res.n_used
     assert set(report.to_artifact_dict()["horizons"][0]) == ARTIFACT_HORIZON_KEYS

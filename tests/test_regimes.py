@@ -102,11 +102,11 @@ class TestRateFunctions:
 
 class TestNlrr:
     def stats_for(self, name, seed=3):
-        from car2 import SimConfig, simulate
+        from car2 import simulate
 
         t1, t2, horizon = REGIME_POINTS[name]
         params = ModelParams(theta1=t1, theta2=t2, sigma=1.0, x0=0.3, dx0=-0.2)
-        path = simulate(params, SimConfig(horizon=horizon, n_steps=500, seed=seed))
+        path = simulate(params, horizon, 500, seed=seed)
         return sufficient_stats(path)
 
     def test_availability_matches_table(self):
@@ -220,6 +220,12 @@ class TestScalingMatrix:
             assert np.array_equal(b[0, i], rotation_template(x[0, i], y[0, i]))
         with pytest.raises(ValueError):
             rotation_template(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_non_positive_horizon_rejected(self, horizon):
+        _, regime = setup_regime("Ergodic")
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            scaling_matrix(regime, horizon)
 
     def test_smaller_root_zero_uses_dominant_root(self):
         roots, regime = setup_regime("SmallerRootZero")  # p = 1

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from car2 import (
     ModelParams,
-    SimConfig,
     SimulationOverflowError,
     char_roots,
     rescale_time,
@@ -16,28 +17,28 @@ from car2.simulate import _BLOCK_ELEMENTS, SamplePath, simulate_exact
 from conftest import sorted_regime_points
 
 
-def reference_loop(params, cfg):
+def reference_loop(params, horizon, n_steps, seed=0, rep=0):
     """Naive per-step reference implementation of the exact scheme."""
     from car2 import rng as car2_rng
     from car2.simulate import _noise_factor
 
-    h = cfg.horizon / cfg.n_steps
+    h = horizon / n_steps
     kern = transition(params, h)
     factor = _noise_factor(kern.cov_matrix)
-    gen = car2_rng.stream(cfg.seed, car2_rng.DOMAIN_SIM_EXACT, cfg.replication_index)
-    draws = gen.standard_normal((cfg.n_steps, 3)) @ factor.T
+    gen = car2_rng.stream(seed, car2_rng.DOMAIN_SIM_EXACT, rep)
+    draws = gen.standard_normal((n_steps, 3)) @ factor.T
     state = np.array([params.x0, params.dx0])
     xs, vs = [state[0]], [state[1]]
     # Reconstruct the homogeneous part exactly as simulate does, then add the
     # noise response step by step.
     from car2 import fundamental_solutions
 
-    t = np.linspace(0.0, cfg.horizon, cfg.n_steps + 1)
+    t = np.linspace(0.0, horizon, n_steps + 1)
     fs = fundamental_solutions(char_roots(params), t)
     hom_x = params.x0 * fs.x1 + params.dx0 * fs.x2
     hom_v = params.x0 * fs.dx1 + params.dx0 * fs.dx2
     z = np.zeros(2)
-    for k in range(cfg.n_steps):
+    for k in range(n_steps):
         z = kern.mean_matrix @ z + draws[k, 1:]
         xs.append(hom_x[k + 1] + z[0])
         vs.append(hom_v[k + 1] + z[1])
@@ -47,43 +48,39 @@ def reference_loop(params, cfg):
 class TestExactScheme:
     def test_matches_naive_loop(self):
         params = ModelParams(theta1=-1.5, theta2=-2.0, sigma=0.8, x0=1.0, dx0=-0.5)
-        cfg = SimConfig(horizon=4.0, n_steps=400, record_noise=True, seed=11)
-        path = simulate(params, cfg)
-        x_ref, v_ref, dw_ref = reference_loop(params, cfg)
+        path = simulate(params, 4.0, 400, record_noise=True, seed=11)
+        x_ref, v_ref, dw_ref = reference_loop(params, 4.0, 400, seed=11)
         np.testing.assert_allclose(path.x, x_ref, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(path.v, v_ref, rtol=1e-9, atol=1e-12)
         np.testing.assert_array_equal(path.dw, dw_ref)
 
     def test_deterministic_bit_identical(self):
         params = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0)
-        cfg = SimConfig(horizon=3.0, n_steps=300, record_noise=True, seed=42,
-                        replication_index=5)
-        a = simulate(params, cfg)
-        b = simulate(params, cfg)
+        a = simulate(params, 3.0, 300, record_noise=True, seed=42, rep=5)
+        b = simulate(params, 3.0, 300, record_noise=True, seed=42, rep=5)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
         assert np.array_equal(a.dw, b.dw)
 
     def test_replications_differ(self):
         params = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0)
-        a = simulate(params, SimConfig(horizon=1.0, n_steps=50, seed=42))
-        b = simulate(params, SimConfig(horizon=1.0, n_steps=50, seed=42,
-                                       replication_index=1))
+        a = simulate(params, 1.0, 50, seed=42)
+        b = simulate(params, 1.0, 50, seed=42, rep=1)
         assert not np.array_equal(a.x, b.x)
 
     def test_noiseless_constant(self):
         params = ModelParams(theta1=0.0, theta2=0.0, sigma=0.0, x0=1.0, dx0=0.0)
-        path = simulate(params, SimConfig(horizon=1.0, n_steps=100, record_noise=True))
+        path = simulate(params, 1.0, 100, record_noise=True)
         assert np.all(path.x == 1.0) and np.all(path.v == 0.0)
         assert np.all(path.dw == 0.0)
 
     def test_noiseless_linear_is_exact(self):
         params = ModelParams(theta1=0.0, theta2=0.0, sigma=0.0, x0=0.0, dx0=1.0)
-        path = simulate(params, SimConfig(horizon=1.0, n_steps=1000))
+        path = simulate(params, 1.0, 1000)
         assert np.array_equal(path.x, path.t)
         assert np.all(path.v == 1.0)
 
     def test_grid_uniform(self):
-        path = simulate(ModelParams(theta1=0.0, theta2=0.0), SimConfig(horizon=2.0, n_steps=7))
+        path = simulate(ModelParams(theta1=0.0, theta2=0.0), 2.0, 7)
         steps = np.diff(path.t)
         np.testing.assert_allclose(steps, 2.0 / 7, rtol=1e-12)
 
@@ -112,8 +109,7 @@ class TestExactScheme:
         xs = np.empty(n_reps)
         vs = np.empty(n_reps)
         for k in range(n_reps):
-            path = simulate(params, SimConfig(horizon=1.0, n_steps=20, seed=3,
-                                              replication_index=k))
+            path = simulate(params, 1.0, 20, seed=3, rep=k)
             xs[k], vs[k] = path.x[-1], path.v[-1]
         band = 4.0 * np.sqrt(2.0 / n_reps)
         assert abs(vs.var() - 1.0) <= band
@@ -124,23 +120,21 @@ class TestExactScheme:
         n_reps, T = 3000, 2.0
         sums = np.empty(n_reps)
         for k in range(n_reps):
-            path = simulate(params, SimConfig(horizon=T, n_steps=40, seed=5,
-                                              record_noise=True, replication_index=k))
+            path = simulate(params, T, 40, seed=5, record_noise=True, rep=k)
             sums[k] = path.dw.sum()
         assert abs(sums.var() - T) <= 4.0 * T * np.sqrt(2.0 / n_reps)
 
     def test_overflow_reports_step(self):
         params = ModelParams(theta1=40.0, theta2=-1.0, sigma=1.0, x0=1.0, dx0=1.0)
         with pytest.raises(SimulationOverflowError) as err:
-            simulate(params, SimConfig(horizon=40.0, n_steps=400))
+            simulate(params, 40.0, 400)
         assert 0 < err.value.step <= 400
 
     @pytest.mark.parametrize("name,point", sorted_regime_points())
     def test_runs_in_every_regime(self, name, point):
         t1, t2, horizon = point
         params = ModelParams(theta1=t1, theta2=t2, sigma=1.0, x0=0.1, dx0=0.1)
-        path = simulate(params, SimConfig(horizon=horizon, n_steps=200, seed=9,
-                                          record_noise=True))
+        path = simulate(params, horizon, 200, seed=9, record_noise=True)
         assert np.isfinite(path.x).all() and np.isfinite(path.v).all()
 
 
@@ -176,9 +170,8 @@ class TestBlockKernel:
         assert len(paths) == self.N_REPS
         for k, (got, overflowed) in enumerate(paths):
             assert not overflowed
-            want = simulate(params, SimConfig(horizon=7.0, n_steps=self.N_STEPS, seed=4,
-                                              replication_index=k,
-                                              record_noise=record_noise))
+            want = simulate(params, 7.0, self.N_STEPS, seed=4, rep=k,
+                            record_noise=record_noise)
             for name in ("t", "x", "v"):
                 assert_same_bits(getattr(got, name), getattr(want, name))
             if record_noise:
@@ -194,22 +187,20 @@ class TestBlockKernel:
         assert _BLOCK_ELEMENTS // 710 > 9
         overflowed = []
         for k, (path, flag) in enumerate(exact_rows(params, 354.5, 709, range(24), seed=3)):
-            cfg = SimConfig(horizon=354.5, n_steps=709, seed=3, replication_index=k)
             if flag:
                 overflowed.append(k)
                 with pytest.raises(SimulationOverflowError):
-                    simulate(params, cfg)
+                    simulate(params, 354.5, 709, seed=3, rep=k)
             else:
                 assert np.isfinite(path.x).all() and np.isfinite(path.v).all()
-                assert_same_bits(path.x, simulate(params, cfg).x)
+                assert_same_bits(path.x, simulate(params, 354.5, 709, seed=3, rep=k).x)
         assert overflowed == [9, 12, 15]
 
     def test_replication_subset(self):
         params = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0)
         paths = exact_rows(params, 2.0, 50, [7, 2], seed=1)
         for k, (path, _) in zip((7, 2), paths):
-            want = simulate(params, SimConfig(horizon=2.0, n_steps=50, seed=1,
-                                              replication_index=k))
+            want = simulate(params, 2.0, 50, seed=1, rep=k)
             assert_same_bits(path.x, want.x)
 
 
@@ -253,8 +244,7 @@ class TestEulerScheme:
             n_reps = 6000
             ends = np.empty(n_reps)
             for k in range(n_reps):
-                path = simulate(params, SimConfig(horizon=T, n_steps=n, scheme="euler",
-                                                  seed=13, replication_index=k))
+                path = simulate(params, T, n, scheme="euler", seed=13, rep=k)
                 ends[k] = path.x[-1]
             var_errs.append(abs(ends.var() - exact_var))
             mean_errs.append(abs(ends.mean() - exact_mean))
@@ -266,28 +256,62 @@ class TestEulerScheme:
 
     def test_euler_noiseless_constant(self):
         params = ModelParams(theta1=0.0, theta2=0.0, sigma=0.0, x0=1.0, dx0=0.0)
-        path = simulate(params, SimConfig(horizon=1.0, n_steps=64, scheme="euler"))
+        path = simulate(params, 1.0, 64, scheme="euler")
         assert np.all(path.x == 1.0) and np.all(path.v == 0.0)
 
     def test_euler_matches_explicit_recursion(self):
         params = ModelParams(theta1=-0.7, theta2=-1.2, sigma=0.9, x0=0.4, dx0=-0.1)
-        cfg = SimConfig(horizon=1.0, n_steps=100, scheme="euler", seed=21,
-                        record_noise=True)
-        path = simulate(params, cfg)
+        path = simulate(params, 1.0, 100, scheme="euler", seed=21, record_noise=True)
         h = 0.01
         x, v = params.x0, params.dx0
-        for k in range(cfg.n_steps):
+        for k in range(100):
             x, v = x + v * h, v + (params.theta2 * x + params.theta1 * v) * h \
                 + params.sigma * path.dw[k]
             assert path.x[k + 1] == pytest.approx(x, rel=1e-9, abs=1e-12)
             assert path.v[k + 1] == pytest.approx(v, rel=1e-9, abs=1e-12)
 
 
+class TestInputGuards:
+    PARAMS = ModelParams(theta1=-3.0, theta2=-2.0)
+
+    @pytest.mark.parametrize("scheme", ["exact", "euler"])
+    @pytest.mark.parametrize("horizon, n_steps, message", [
+        (0.0, 10, "horizon must be positive, got 0.0"),
+        (-1.0, 10, "horizon must be positive, got -1.0"),
+        (math.nan, 10, "horizon must be positive, got nan"),
+        (math.inf, 10, "horizon must be positive, got inf"),
+        (1.0, 0, "n_steps must be >= 1, got 0"),
+    ])
+    def test_bad_grid_rejected(self, scheme, horizon, n_steps, message):
+        with pytest.raises(ValueError, match=message):
+            simulate(self.PARAMS, horizon, n_steps, scheme=scheme)
+
+    def test_block_kernel_checks_the_grid(self):
+        with pytest.raises(ValueError, match="n_steps must be >= 1, got 0"):
+            next(simulate_exact(self.PARAMS, 1.0, 0, [0]))
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="scheme must be 'exact' or 'euler', got 'rk4'"):
+            simulate(self.PARAMS, 1.0, 10, scheme="rk4")
+
+    def test_unequal_lengths_rejected(self):
+        t, five = np.linspace(0.0, 1.0, 5), np.zeros(5)
+        with pytest.raises(ValueError, match="t, x, v must have equal length"):
+            SamplePath(t=t, x=np.zeros(4), v=five, dw=None, sigma=1.0, params=self.PARAMS)
+        with pytest.raises(ValueError, match="dw must have one entry per step"):
+            SamplePath(t=t, x=five, v=five, dw=five, sigma=1.0, params=self.PARAMS)
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, math.nan, math.inf])
+    def test_bad_rescale_factor_rejected(self, alpha):
+        path = simulate(self.PARAMS, 1.0, 10)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            rescale_time(path, alpha)
+
+
 class TestRescale:
     def test_identity(self):
         params = ModelParams(theta1=-1.0, theta2=-1.0, sigma=1.0)
-        path = simulate(params, SimConfig(horizon=2.0, n_steps=100, seed=3,
-                                          record_noise=True))
+        path = simulate(params, 2.0, 100, seed=3, record_noise=True)
         same = rescale_time(path, 1.0)
         np.testing.assert_array_equal(same.t, path.t)
         np.testing.assert_array_equal(same.x, path.x)
@@ -296,7 +320,7 @@ class TestRescale:
     def test_linear_path(self):
         # X(t) = t: rescaling by 2 gives X~(t) = 2t on half the horizon.
         params = ModelParams(theta1=0.0, theta2=0.0, sigma=0.0, x0=0.0, dx0=1.0)
-        path = simulate(params, SimConfig(horizon=1.0, n_steps=10))
+        path = simulate(params, 1.0, 10)
         scaled = rescale_time(path, 2.0)
         np.testing.assert_allclose(scaled.x, 2.0 * scaled.t, rtol=1e-12)
         assert np.all(scaled.v == 2.0)
@@ -304,8 +328,7 @@ class TestRescale:
 
     def test_parameter_map(self):
         params = ModelParams(theta1=-1.0, theta2=-2.0, sigma=1.5, x0=1.0, dx0=0.3)
-        path = simulate(params, SimConfig(horizon=2.0, n_steps=50, seed=1,
-                                          record_noise=True))
+        path = simulate(params, 2.0, 50, seed=1, record_noise=True)
         scaled = rescale_time(path, 2.0)
         assert scaled.params.theta1 == pytest.approx(-2.0)
         assert scaled.params.theta2 == pytest.approx(-8.0)
@@ -316,8 +339,7 @@ class TestRescale:
 class TestCsvRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path):
         params = ModelParams(theta1=-0.3, theta2=-0.9, sigma=1.1, x0=0.2, dx0=0.0)
-        path = simulate(params, SimConfig(horizon=1.0, n_steps=33, seed=8,
-                                          record_noise=True))
+        path = simulate(params, 1.0, 33, seed=8, record_noise=True)
         dest = tmp_path / "path.csv"
         write_path_csv(path, dest)
         back = read_path_csv(dest, params)
@@ -328,7 +350,7 @@ class TestCsvRoundTrip:
 
     def test_round_trip_without_noise(self, tmp_path):
         params = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0)
-        path = simulate(params, SimConfig(horizon=1.0, n_steps=5, seed=2))
+        path = simulate(params, 1.0, 5, seed=2)
         dest = tmp_path / "path.csv"
         write_path_csv(path, dest)
         back = read_path_csv(dest, params)
