@@ -20,8 +20,9 @@ become numerically collinear and D is smaller than the float64 noise of the
 products, so this closed form loses the estimator.  `estimate_blocks`
 instead solves in a pathwise change of basis, where every quantity is
 computed at its own scale.  It sums each of a horizon's blocks into copied
-per-row columns and solves once per horizon, on arrays; `estimate_path` and
-`sufficient_stats` are its one-row view in Python floats.
+per-row columns (`_block_columns`) and solves once per horizon, on arrays
+(`_solve`); `estimate_path` and `sufficient_stats` are its one-row view in
+Python floats.
 """
 
 from __future__ import annotations
@@ -167,14 +168,19 @@ def estimate_blocks(blocks, sigma: float) -> tuple[Estimate, np.ndarray]:
 
     Solving the 2x2 normal equations for (a2, a1) and mapping back gives the
     closed-form estimator in exact arithmetic.  The solve runs once, on the
-    joined columns, and rounds as a per-row solve on Python floats would.
-    OverflowError (SXV**2 on Python floats) propagates from a non-singular
-    row whose SXV is finite and whose SXV^2 is not.
+    joined columns (`_solve`), and rounds as a per-row solve on Python floats
+    would.  OverflowError (SXV**2 on Python floats) propagates from a
+    non-singular row whose SXV is finite and whose SXV^2 is not.
     """
     cols = []
     for t, x, v in blocks:
         cols.append(_block_columns(t, x, v))
-    cols, T = np.concatenate(cols, axis=1), float(t[-1])
+    return _solve(np.concatenate(cols, axis=1), float(t[-1]), sigma)
+
+
+def _solve(cols: np.ndarray, T: float, sigma: float) -> tuple[Estimate, np.ndarray]:
+    """The rotated solve of `estimate_blocks` on a horizon's joined
+    `_block_columns`: (Estimate, threshold) of every row."""
     stats = _stats(cols, T, sigma)
     sxx, _, b, sxr, srr, x0, xT, _, _, r0, rT = cols
     zero = sxx <= 0.0

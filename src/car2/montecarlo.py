@@ -14,12 +14,17 @@ shared across horizons: only UnstableOscillation's limit depends on T
 experiment.  NormalReference draws come from a stream keyed by the horizon
 index and stay per horizon.
 
-A horizon's replications come from the block kernel `simulate_exact`, which
-builds the transition kernel once and simulates rows in blocks of a fixed
-element budget; `estimate_blocks` sums each block as it arrives and solves
-once per horizon, bit for bit as `estimate_path` on each path alone.  The
-surviving rows are normalized as columns, with the rates and A_T evaluated
-once per horizon.
+Replication k's path at a shorter horizon is, on an equal step, the prefix
+of its path at a longer one, bit for bit.  So the horizons are split into
+nesting groups, and each group simulates its replications once, at its
+longest horizon, with the block kernel `simulate_exact` (which builds the
+transition kernel once and simulates rows in blocks of a fixed element
+budget).  Each member horizon reads its prefix of every block as it
+arrives, flags the rows that left float64 within it and sums them into its
+own columns; the rotated solve then runs once per horizon, bit for bit as
+`estimate_path` on each path alone.  A horizon that nests in no other is a
+group of one.  The surviving rows are normalized as columns, with the rates
+and A_T evaluated once per horizon.
 
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
@@ -35,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
-from .estimate import Estimate, _map_rows, estimate_blocks
+from . import estimate, rng
+from .estimate import Estimate, _map_rows
 from .limits import check_limit_law, sample_limit
-from .model import ModelParams, Regime, RegimeKind, check_number, classify_params
+from .model import (ModelParams, Regime, RegimeKind, _branch, char_roots, check_number,
+                    classify_params)
 from .regimes import (check_scalar_nlrr, nlrr_rate, rate_functions, rotation_template,
                       scaling_matrix)
 from .simulate import simulate_exact
@@ -113,6 +119,7 @@ class ExperimentConfig:
             raise ValueError("horizons must be strictly increasing")
         _check_int("n_reps", self.n_reps, 2)
         _check_int("seed", self.seed, 0)
+        rng.check_seed(self.seed)
         _check_int("steps_per_unit_time", self.steps_per_unit_time, 1)
         _check_int("n_reference", self.n_reference, 1)
         _check_int("grid_n", self.grid_n, 2)
@@ -159,8 +166,9 @@ class HorizonResult:
     ks1: float | None  # None without a reference or with a non-finite residual
     ks2: float | None
     reference_reused: bool  # limit draws shared with an earlier horizon
+    simulated_at: float  # the horizon whose simulation the rows are prefixes of
     excluded_overflow: int  # simulation left the float64 range
-    excluded_singular: int  # singular design in estimate_blocks
+    excluded_singular: int  # singular design in the rotated solve
     first_excluded_rep: int | None
     cond_flagged: int  # used replications whose Estimate.cond_flag is set
 
@@ -289,27 +297,66 @@ def _quantiles(values: np.ndarray) -> dict[int, float]:
     return {lev: float(v) for lev, v in zip(QUANTILE_LEVELS, qs)}
 
 
-def _replicate(cfg: ExperimentConfig, horizon: float):
-    """Simulate and estimate the n_reps exact paths of one horizon, a block at a time.
+def _nesting_groups(cfg: ExperimentConfig, n_steps: list[int]) -> list[list[int]]:
+    """cfg.horizons' indices, split into groups whose paths are prefixes of
+    the path at the group's last (longest) horizon, bit for bit.
 
-    Returns (n_steps, the surviving rows' Estimate in replication order, each
-    replication's status): "ok", "overflow" (the simulation left float64) or
+    (T, n) nests in (T', n') when linspace(0, T, n + 1) is the first n + 1
+    points of linspace(0, T', n' + 1) (so the transition kernel is built for
+    the same step: point 1 is T/n, as n >= 2) and the mean path takes the
+    same `fundamental_solutions` branch.  A horizon that nests in no longer
+    one is a group of its own.
+    """
+    roots = char_roots(cfg.params)
+    groups = []
+    for i in reversed(range(len(cfg.horizons))):
+        T, n = cfg.horizons[i], n_steps[i]
+        for group in groups:
+            T_long, n_long = cfg.horizons[group[-1]], n_steps[group[-1]]
+            if (_branch(roots, T) == _branch(roots, T_long)
+                    and np.array_equal(np.linspace(0.0, T, n + 1),
+                                       np.linspace(0.0, T_long, n_long + 1)[:n + 1])):
+                group.insert(0, i)
+                break
+        else:
+            groups.append([i])
+    return groups
+
+
+def _replicate(cfg: ExperimentConfig):
+    """Simulate and estimate the n_reps exact paths of every horizon, one
+    simulation per nesting group, a block at a time.
+
+    Yields, per horizon in order, (n_steps, the surviving rows' Estimate in
+    replication order, each replication's status, the horizon simulated).
+    The status is "ok", "overflow" (the path left float64 by the horizon) or
     "singular" (the design is singular); only "ok" replications have a row.
     """
-    n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
-    status = np.full(cfg.n_reps, "ok", dtype=object)
+    n_steps = [max(2, round(T * cfg.steps_per_unit_time)) for T in cfg.horizons]
+    status = [np.full(cfg.n_reps, "ok", dtype=object) for _ in cfg.horizons]
+    cols = [[] for _ in cfg.horizons]  # per horizon, each block's columns
+    simulated_at = {}
+    for group in _nesting_groups(cfg, n_steps):
+        longest = cfg.horizons[group[-1]]
+        for blk in simulate_exact(cfg.params, longest, n_steps[group[-1]], range(cfg.n_reps),
+                                  cfg.seed):
+            for i in group:
+                end = n_steps[i] + 1
+                x, v = blk.x[:, :end], blk.v[:, :end]
+                overflow = ~(np.isfinite(x) & np.isfinite(v)).all(axis=1)
+                status[i][np.asarray(blk.reps)[overflow]] = "overflow"
+                cols[i].append(estimate._block_columns(blk.t[:end], x[~overflow], v[~overflow]))
+        simulated_at.update(dict.fromkeys(group, longest))
 
-    def blocks():  # of consecutive replications, so the rows stay in replication order
-        for blk in simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed):
-            status[np.asarray(blk.reps)[blk.overflow]] = "overflow"
-            yield blk.t, blk.x[~blk.overflow], blk.v[~blk.overflow]
-
-    est, threshold = estimate_blocks(blocks(), cfg.params.sigma)
-    singular = est.det_D <= threshold
-    if singular.all():
-        raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
-    status[np.flatnonzero(status == "ok")[singular]] = "singular"
-    return n_steps, _map_rows(est, lambda col: col[~singular]), status
+    for i, horizon in enumerate(cfg.horizons):
+        est, threshold = estimate._solve(np.concatenate(cols[i], axis=1), horizon,
+                                         cfg.params.sigma)
+        cols[i] = None
+        singular = est.det_D <= threshold
+        if singular.all():
+            raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
+        status[i][np.flatnonzero(status[i] == "ok")[singular]] = "singular"
+        yield n_steps[i], _map_rows(est, lambda col: col[~singular]), status[i], simulated_at[i]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -324,8 +371,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     results = []
     limit_draws = {}
-    for horizon_index, horizon in enumerate(cfg.horizons):
-        n_steps, est, status = _replicate(cfg, horizon)
+    for horizon_index, (horizon, (n_steps, est, status, simulated_at)) in enumerate(
+            zip(cfg.horizons, _replicate(cfg))):
         r1, r2 = _normalized_residuals(cfg, regime, rate_spec, horizon, est)
         excluded = np.flatnonzero(status != "ok")
         ref1, ref2, reused = _reference_samples(cfg, regime, horizon_index, horizon,
@@ -337,7 +384,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             n_excluded=cfg.n_reps - r1.size,
             reps=np.flatnonzero(status == "ok"), r1=r1, r2=r2,
             quantiles1=_quantiles(r1), quantiles2=_quantiles(r2),
-            ks1=ks1, ks2=ks2, reference_reused=reused,
+            ks1=ks1, ks2=ks2, reference_reused=reused, simulated_at=simulated_at,
             excluded_overflow=int((status == "overflow").sum()),
             excluded_singular=int((status == "singular").sum()),
             first_excluded_rep=int(excluded[0]) if excluded.size else None,
@@ -410,8 +457,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     spec = rate_functions(regime)
 
     rows = []
-    for horizon in cfg.horizons:
-        _, est, _ = _replicate(cfg, horizon)
+    for horizon, (_, est, _, _) in zip(cfg.horizons, _replicate(cfg)):
         d1, d2 = est.theta1_hat - cfg.params.theta1, est.theta2_hat - cfg.params.theta2
         m1, m2 = float(np.median(np.abs(d1))), float(np.median(np.abs(d2)))
         rows.append(ConvergenceRow(horizon, m1, m2,

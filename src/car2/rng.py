@@ -24,11 +24,16 @@ def stream(seed: int, domain: int, index: int = 0) -> np.random.Generator:
     return rekey(np.random.Generator(np.random.Philox()), seed, domain, index)
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed fits the 64-bit Philox key word."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 def rekey(gen: np.random.Generator, seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Reset Philox generator gen to the start of the (seed, domain, index) stream,
     keyed directly: a new Philox would hash OS entropy even when given a key."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    check_seed(seed)
     if not 0 <= index < 2**_DOMAIN_SHIFT:
         raise ValueError(f"stream index out of range: {index}")
     key = np.array([seed, (int(domain) << _DOMAIN_SHIFT) | int(index)], dtype=np.uint64)

@@ -1,7 +1,8 @@
 """Test-only oracles: the per-path estimator and closed-form MLE that
 `estimate_blocks` replaces, the likelihood ratio of a path, the
 per-replication residual normalizer that the harness's array version
-replaces, and the N/D decomposition of the MLE residual theta_hat - theta as
+replaces, the per-horizon replication pass that the harness's nesting groups
+replace, and the N/D decomposition of the MLE residual theta_hat - theta as
 discrete sums over a path's recorded noise."""
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ import math
 import numpy as np
 
 from car2 import estimate
-from car2.estimate import Estimate, SingularDesignError, SufficientStats
+from car2.estimate import (Estimate, SingularDesignError, SufficientStats, _map_rows,
+                           estimate_blocks)
 from car2.model import RegimeKind, RootPair
 from car2.regimes import nlrr_rate
-from car2.simulate import SamplePath
+from car2.simulate import SamplePath, simulate_exact
 
 
 def _singular_threshold(sxx_svv: float) -> float:
@@ -155,6 +157,29 @@ def per_rep_normalized_residuals(cfg, regime, rate_spec, horizon: float, a_t,
         rotation = np.array([[u_s, u_c], [-u_c, u_s]]) / (u_s * u_s + u_c * u_c)
         vec = rotation @ vec
     return float(vec[0]), float(vec[1])
+
+
+def per_horizon_replicate(cfg, horizon: float):
+    """One horizon's replications, simulated at that horizon alone.
+
+    Returns (n_steps, the surviving rows' Estimate in replication order, each
+    replication's status): "ok", "overflow" (the simulation left float64) or
+    "singular" (the design is singular); only "ok" replications have a row.
+    """
+    n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
+    status = np.full(cfg.n_reps, "ok", dtype=object)
+
+    def blocks():  # of consecutive replications, so the rows stay in replication order
+        for blk in simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed):
+            status[np.asarray(blk.reps)[blk.overflow]] = "overflow"
+            yield blk.t, blk.x[~blk.overflow], blk.v[~blk.overflow]
+
+    est, threshold = estimate_blocks(blocks(), cfg.params.sigma)
+    singular = est.det_D <= threshold
+    if singular.all():
+        raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
+    status[np.flatnonzero(status == "ok")[singular]] = "singular"
+    return n_steps, _map_rows(est, lambda col: col[~singular]), status
 
 
 def gram_det(f: np.ndarray, g: np.ndarray, h: float) -> float:

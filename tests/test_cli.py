@@ -173,6 +173,7 @@ REJECTED = {
     "grid_n_1": _set("grid_n", 1),
     "n_reps_1": _set("n_reps", 1),
     "seed_negative": _set("seed", -1),
+    "seed_2_64": _set("seed", 2**64),
     "steps_per_unit_time_0": _set("steps_per_unit_time", 0),
     "n_reference_0": _set("n_reference", 0),
     "horizons_empty": _set("horizons", []),

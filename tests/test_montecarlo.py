@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import tracemalloc
@@ -30,12 +31,12 @@ from car2 import (
     sample_limit,
     simulate,
 )
-from car2.model import classify_params
+from car2.model import _branch, classify_params
 from car2.regimes import SCALAR_NLRR, NoNlrrError, rate_functions, scaling_matrix
 from car2.simulate import simulate_exact
 
 from conftest import REGIME_POINTS
-from oracles import per_rep_normalized_residuals
+from oracles import per_horizon_replicate, per_rep_normalized_residuals
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -261,6 +262,12 @@ class TestRunExperiment:
         rep, horizon, r1, r2 = rows[0]
         assert rep == 0 and horizon == 20.0
         assert isinstance(r1, float) and isinstance(r2, float)
+
+    def test_seed_beyond_64_bits_rejected(self):
+        # Rejected with the config, not at the first stream inside the simulation.
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            ergodic_cfg(seed=2**64)
+        assert ergodic_cfg(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -491,7 +498,7 @@ def test_normalized_residuals_match_per_rep_oracle(monkeypatch, name, normalizat
                       normalization=normalization, comparison="none")
     regime = classify_params(params)
     spec = rate_functions(regime)
-    _, est, _ = car2.montecarlo._replicate(cfg, horizon)
+    ((_, est, _, _),) = car2.montecarlo._replicate(cfg)
     assert len(blocks) >= 3 and est.theta1_hat.size == cfg.n_reps
     r1, r2 = car2.montecarlo._normalized_residuals(cfg, regime, spec, horizon, est)
     a_t = scaling_matrix(regime, horizon) if normalization == "matrix" else None
@@ -507,15 +514,156 @@ def test_replicate_holds_columns_not_per_replication_objects():
     # A horizon's estimates are a few arrays, not objects per replication,
     # and each block's columns are copies, so no block outlives its sums.
     cfg = ergodic_cfg(horizons=(5.0,), n_reps=2000, steps_per_unit_time=100, comparison="none")
-    car2.montecarlo._replicate(dataclasses.replace(cfg, n_reps=2), 5.0)  # warm-up
+    list(car2.montecarlo._replicate(dataclasses.replace(cfg, n_reps=2)))  # warm-up
     tracemalloc.start()
     try:
-        _, est, _ = car2.montecarlo._replicate(cfg, 5.0)
+        ((_, est, _, _),) = car2.montecarlo._replicate(cfg)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert est.theta1_hat.size == cfg.n_reps
     assert retained < 0.5e6 and peak < 4e6
+
+
+def test_replicate_ladder_holds_columns_per_horizon():
+    # One simulation for three nested horizons holds each horizon's columns,
+    # never the longest horizon's blocks.
+    cfg = ergodic_cfg(horizons=(5.0, 10.0, 20.0), n_reps=2000, steps_per_unit_time=100,
+                      comparison="none")
+    list(car2.montecarlo._replicate(dataclasses.replace(cfg, n_reps=2)))  # warm-up
+    tracemalloc.start()
+    try:
+        results = list(car2.montecarlo._replicate(cfg))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [est.theta1_hat.size for _, est, _, _ in results] == [cfg.n_reps] * 3
+    assert [simulated_at for *_, simulated_at in results] == [20.0] * 3
+    assert retained < 0.5e6 * len(results) and peak < 4e6
+
+
+def estimate_bytes(est) -> list[bytes]:
+    """Every column of an Estimate, its stats included, as raw bytes."""
+    columns = (est.theta1_hat, est.theta2_hat, est.det_D, est.cond_flag,
+               *dataclasses.astuple(est.stats))
+    return [np.asarray(col).tobytes() for col in columns]
+
+
+def assert_matches_per_horizon_oracle(cfg):
+    """Every horizon's n_steps, statuses and Estimate columns equal those of
+    its own simulation, bit for bit; returns the horizons simulated."""
+    simulated = []
+    for horizon, (n_steps, est, status, simulated_at) in zip(
+            cfg.horizons, car2.montecarlo._replicate(cfg)):
+        want_n, want_est, want_status = per_horizon_replicate(cfg, horizon)
+        assert n_steps == want_n and status.tolist() == want_status.tolist()
+        assert estimate_bytes(est) == estimate_bytes(want_est)
+        assert simulated_at >= horizon
+        simulated.append(simulated_at)
+    return simulated
+
+
+# Ladders of fractions of a regime's test horizon.
+ladders = st.lists(st.sampled_from((0.25, 0.5, 0.75, 1.0, 1.5)), min_size=2, max_size=4,
+                   unique=True).map(lambda fracs: tuple(sorted(fracs)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(REGIME_POINTS)), steps_per_unit_time=st.integers(8, 64),
+       fractions=ladders)
+def test_nested_horizons_match_per_horizon_simulation(name, steps_per_unit_time, fractions):
+    # Whether or not a ladder's grids nest, each horizon reads what its own
+    # simulation gives, over several simulate_exact blocks of 3 rows each.
+    theta1, theta2, horizon = REGIME_POINTS[name]
+    params = ModelParams(theta1=theta1, theta2=theta2, sigma=1.0, x0=0.3, dx0=-0.2)
+    cfg = ergodic_cfg(params=params, horizons=tuple(horizon * f for f in fractions), n_reps=9,
+                      steps_per_unit_time=steps_per_unit_time, comparison="none")
+    n_long = max(2, round(cfg.horizons[-1] * steps_per_unit_time))
+    with pytest.MonkeyPatch.context() as mp:
+        # car2.simulate is the function; the module holds the block budget
+        mp.setattr(importlib.import_module("car2.simulate"), "_BLOCK_ELEMENTS", 3 * (n_long + 1))
+        assert_matches_per_horizon_oracle(cfg)
+
+
+@pytest.fixture
+def simulated_horizons(monkeypatch):
+    """The horizon of each call the harness makes to simulate_exact."""
+    calls = []
+
+    def recording(params, horizon, *args, **kwargs):
+        calls.append(horizon)
+        return simulate_exact(params, horizon, *args, **kwargs)
+
+    monkeypatch.setattr(car2.montecarlo, "simulate_exact", recording)
+    return calls
+
+
+class TestNestingGroups:
+    @pytest.mark.parametrize("horizons", [(1.1, 2.0), (0.9, 1.2)],
+                             ids=["step_differs", "end_differs"])
+    def test_grids_that_do_not_nest_simulate_alone(self, simulated_horizons, horizons):
+        # 3 steps per unit time: 1.1/3 and 2.0/6 are different steps; 0.9/3 and
+        # 1.2/4 are one step, but three of them end at 0.8999999999999999.
+        cfg = ergodic_cfg(horizons=horizons, n_reps=10, steps_per_unit_time=3,
+                          comparison="none")
+        assert assert_matches_per_horizon_oracle(cfg) == list(horizons)
+        simulated_horizons.clear()
+        report = run_experiment(cfg)
+        assert [res.simulated_at for res in report.results] == list(horizons)
+        assert sorted(simulated_horizons) == list(horizons)
+
+    def test_branch_switch_simulates_alone(self, simulated_horizons):
+        # Roots -1 +- 1e-7: the double-root branch up to T = 4, distinct at 8,
+        # on grids that otherwise nest (step 1/4).
+        params = ModelParams(theta1=-2.0, theta2=-(1.0 - 1e-14), sigma=1.0, x0=0.3, dx0=-0.2)
+        roots = char_roots(params)
+        assert (_branch(roots, 4.0), _branch(roots, 8.0)) == ("double", "distinct")
+        assert np.array_equal(np.linspace(0.0, 4.0, 17), np.linspace(0.0, 8.0, 33)[:17])
+        cfg = ergodic_cfg(params=params, horizons=(4.0, 8.0), n_reps=10, steps_per_unit_time=4,
+                          comparison="none")
+        assert assert_matches_per_horizon_oracle(cfg) == [4.0, 8.0]
+        simulated_horizons.clear()
+        report = run_experiment(cfg)
+        assert [res.simulated_at for res in report.results] == [4.0, 8.0]
+        assert sorted(simulated_horizons) == [4.0, 8.0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_at_the_longest_horizon_only(self):
+        # p = 2: by T = 354.5 some paths leave float64; their prefixes at 350
+        # and 352 stay finite, so those rows are used at the shorter horizons.
+        params = ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
+        cfg = ergodic_cfg(params=params, horizons=(350.0, 352.0, 354.5), n_reps=24, seed=3,
+                          steps_per_unit_time=2, comparison="none")
+        assert assert_matches_per_horizon_oracle(cfg) == [354.5] * 3
+        report = run_experiment(cfg)
+        for res in report.results:
+            status = per_horizon_replicate(cfg, res.horizon)[2]
+            excluded = np.flatnonzero(status != "ok")
+            assert res.n_excluded == res.excluded_overflow == excluded.size
+            assert res.first_excluded_rep == (int(excluded[0]) if excluded.size else None)
+        *shorter, longest = report.results
+        assert longest.n_excluded > 0 and all(res.n_excluded == 0 for res in shorter)
+        assert all(res.n_used == cfg.n_reps for res in shorter)
+
+    @pytest.mark.parametrize("study", [run_experiment, convergence_study])
+    @pytest.mark.parametrize("horizons, steps_per_unit_time, groups", [
+        ((5.0, 10.0, 20.0), 100, [20.0]),
+        ((1.1, 2.0, 4.0), 3, [1.1, 4.0]),  # 1.1/3 is not 2/6 = 4/12
+    ], ids=["one_group", "two_groups"])
+    def test_one_simulation_per_group(self, simulated_horizons, study, horizons,
+                                      steps_per_unit_time, groups):
+        cfg = ergodic_cfg(horizons=horizons, n_reps=6, steps_per_unit_time=steps_per_unit_time,
+                          comparison="none")
+        study(cfg)
+        assert sorted(simulated_horizons) == groups
+
+    def test_simulated_at_stays_out_of_the_artifact(self):
+        cfg = ergodic_cfg(horizons=(1.1, 2.0, 4.0), n_reps=6, steps_per_unit_time=3,
+                          comparison="none")
+        report = run_experiment(cfg)
+        assert [res.simulated_at for res in report.results] == [1.1, 4.0, 4.0]
+        for row in report.to_artifact_dict()["horizons"]:
+            assert set(row) == ARTIFACT_HORIZON_KEYS
 
 
 def test_cond_flagged_counts_used_replications(monkeypatch):
