@@ -107,16 +107,13 @@ def _map_rows(obj, fn):
 def _block_columns(t: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One block's per-row columns, as a fresh (11, rows) array: SXX, SVV, b,
     trap(X r), trap(r^2), and the endpoints x0, x_end, v0, v_end, r0, r_end.
+    The rows must pass `_check_rows`.
 
     Each sum is one dot product per row (`np.vecdot` rounds as a 1-d `@`,
     unlike a blocked gemv), so no row depends on its block.  The columns
     are a copy: the block can be freed once it is summed.
     """
     n = len(t) - 1
-    if n < 2:
-        raise ValueError("need at least 2 steps")
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
-        raise ValueError("path contains non-finite samples")
     T = float(t[-1])
     w = np.full(n + 1, T / n)
     w[0] = w[-1] = T / n / 2.0
@@ -126,6 +123,13 @@ def _block_columns(t: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     r = v - b[:, None] * x
     return np.stack([sxx, np.vecdot(v * v, w), b, np.vecdot(x * r, w), np.vecdot(r * r, w),
                      x[:, 0], x[:, -1], v[:, 0], v[:, -1], r[:, 0], r[:, -1]])
+
+
+def _check_rows(t: np.ndarray, x: np.ndarray, v: np.ndarray) -> None:
+    if len(t) < 3:
+        raise ValueError("need at least 2 steps")
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise ValueError("path contains non-finite samples")
 
 
 @np.errstate(all="ignore")  # silent inf and NaN, as on Python floats
@@ -138,6 +142,7 @@ def _stats(cols: np.ndarray, T: float, sigma: float) -> SufficientStats:
 
 def sufficient_stats(path: SamplePath) -> SufficientStats:
     """Path functionals via trapezoid (SXX, SVV) and the exact identities."""
+    _check_rows(path.t, path.x, path.v)
     cols = _block_columns(path.t, path.x[None], path.v[None])
     return _map_rows(_stats(cols, path.horizon, path.sigma), lambda col: col[0].item())
 
@@ -174,6 +179,7 @@ def estimate_blocks(blocks, sigma: float) -> tuple[Estimate, np.ndarray]:
     """
     cols = []
     for t, x, v in blocks:
+        _check_rows(t, x, v)
         cols.append(_block_columns(t, x, v))
     return _solve(np.concatenate(cols, axis=1), float(t[-1]), sigma)
 

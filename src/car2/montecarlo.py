@@ -343,9 +343,11 @@ def _replicate(cfg: ExperimentConfig):
             for i in group:
                 end = n_steps[i] + 1
                 x, v = blk.x[:, :end], blk.v[:, :end]
-                overflow = ~(np.isfinite(x) & np.isfinite(v)).all(axis=1)
-                status[i][np.asarray(blk.reps)[overflow]] = "overflow"
-                cols[i].append(estimate._block_columns(blk.t[:end], x[~overflow], v[~overflow]))
+                if blk.overflow.any():  # else every prefix is finite
+                    overflow = ~(np.isfinite(x) & np.isfinite(v)).all(axis=1)
+                    status[i][np.asarray(blk.reps)[overflow]] = "overflow"
+                    x, v = x[~overflow], v[~overflow]
+                cols[i].append(estimate._block_columns(blk.t[:end], x, v))
         simulated_at.update(dict.fromkeys(group, longest))
 
     for i, horizon in enumerate(cfg.horizons):

@@ -7,18 +7,24 @@ advances the state with the kernel's mean matrix, so the simulated marginal
 law is exact at any step size.  An Euler-Maruyama scheme is included for
 cross-checks.
 
-The linear recursion state[k+1] = M state[k] + noise[k] is evaluated with
-scipy.signal.lfilter through its scalar second-order form (Cayley-Hamilton:
-M^2 = tr(M) M - det(M) I), which is a C-speed loop and works for defective
-M (double roots) where diagonalization would not.
+The linear recursion state[k+1] = M state[k] + noise[k] runs in its scalar
+second-order form (Cayley-Hamilton: M^2 = tr(M) M - det(M) I), which works
+for defective M (double roots) where diagonalization would not: after a
+two-tap transform of the noise, each state component u obeys
+u[k] += tr(M) u[k-1] - det(M) u[k-2].  `_recurrence` runs that in place on
+a (rows, n+1) array, bit for bit as scipy.signal.lfilter would: the float
+operations of its direct form II transposed, from its zero state.  A numpy
+step costs microseconds of call overhead at any width, so wide arrays recur
+across the rows, one step over all rows at a time, and arrays of a few rows
+(`simulate`, Euler) recur along each row on Python floats.
 
 Exact paths come from one block kernel, `simulate_exact`: per grid it builds
-the mean path, the transition kernel and its noise factor once, then fills
-rows of replications, each from its own Philox stream, and filters both
-state components of a block of rows in one `lfilter` call.  A block holds
-at most `_BLOCK_ELEMENTS` elements per (rows, n+1) array (one row if n is
-larger), so memory stays flat in the number of replications.  An exact
-`simulate` path is row 0 of a one-row block.
+the mean path, the transition kernel and its noise factor once, then
+recurs blocks of hundreds of rows in one reused buffer, each row filled
+from its own Philox stream, and yields each block in slices of fresh rows,
+the mean path added.  Memory stays flat in the number of replications, no
+row depends on its block, and an exact `simulate` path is row 0 of a
+one-row block.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import rng
 from .model import ModelParams, char_roots, fundamental_solutions, transition
@@ -103,29 +108,75 @@ class SimBlock(NamedTuple):
     overflow: np.ndarray
 
 
-# Elements per (rows, n+1) array of a `simulate_exact` block.
-_BLOCK_ELEMENTS = 2**13
+# Elements per (rows, n+1) array of a `simulate_exact` block (one row if n
+# is larger), and of the row slices it draws its normals in and yields.
+_BLOCK_ELEMENTS, _DRAW_ELEMENTS, _YIELD_ELEMENTS = 2**21, 2**13, 2**16
+# Arrays of at most this many rows recur along each row, on Python floats;
+# wider ones across the rows, _CHUNK_STEPS time steps at a time.
+_NARROW_ROWS, _CHUNK_STEPS = 16, 64
 
 
-def _second_order_filter(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
-                         y0: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Run state[k+1] = m @ state[k] + (xi_x[k], xi_v[k]) from state[0] = y0.
+@np.errstate(over="ignore", invalid="ignore")  # non-finite rows are the caller's to flag
+def _recurrence(u: np.ndarray, tau: float, delta: float) -> None:
+    """Run u[:, k] += tau*u[:, k-1] - delta*u[:, k-2] in place, bit for bit as
+    lfilter([1], [1, -tau, delta], u, axis=-1) (non-finite where it is).
 
-    Time runs along the last axis of xi_x, xi_v; leading axes are independent
-    paths.  Returns the two component sequences, n+1 long in time.
+    lfilter starts from a zero state, so step 0 adds 0.0 and step 1 adds
+    0.0 + tau*u[:, 0].  Its direct form II transposed also adds
+    u[:, k-1]*0 + u[:, k-2]*0 of the input, which sets only the sign of a
+    zero u[:, k] (or makes NaN next to a non-finite input, where lfilter's
+    output is not finite either): that is added first, when u has a zero.
     """
-    n = xi_x.shape[-1]
+    rows, n1 = u.shape
+    tau, delta = float(tau), float(delta)
+    if not u[:, 2:].all():
+        u[:, 2:] += u[:, 1:-1] * 0.0 + u[:, :-2] * 0.0
+    u[:, :1] += 0.0
+    u[:, 1:2] += tau * u[:, :1] + 0.0
+    if n1 < 3:
+        return
+    if rows <= _NARROW_ROWS:
+        for row in u:
+            xs = row.tolist()
+            ys = xs[:2]
+            y2, y1 = ys
+            for x in xs[2:]:
+                y2, y1 = y1, x + (tau * y1 - delta * y2)
+                ys.append(y1)
+            row[:] = ys
+        return
+    # Across the rows: each chunk of steps is copied time-major into s, after
+    # the last two outputs, so that every operation runs on contiguous rows.
+    s = np.empty((_CHUNK_STEPS + 2, rows))
+    s_rows, pairs = list(s), [s[j:j + 2] for j in range(_CHUNK_STEPS)]
+    coef = np.repeat([[delta], [tau]], rows, axis=1)  # unbroadcast: numpy's fastest loop
+    pq, w = np.empty((2, rows)), np.empty(rows)
+    q, p = pq
+    s[:2] = u[:, :2].T
+    for k0 in range(2, n1, _CHUNK_STEPS):
+        m = min(_CHUNK_STEPS, n1 - k0)
+        s[2:m + 2] = u[:, k0:k0 + m].T
+        for pair, y in zip(pairs[:m], s_rows[2:m + 2]):
+            np.multiply(pair, coef, out=pq)  # delta*u[:, k-2], tau*u[:, k-1]
+            np.subtract(p, q, out=w)
+            np.add(y, w, out=y)
+        u[:, k0:k0 + m] = s[2:m + 2].T
+        s[:2] = s[m:m + 2]
+
+
+def _recurrence_input(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
+                      y0: tuple[float, float], ux: np.ndarray,
+                      uv: np.ndarray) -> tuple[float, float]:
+    """Write into the (rows, n+1) arrays ux, uv the input that makes
+    `_recurrence` run state[k+1] = m @ state[k] + (xi_x[:, k], xi_v[:, k])
+    from state[0] = y0, each row a path; return its (tau, delta)."""
     tau = m[0, 0] + m[1, 1]
-    delta = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    u = np.zeros((2,) + xi_x.shape[:-1] + (n + 1,))  # lfilter runs each 1-d slice alone
-    for comp, other, own, cross in ((0, 1, xi_x, xi_v), (1, 0, xi_v, xi_x)):
-        u[comp, ..., 0] = y0[comp]
-        u[comp, ..., 1] = (m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[..., 0]
-                           - tau * y0[comp])
-        u[comp, ..., 2:] = (own[..., 1:] + (m[comp, comp] - tau) * own[..., :-1]
-                            + m[comp, other] * cross[..., :-1])
-    out = lfilter([1.0], [1.0, -tau, delta], u, axis=-1)
-    return out[0], out[1]
+    for comp, other, own, cross, u in ((0, 1, xi_x, xi_v, ux), (1, 0, xi_v, xi_x, uv)):
+        u[:, 0] = y0[comp]
+        u[:, 1] = m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[:, 0] - tau * y0[comp]
+        u[:, 2:] = (own[:, 1:] + (m[comp, comp] - tau) * own[:, :-1]
+                    + m[comp, other] * cross[:, :-1])
+    return tau, m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 def _check_grid(horizon: float, n_steps: int) -> None:
@@ -165,25 +216,37 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         if params.sigma > 0.0:
             kern = transition(params, horizon / n)
             factor_t = _noise_factor(kern.cov_matrix).T
-    rows = max(1, _BLOCK_ELEMENTS // (n + 1))
+    rows = max(1, min(len(reps), _BLOCK_ELEMENTS // (n + 1)))
+    draw_rows, yield_rows = (max(1, size // (n + 1)) for size in (_DRAW_ELEMENTS, _YIELD_ELEMENTS))
+    buffer = np.empty((2 * rows, n + 1))  # a block's x rows, then its v rows
     gen = np.random.Generator(np.random.Philox())  # re-keyed before each row's draws
     for start in range(0, len(reps), rows):
         block = reps[start:start + rows]
+        r = len(block)
+        u, dw = buffer[:2 * r], np.zeros((r, n)) if record_noise else None
         if params.sigma > 0.0:
-            draws = np.empty((len(block), n, 3))
-            for i, k in enumerate(block):
-                rng.rekey(gen, seed, rng.DOMAIN_SIM_EXACT, k).standard_normal(out=draws[i])
             with np.errstate(over="ignore", invalid="ignore"):
-                draws = draws @ factor_t
-                zx, zv = _second_order_filter(kern.mean_matrix, draws[..., 1],
-                                              draws[..., 2], (0.0, 0.0))
-                x, v = x_mean + zx, v_mean + zv
-            dw = draws[..., 0]
-        else:
-            x, v = (np.broadcast_to(a, (len(block), n + 1)) for a in (x_mean, v_mean))
-            dw = np.zeros((len(block), n))
-        overflow = ~(np.isfinite(x) & np.isfinite(v)).all(axis=1)
-        yield SimBlock(block, t, x, v, dw if record_noise else None, overflow)
+                for i in range(0, r, draw_rows):
+                    sub = block[i:i + draw_rows]
+                    draws = np.empty((len(sub), n, 3))
+                    for j, k in enumerate(sub):
+                        rng.rekey(gen, seed, rng.DOMAIN_SIM_EXACT, k).standard_normal(out=draws[j])
+                    draws = draws @ factor_t
+                    coefficients = _recurrence_input(kern.mean_matrix, draws[..., 1],
+                                                     draws[..., 2], (0.0, 0.0), u[i:i + len(sub)],
+                                                     u[r + i:r + i + len(sub)])
+                    if record_noise:
+                        dw[i:i + len(sub)] = draws[..., 0]
+                _recurrence(u, *coefficients)
+        for i in range(0, r, yield_rows):
+            rows_i = slice(i, i + yield_rows)
+            if params.sigma > 0.0:
+                with np.errstate(over="ignore", invalid="ignore"):  # fresh rows: u is reused
+                    x, v = np.add(x_mean, u[:r][rows_i]), np.add(v_mean, u[r:][rows_i])
+            else:
+                x, v = (np.broadcast_to(a, (len(block[rows_i]), n + 1)) for a in (x_mean, v_mean))
+            overflow = ~(np.isfinite(x) & np.isfinite(v)).all(axis=1)
+            yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i], overflow)
 
 
 def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str = "exact",
@@ -199,9 +262,12 @@ def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str =
         m = np.array([[1.0, h], [params.theta2 * h, 1.0 + params.theta1 * h]])
         dw = (math.sqrt(h) * rng.stream(seed, rng.DOMAIN_SIM_EULER, rep).standard_normal(n)
               if params.sigma > 0.0 else np.zeros(n))
+        u = np.empty((2, n + 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            x, v = _second_order_filter(m, np.zeros(n), params.sigma * dw,
-                                        (params.x0, params.dx0))
+            coefficients = _recurrence_input(m, np.zeros((1, n)), params.sigma * dw[None],
+                                             (params.x0, params.dx0), u[:1], u[1:])
+        _recurrence(u, *coefficients)
+        x, v = u
         t, dw = np.linspace(0.0, horizon, n + 1), dw if record_noise else None
     else:
         raise ValueError(f"scheme must be 'exact' or 'euler', got {scheme!r}")

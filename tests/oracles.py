@@ -2,21 +2,23 @@
 `estimate_blocks` replaces, the likelihood ratio of a path, the
 per-replication residual normalizer that the harness's array version
 replaces, the per-horizon replication pass that the harness's nesting groups
-replace, and the N/D decomposition of the MLE residual theta_hat - theta as
-discrete sums over a path's recorded noise."""
+replace, the scipy.signal.lfilter recursion and exact path that
+`simulate._recurrence` replaces, and the N/D decomposition of the MLE
+residual theta_hat - theta as discrete sums over a path's recorded noise."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 
-from car2 import estimate
+from car2 import estimate, rng
 from car2.estimate import (Estimate, SingularDesignError, SufficientStats, _map_rows,
                            estimate_blocks)
-from car2.model import RegimeKind, RootPair
+from car2.model import RegimeKind, RootPair, char_roots, fundamental_solutions, transition
 from car2.regimes import nlrr_rate
-from car2.simulate import SamplePath, simulate_exact
+from car2.simulate import SamplePath, _noise_factor, simulate_exact
 
 
 def _singular_threshold(sxx_svv: float) -> float:
@@ -180,6 +182,41 @@ def per_horizon_replicate(cfg, horizon: float):
         raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
     status[np.flatnonzero(status == "ok")[singular]] = "singular"
     return n_steps, _map_rows(est, lambda col: col[~singular]), status
+
+
+def _second_order_filter(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
+                         y0: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Run state[k+1] = m @ state[k] + (xi_x[k], xi_v[k]) from state[0] = y0.
+
+    Time runs along the last axis of xi_x, xi_v; leading axes are independent
+    paths.  Returns the two component sequences, n+1 long in time.
+    """
+    n = xi_x.shape[-1]
+    tau = m[0, 0] + m[1, 1]
+    delta = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    u = np.zeros((2,) + xi_x.shape[:-1] + (n + 1,))  # lfilter runs each 1-d slice alone
+    for comp, other, own, cross in ((0, 1, xi_x, xi_v), (1, 0, xi_v, xi_x)):
+        u[comp, ..., 0] = y0[comp]
+        u[comp, ..., 1] = (m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[..., 0]
+                           - tau * y0[comp])
+        u[comp, ..., 2:] = (own[..., 1:] + (m[comp, comp] - tau) * own[..., :-1]
+                            + m[comp, other] * cross[..., :-1])
+    out = lfilter([1.0], [1.0, -tau, delta], u, axis=-1)
+    return out[0], out[1]
+
+
+def exact_path(params, horizon: float, n_steps: int, seed: int, rep: int):
+    """(x, v, dw) of replication rep's exact path, filtered by lfilter."""
+    n = n_steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = fundamental_solutions(char_roots(params), np.linspace(0.0, horizon, n + 1))
+        kern = transition(params, horizon / n)
+        draws = (rng.stream(seed, rng.DOMAIN_SIM_EXACT, rep).standard_normal((n, 3))
+                 @ _noise_factor(kern.cov_matrix).T)
+        zx, zv = _second_order_filter(kern.mean_matrix, draws[:, 1], draws[:, 2], (0.0, 0.0))
+        x = params.x0 * fs.x1 + params.dx0 * fs.x2 + zx
+        v = params.x0 * fs.dx1 + params.dx0 * fs.dx2 + zv
+    return x, v, draws[:, 0]
 
 
 def gram_det(f: np.ndarray, g: np.ndarray, h: float) -> float:

@@ -346,10 +346,12 @@ class TestLikelihoodRatio:
         expected = -(u[0] ** 2 * m_x + u[1] ** 2 * m_v) / (2 * sigma**2)
         a_t = np.diag([T**-0.5, T**-0.5])
         n_reps = 400
-        vals = np.empty(n_reps)
-        for k in range(n_reps):
-            path = simulate(params, T, 20_000, seed=29, rep=k)
-            vals[k] = normalized_llr(sufficient_stats(path), (t2, t1), a_t, u)
+        vals = []
+        for blk in simulate_exact(params, T, 20_000, range(n_reps), seed=29):
+            for x, v in zip(blk.x, blk.v):  # row k is simulate(..., seed=29, rep=k)
+                path = SamplePath(blk.t, x, v, None, sigma, params)
+                vals.append(normalized_llr(sufficient_stats(path), (t2, t1), a_t, u))
+        vals = np.array(vals)
         band = 4.0 * vals.std() / math.sqrt(n_reps)
         assert abs(vals.mean() - expected) <= band
 

@@ -16,12 +16,12 @@ from car2 import (
     brownian_functionals,
     char_roots,
     classify,
-    estimate_path,
     ks_two_sample,
     rng,
     sample_limit,
-    simulate,
 )
+from car2.estimate import estimate_blocks
+from car2.simulate import simulate_exact
 
 from conftest import REGIME_POINTS
 
@@ -39,15 +39,12 @@ def setup(name, sigma=1.0, x0=0.0, dx0=0.0):
 
 
 def simulated_residuals(params, T, h, n_reps, seed=101):
-    t1s = np.empty(n_reps)
-    t2s = np.empty(n_reps)
-    n = int(round(T / h))
-    for k in range(n_reps):
-        path = simulate(params, T, n, seed=seed, rep=k)
-        est = estimate_path(path)
-        t1s[k] = est.theta1_hat - params.theta1
-        t2s[k] = est.theta2_hat - params.theta2
-    return t1s, t2s
+    """theta_hat - theta of replications 0..n_reps-1, each row bit for bit
+    `estimate_path(simulate(params, T, n, seed=seed, rep=k))`."""
+    blocks = simulate_exact(params, T, int(round(T / h)), range(n_reps), seed)
+    est, threshold = estimate_blocks(((blk.t, blk.x, blk.v) for blk in blocks), params.sigma)
+    assert not (est.det_D <= threshold).any()
+    return est.theta1_hat - params.theta1, est.theta2_hat - params.theta2
 
 
 class TestBrownianFunctionals:

@@ -492,6 +492,7 @@ def test_normalized_residuals_match_per_rep_oracle(monkeypatch, name, normalizat
             yield blk
 
     monkeypatch.setattr(car2.montecarlo, "simulate_exact", counting)
+    monkeypatch.setattr(importlib.import_module("car2.simulate"), "_BLOCK_ELEMENTS", 2**13)
     theta1, theta2, horizon = REGIME_POINTS[name]
     params = ModelParams(theta1=theta1, theta2=theta2, sigma=1.0, x0=0.3, dx0=-0.2)
     cfg = ergodic_cfg(params=params, horizons=(horizon,), n_reps=60, steps_per_unit_time=100,
@@ -510,7 +511,15 @@ def test_normalized_residuals_match_per_rep_oracle(monkeypatch, name, normalizat
                                   and normalization == "nlrr")
 
 
-def test_replicate_holds_columns_not_per_replication_objects():
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks small enough that the harness's own memory shows."""
+    module = importlib.import_module("car2.simulate")  # car2.simulate is the function
+    monkeypatch.setattr(module, "_BLOCK_ELEMENTS", 2**16)
+    monkeypatch.setattr(module, "_YIELD_ELEMENTS", 2**13)
+
+
+def test_replicate_holds_columns_not_per_replication_objects(small_blocks):
     # A horizon's estimates are a few arrays, not objects per replication,
     # and each block's columns are copies, so no block outlives its sums.
     cfg = ergodic_cfg(horizons=(5.0,), n_reps=2000, steps_per_unit_time=100, comparison="none")
@@ -525,7 +534,7 @@ def test_replicate_holds_columns_not_per_replication_objects():
     assert retained < 0.5e6 and peak < 4e6
 
 
-def test_replicate_ladder_holds_columns_per_horizon():
+def test_replicate_ladder_holds_columns_per_horizon(small_blocks):
     # One simulation for three nested horizons holds each horizon's columns,
     # never the longest horizon's blocks.
     cfg = ergodic_cfg(horizons=(5.0, 10.0, 20.0), n_reps=2000, steps_per_unit_time=100,

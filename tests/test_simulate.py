@@ -1,7 +1,13 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.signal import lfilter
 
 from car2 import (
     ModelParams,
@@ -12,9 +18,13 @@ from car2 import (
     transition,
 )
 from car2.io import read_path_csv, write_path_csv
-from car2.simulate import _BLOCK_ELEMENTS, SamplePath, simulate_exact
+from car2.simulate import SamplePath, _recurrence, simulate_exact
 
 from conftest import sorted_regime_points
+from oracles import exact_path
+
+# car2.simulate is the function; the module holds the block budgets
+simulate_module = importlib.import_module("car2.simulate")
 
 
 def reference_loop(params, horizon, n_steps, seed=0, rep=0):
@@ -153,9 +163,14 @@ def exact_rows(params, *args, **kwargs):
 
 
 class TestBlockKernel:
-    # 700 steps: a block holds _BLOCK_ELEMENTS // 701 = 11 rows, and 25 reps
-    # fill two blocks and part of a third.
+    # 700 steps: a block of 2**13 elements holds 8192 // 701 = 11 rows (22
+    # recurring across the rows), and 25 reps fill two blocks and part of a
+    # third (6 rows, recurring along each row).
     N_STEPS, N_REPS = 700, 25
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 2**13)
 
     @pytest.mark.parametrize("theta", [(-3.0, -2.0), (2.0, -1.0), (0.5, -1.0625)],
                              ids=["distinct", "double", "complex"])
@@ -164,7 +179,7 @@ class TestBlockKernel:
     def test_paths_equal_per_path_simulate(self, theta, sigma, record_noise):
         params = ModelParams(theta1=theta[0], theta2=theta[1], sigma=sigma,
                              x0=0.3, dx0=-0.2)
-        assert self.N_REPS % (_BLOCK_ELEMENTS // (self.N_STEPS + 1)) != 0
+        assert self.N_REPS % (simulate_module._BLOCK_ELEMENTS // (self.N_STEPS + 1)) != 0
         paths = list(exact_rows(params, 7.0, self.N_STEPS, range(self.N_REPS),
                                 seed=4, record_noise=record_noise))
         assert len(paths) == self.N_REPS
@@ -184,7 +199,7 @@ class TestBlockKernel:
         # stay finite (near 1e300); 710 grid points give 11 rows per block,
         # so the first block holds overflowing and finite rows.
         params = ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
-        assert _BLOCK_ELEMENTS // 710 > 9
+        assert simulate_module._BLOCK_ELEMENTS // 710 > 9
         overflowed = []
         for k, (path, flag) in enumerate(exact_rows(params, 354.5, 709, range(24), seed=3)):
             if flag:
@@ -202,6 +217,83 @@ class TestBlockKernel:
         for k, (path, _) in zip((7, 2), paths):
             want = simulate(params, 2.0, 50, seed=1, rep=k)
             assert_same_bits(path.x, want.x)
+
+    @pytest.mark.parametrize("theta, horizon", [((-3.0, -2.0), 7.0), ((2.0, -1.0), 7.0),
+                                                ((0.5, -1.0625), 7.0), ((3.0, -2.0), 354.5)],
+                             ids=["distinct", "double", "complex", "overflowing"])
+    def test_rows_equal_lfilter_oracle(self, theta, horizon):
+        # Blocks recurring across and along the rows, and rows that leave
+        # float64, against the lfilter-filtered path of each replication.
+        params = ModelParams(theta1=theta[0], theta2=theta[1], sigma=0.8, x0=0.3, dx0=-0.2)
+        n = self.N_STEPS
+        for k, (got, overflowed) in enumerate(exact_rows(params, horizon, n, range(self.N_REPS),
+                                                         seed=3, record_noise=True)):
+            x, v, dw = exact_path(params, horizon, n, seed=3, rep=k)
+            assert_same_bits(got.dw, dw)
+            for have, want in ((got.x, x), (got.v, v)):
+                finite = np.isfinite(want)
+                assert np.array_equal(np.isfinite(have), finite)
+                assert_same_bits(have[finite], want[finite])
+            assert overflowed == (not finite.all())
+
+
+def test_block_memory_does_not_grow_with_replications():
+    # One buffer serves every block, and each yielded slice is a fresh array,
+    # so a second full block costs no memory.
+    params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0)
+    n_steps = 2**13
+    rows = simulate_module._BLOCK_ELEMENTS // (n_steps + 1)
+
+    def peak(n_reps):
+        tracemalloc.start()
+        try:
+            for blk in simulate_exact(params, 40.0, n_steps, range(n_reps)):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak(rows), peak(2 * rows)
+    assert 2 * rows * (n_steps + 1) * 8 <= one  # the recursion buffer
+    assert two <= one + 0.1e6
+
+
+# Values whose products and sums test lfilter's rounding, its signed zeros
+# and its overflow.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, math.inf,
+           -math.inf, math.nan]
+values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(SPECIAL), st.floats())
+coefficients = st.one_of(st.floats(-2.5, 2.5), st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300]))
+
+
+class TestRecurrence:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data(), narrow=st.booleans(), n_steps=st.integers(0, 50),
+           chunk=st.sampled_from([1, 2, 7, 64]), tau=coefficients, delta=coefficients)
+    def test_equals_lfilter(self, data, narrow, n_steps, chunk, tau, delta):
+        # Bit for bit through both loop orders, with steps in chunks that
+        # split the series or not; non-finite exactly where lfilter's is.
+        cutoff = simulate_module._NARROW_ROWS
+        rows = data.draw(st.integers(1, cutoff) if narrow else st.integers(cutoff + 1, 3 * cutoff))
+        u = data.draw(arrays(np.float64, (rows, n_steps + 1), elements=values))
+        want = lfilter([1.0], [1.0, -tau, delta], u, axis=-1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate_module, "_CHUNK_STEPS", chunk)
+            _recurrence(u, tau, delta)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(u), finite)
+        assert u[finite].view(np.int64).tolist() == want[finite].view(np.int64).tolist()
+
+    def test_zero_input_takes_lfilter_sign(self):
+        # tau < 0 makes tau*u[k-1] - delta*u[k-2] = -0.0 on zeros, and
+        # -0.0 + -0.0 = -0.0; lfilter's direct form still gives +0.0 at a
+        # -0.0 input unless both earlier inputs were -0.0 too.
+        u = np.array([[0.0, 0.0, -0.0, -0.0, -0.0]] * 2 + [[-0.0] * 5] * 10)
+        want = lfilter([1.0], [1.0, 1.5, 0.5], u, axis=-1)
+        for rows in (u[:2].copy(), u.copy()):
+            _recurrence(rows, -1.5, 0.5)
+            assert np.signbit(rows).tolist() == np.signbit(want[:len(rows)]).tolist()
+        assert np.signbit(want[0]).tolist() == [False, False, False, False, True]
 
 
 class TestStreams:
