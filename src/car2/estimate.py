@@ -17,12 +17,12 @@ variation sigma^2 t):
 `sufficient_stats` computes exactly those five numbers.  Caveat: when one
 characteristic root strongly dominates (0 < q < p, large (p-q)T), X and X'
 become numerically collinear and D is smaller than the float64 noise of the
-products, so this closed form loses the estimator.  `estimate_blocks`
-instead solves in a pathwise change of basis, where every quantity is
-computed at its own scale.  It sums each of a horizon's blocks into copied
-per-row columns (`_block_columns`) and solves once per horizon, on arrays
-(`_solve`); `estimate_path` and `sufficient_stats` are its one-row view in
-Python floats.
+products, so this closed form loses the estimator.  `_solve` instead
+solves in a pathwise change of basis, where every quantity is computed at
+its own scale.  The harness sums each block of rows into copied per-row
+columns (`_block_columns`) and solves once per horizon, on the joined
+columns; `estimate_path` takes the same two steps on one checked path, and
+`sufficient_stats` the first, both read in Python floats.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "SingularDesignError",
     "sufficient_stats",
     "estimate_path",
-    "estimate_blocks",
     "estimate_sigma",
 ]
 
@@ -104,10 +103,11 @@ def _map_rows(obj, fn):
                        for val in values))
 
 
+@np.errstate(all="ignore")  # non-finite and SXX = 0 rows are the caller's to exclude
 def _block_columns(t: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One block's per-row columns, as a fresh (11, rows) array: SXX, SVV, b,
     trap(X r), trap(r^2), and the endpoints x0, x_end, v0, v_end, r0, r_end.
-    The rows must pass `_check_rows`.
+    A row with a non-finite sample gives columns that mean nothing, silently.
 
     Each sum is one dot product per row (`np.vecdot` rounds as a 1-d `@`,
     unlike a blocked gemv), so no row depends on its block.  The columns
@@ -118,18 +118,19 @@ def _block_columns(t: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     w = np.full(n + 1, T / n)
     w[0] = w[-1] = T / n / 2.0
     sxx = np.vecdot(x * x, w)
-    with np.errstate(divide="ignore", invalid="ignore"):  # SXX = 0 rows are singular
-        b = np.vecdot(x * v, w) / sxx
+    b = np.vecdot(x * v, w) / sxx
     r = v - b[:, None] * x
     return np.stack([sxx, np.vecdot(v * v, w), b, np.vecdot(x * r, w), np.vecdot(r * r, w),
                      x[:, 0], x[:, -1], v[:, 0], v[:, -1], r[:, 0], r[:, -1]])
 
 
-def _check_rows(t: np.ndarray, x: np.ndarray, v: np.ndarray) -> None:
-    if len(t) < 3:
+def _path_columns(path: SamplePath) -> np.ndarray:
+    """The `_block_columns` of one path, which must be finite and 2 steps or more long."""
+    if path.n_steps < 2:
         raise ValueError("need at least 2 steps")
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+    if not (np.isfinite(path.x).all() and np.isfinite(path.v).all()):
         raise ValueError("path contains non-finite samples")
+    return _block_columns(path.t, path.x[None], path.v[None])
 
 
 @np.errstate(all="ignore")  # silent inf and NaN, as on Python floats
@@ -142,21 +143,20 @@ def _stats(cols: np.ndarray, T: float, sigma: float) -> SufficientStats:
 
 def sufficient_stats(path: SamplePath) -> SufficientStats:
     """Path functionals via trapezoid (SXX, SVV) and the exact identities."""
-    _check_rows(path.t, path.x, path.v)
-    cols = _block_columns(path.t, path.x[None], path.v[None])
-    return _map_rows(_stats(cols, path.horizon, path.sigma), lambda col: col[0].item())
+    stats = _stats(_path_columns(path), path.horizon, path.sigma)
+    return _map_rows(stats, lambda col: col[0].item())
 
 
 def estimate_path(path: SamplePath) -> Estimate:
-    """Numerically stable MLE from the full path: `estimate_blocks` on one row."""
-    est, threshold = estimate_blocks([(path.t, path.x[None], path.v[None])], path.sigma)
+    """Numerically stable MLE from the full path: `_solve` on its one row."""
+    est, threshold = _solve(_path_columns(path), path.horizon, path.sigma)
     if est.det_D[0] <= threshold[0]:
         raise SingularDesignError(est.det_D[0].item(), threshold[0].item())
     return _map_rows(est, lambda col: col[0].item())
 
 
-def estimate_blocks(blocks, sigma: float) -> tuple[Estimate, np.ndarray]:
-    """Numerically stable MLE of each row of a horizon's (t, x, v) blocks.
+def _solve(cols: np.ndarray, T: float, sigma: float) -> tuple[Estimate, np.ndarray]:
+    """Numerically stable MLE of every row of a horizon's joined `_block_columns`.
 
     Returns the rows' Estimate, as arrays in row order, and each row's
     singularity threshold: a row is singular when det_D <= threshold (a NaN
@@ -172,21 +172,11 @@ def estimate_blocks(blocks, sigma: float) -> tuple[Estimate, np.ndarray]:
         int X dr = X(T)r(T) - X(0)r(0) - int r X' dt.
 
     Solving the 2x2 normal equations for (a2, a1) and mapping back gives the
-    closed-form estimator in exact arithmetic.  The solve runs once, on the
-    joined columns (`_solve`), and rounds as a per-row solve on Python floats
-    would.  OverflowError (SXV**2 on Python floats) propagates from a
-    non-singular row whose SXV is finite and whose SXV^2 is not.
+    closed-form estimator in exact arithmetic.  Each row rounds as a solve
+    on Python floats would.  OverflowError (SXV**2 on Python floats)
+    propagates from a non-singular row whose SXV is finite and whose SXV^2
+    is not.
     """
-    cols = []
-    for t, x, v in blocks:
-        _check_rows(t, x, v)
-        cols.append(_block_columns(t, x, v))
-    return _solve(np.concatenate(cols, axis=1), float(t[-1]), sigma)
-
-
-def _solve(cols: np.ndarray, T: float, sigma: float) -> tuple[Estimate, np.ndarray]:
-    """The rotated solve of `estimate_blocks` on a horizon's joined
-    `_block_columns`: (Estimate, threshold) of every row."""
     stats = _stats(cols, T, sigma)
     sxx, _, b, sxr, srr, x0, xT, _, _, r0, rT = cols
     zero = sxx <= 0.0
@@ -210,7 +200,8 @@ def _solve(cols: np.ndarray, T: float, sigma: float) -> tuple[Estimate, np.ndarr
         j_rr = (rT_sq - sigma**2 * T - r0_sq) / 2.0
         a2 = (srr * j_xr - sxr * j_rr) / det
         a1 = (sxx * j_rr - sxr * j_xr) / det
-    return Estimate(a1 + b, a2 - b * a1, det, stats, cond_flag), threshold
+        theta1, theta2 = a1 + b, a2 - b * a1
+    return Estimate(theta1, theta2, det, stats, cond_flag), threshold
 
 
 def estimate_sigma(path: SamplePath) -> float:

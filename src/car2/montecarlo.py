@@ -19,12 +19,12 @@ of its path at a longer one, bit for bit.  So the horizons are split into
 nesting groups, and each group simulates its replications once, at its
 longest horizon, with the block kernel `simulate_exact` (which builds the
 transition kernel once and simulates rows in blocks of a fixed element
-budget).  Each member horizon reads its prefix of every block as it
-arrives, flags the rows that left float64 within it and sums them into its
-own columns; the rotated solve then runs once per horizon, bit for bit as
-`estimate_path` on each path alone.  A horizon that nests in no other is a
-group of one.  The surviving rows are normalized as columns, with the rates
-and A_T evaluated once per horizon.
+budget).  Each member horizon sums its prefix of every row into its own
+columns as each block arrives, and the rotated solve runs once per horizon,
+bit for bit as `estimate_path` on each path alone; then, in one place, it
+excludes the rows that left float64 by it and the singular designs.  A
+horizon that nests in no other is a group of one.  The surviving rows are
+normalized as columns, with the rates and A_T evaluated once per horizon.
 
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
@@ -329,36 +329,36 @@ def _replicate(cfg: ExperimentConfig):
 
     Yields, per horizon in order, (n_steps, the surviving rows' Estimate in
     replication order, each replication's status, the horizon simulated).
-    The status is "ok", "overflow" (the path left float64 by the horizon) or
-    "singular" (the design is singular); only "ok" replications have a row.
+    The status is "overflow" (the path left float64 by the horizon), else
+    "singular" (the design is singular), else "ok"; every row is summed, and
+    the statuses are decided after the solve.  Only "ok" replications have a row.
     """
     n_steps = [max(2, round(T * cfg.steps_per_unit_time)) for T in cfg.horizons]
-    status = [np.full(cfg.n_reps, "ok", dtype=object) for _ in cfg.horizons]
     cols = [[] for _ in cfg.horizons]  # per horizon, each block's columns
-    simulated_at = {}
+    n_finite, simulated_at = {}, {}
     for group in _nesting_groups(cfg, n_steps):
         longest = cfg.horizons[group[-1]]
+        counts = []  # each block's n_finite
         for blk in simulate_exact(cfg.params, longest, n_steps[group[-1]], range(cfg.n_reps),
                                   cfg.seed):
+            counts.append(blk.n_finite)
             for i in group:
                 end = n_steps[i] + 1
-                x, v = blk.x[:, :end], blk.v[:, :end]
-                if blk.overflow.any():  # else every prefix is finite
-                    overflow = ~(np.isfinite(x) & np.isfinite(v)).all(axis=1)
-                    status[i][np.asarray(blk.reps)[overflow]] = "overflow"
-                    x, v = x[~overflow], v[~overflow]
-                cols[i].append(estimate._block_columns(blk.t[:end], x, v))
+                cols[i].append(estimate._block_columns(blk.t[:end], blk.x[:, :end],
+                                                       blk.v[:, :end]))
+        n_finite.update(dict.fromkeys(group, np.concatenate(counts)))
         simulated_at.update(dict.fromkeys(group, longest))
 
     for i, horizon in enumerate(cfg.horizons):
         est, threshold = estimate._solve(np.concatenate(cols[i], axis=1), horizon,
                                          cfg.params.sigma)
         cols[i] = None
-        singular = est.det_D <= threshold
-        if singular.all():
+        status = np.where(n_finite[i] <= n_steps[i], "overflow",
+                          np.where(est.det_D <= threshold, "singular", "ok"))
+        used = status == "ok"
+        if not used.any():
             raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
-        status[i][np.flatnonzero(status[i] == "ok")[singular]] = "singular"
-        yield n_steps[i], _map_rows(est, lambda col: col[~singular]), status[i], simulated_at[i]
+        yield n_steps[i], _map_rows(est, lambda col: col[used]), status, simulated_at[i]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

@@ -99,13 +99,14 @@ class SamplePath:
 
 
 class SimBlock(NamedTuple):
-    """Rows of replications reps on grid t; overflow flags rows that left float64."""
+    """Rows of replications reps on grid t; n_finite counts each row's
+    leading samples where x and v are finite (n+1 for a row that stayed so)."""
     reps: Sequence[int]
     t: np.ndarray
     x: np.ndarray
     v: np.ndarray
     dw: np.ndarray | None
-    overflow: np.ndarray
+    n_finite: np.ndarray
 
 
 # Elements per (rows, n+1) array of a `simulate_exact` block (one row if n
@@ -179,6 +180,12 @@ def _recurrence_input(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
     return tau, m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
+def _n_finite(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Count of leading samples, along the last axis, where x and v are both finite."""
+    finite = np.isfinite(x) & np.isfinite(v)
+    return np.where(finite.all(axis=-1), finite.shape[-1], finite.argmin(axis=-1))
+
+
 def _check_grid(horizon: float, n_steps: int) -> None:
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -202,12 +209,12 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
 
     The row of replication k is bit for bit that of a one-row call with
     reps=[k], so it does not depend on the blocking; a row that left the
-    float64 range is flagged instead of raised.
+    float64 range is counted in n_finite instead of raised.
     """
     _check_grid(horizon, n_steps)
     n = n_steps
     t = np.linspace(0.0, horizon, n + 1)
-    # Overflow in explosive regimes is flagged per row below; suppress the
+    # Overflow in explosive regimes is counted per row below; suppress the
     # intermediate warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         fs = fundamental_solutions(char_roots(params), t)
@@ -245,8 +252,8 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                     x, v = np.add(x_mean, u[:r][rows_i]), np.add(v_mean, u[r:][rows_i])
             else:
                 x, v = (np.broadcast_to(a, (len(block[rows_i]), n + 1)) for a in (x_mean, v_mean))
-            overflow = ~(np.isfinite(x) & np.isfinite(v)).all(axis=1)
-            yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i], overflow)
+            yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i],
+                           _n_finite(x, v))
 
 
 def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str = "exact",
@@ -256,6 +263,7 @@ def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str =
     if scheme == "exact":
         (blk,) = simulate_exact(params, horizon, n_steps, [rep], seed, record_noise)
         t, x, v, dw = blk.t, blk.x[0], blk.v[0], None if blk.dw is None else blk.dw[0]
+        n_finite = blk.n_finite[0]
     elif scheme == "euler":
         _check_grid(horizon, n_steps)
         n, h = n_steps, horizon / n_steps
@@ -269,14 +277,12 @@ def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str =
         _recurrence(u, *coefficients)
         x, v = u
         t, dw = np.linspace(0.0, horizon, n + 1), dw if record_noise else None
+        n_finite = _n_finite(x, v)
     else:
         raise ValueError(f"scheme must be 'exact' or 'euler', got {scheme!r}")
-    path = SamplePath(t=t, x=x, v=v, dw=dw, sigma=params.sigma, params=params)
-    bad = ~(np.isfinite(path.x) & np.isfinite(path.v))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SimulationOverflowError(step=k, horizon_reached=float(path.t[k]))
-    return path
+    if n_finite <= n_steps:
+        raise SimulationOverflowError(step=int(n_finite), horizon_reached=float(t[n_finite]))
+    return SamplePath(t=t, x=x, v=v, dw=dw, sigma=params.sigma, params=params)
 
 
 def rescale_time(path: SamplePath, alpha: float) -> SamplePath:

@@ -1,9 +1,11 @@
-"""Test-only oracles: the per-path estimator and closed-form MLE that
-`estimate_blocks` replaces, the likelihood ratio of a path, the
-per-replication residual normalizer that the harness's array version
-replaces, the per-horizon replication pass that the harness's nesting groups
-replace, the scipy.signal.lfilter recursion and exact path that
-`simulate._recurrence` replaces, and the N/D decomposition of the MLE
+"""Test-only oracles: the per-path estimator and closed-form MLE that the
+columnar rotated solve (`estimate._block_columns`, `estimate._solve`)
+replaces, the likelihood ratio of a path, the per-replication residual
+normalizer that the harness's array version replaces, the per-horizon
+replication pass (which drops overflowing rows before it sums a block) that
+the harness's nesting groups and its one exclusion site after the solve
+replace, the scipy.signal.lfilter recursion and the exact and Euler paths
+that `simulate._recurrence` replaces, and the N/D decomposition of the MLE
 residual theta_hat - theta as discrete sums over a path's recorded noise."""
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from car2 import estimate, rng
-from car2.estimate import (Estimate, SingularDesignError, SufficientStats, _map_rows,
-                           estimate_blocks)
+from car2.estimate import Estimate, SingularDesignError, SufficientStats, _map_rows
 from car2.model import RegimeKind, RootPair, char_roots, fundamental_solutions, transition
 from car2.regimes import nlrr_rate
 from car2.simulate import SamplePath, _noise_factor, simulate_exact
@@ -170,13 +171,13 @@ def per_horizon_replicate(cfg, horizon: float):
     """
     n_steps = max(2, round(horizon * cfg.steps_per_unit_time))
     status = np.full(cfg.n_reps, "ok", dtype=object)
-
-    def blocks():  # of consecutive replications, so the rows stay in replication order
-        for blk in simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed):
-            status[np.asarray(blk.reps)[blk.overflow]] = "overflow"
-            yield blk.t, blk.x[~blk.overflow], blk.v[~blk.overflow]
-
-    est, threshold = estimate_blocks(blocks(), cfg.params.sigma)
+    cols = []
+    # Blocks of consecutive replications, so the rows stay in replication order.
+    for blk in simulate_exact(cfg.params, horizon, n_steps, range(cfg.n_reps), cfg.seed):
+        overflow = blk.n_finite <= n_steps
+        status[np.asarray(blk.reps)[overflow]] = "overflow"
+        cols.append(estimate._block_columns(blk.t, blk.x[~overflow], blk.v[~overflow]))
+    est, threshold = estimate._solve(np.concatenate(cols, axis=1), horizon, cfg.params.sigma)
     singular = est.det_D <= threshold
     if singular.all():
         raise RuntimeError(f"all {cfg.n_reps} replications failed at T={horizon}")
@@ -217,6 +218,16 @@ def exact_path(params, horizon: float, n_steps: int, seed: int, rep: int):
         x = params.x0 * fs.x1 + params.dx0 * fs.x2 + zx
         v = params.x0 * fs.dx1 + params.dx0 * fs.dx2 + zv
     return x, v, draws[:, 0]
+
+
+def euler_path(params, horizon: float, n_steps: int, seed: int, rep: int):
+    """(x, v) of replication rep's Euler path, filtered by lfilter."""
+    n, h = n_steps, horizon / n_steps
+    m = np.array([[1.0, h], [params.theta2 * h, 1.0 + params.theta1 * h]])
+    dw = (math.sqrt(h) * rng.stream(seed, rng.DOMAIN_SIM_EULER, rep).standard_normal(n)
+          if params.sigma > 0.0 else np.zeros(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _second_order_filter(m, np.zeros(n), params.sigma * dw, (params.x0, params.dx0))
 
 
 def gram_det(f: np.ndarray, g: np.ndarray, h: float) -> float:

@@ -466,7 +466,6 @@ class TestNonFiniteStatistics:
             assert all(isinstance(q, float) for q in h["quantiles1"].values())
             assert list(h["quantiles2"].values()) == [None] * 9
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_estimates_give_null_ks_and_quantiles(self, tmp_path, capsys):
         # At T = 200 the paths near 1e300 overflow the sums to NaN estimates.
         config = _config(params=DISTINCT_POSITIVE, horizons=[200.0], n_reps=4, seed=1)
@@ -474,7 +473,6 @@ class TestNonFiniteStatistics:
         assert h["ks1"] is None and h["ks2"] is None
         assert list(h["quantiles1"].values()) == list(h["quantiles2"].values()) == [None] * 9
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_medians_are_null(self, tmp_path, capsys):
         config = _config("convergence", params=DISTINCT_POSITIVE, horizons=[350.0, 352.0, 354.5],
                          n_reps=4, seed=1, steps_per_unit_time=2, comparison="none")
@@ -507,6 +505,9 @@ def test_residuals_written_through_io(tmp_path, capsys, monkeypatch):
 
 
 def test_overflow_exits_3(tmp_path, capsys):
+    # No path leaves float64 here: at T = 120 the paths stay finite, and the
+    # exit comes from the OverflowError of the rotated solve's Python-float
+    # SXV**2 (its cond_flag diagnostic), not from an overflow exclusion.
     config = _config(params={"theta1": 3.0, "theta2": -2.0, "x0": 0.3, "dx0": -0.2},
                      horizons=[120.0], n_reps=4)
     code, _, err = _run(capsys, ["experiment", "--config", _write(tmp_path, config),
@@ -515,7 +516,6 @@ def test_overflow_exits_3(tmp_path, capsys):
     assert err.startswith("numeric failure: ")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("horizon", ["120", "200"])
 def test_non_finite_path_estimate_exits_3(tmp_path, capsys, horizon):
     # At T = 200 the sums overflow to NaN estimates; at T = 120 SXV^2 overflows.

@@ -16,7 +16,7 @@ from car2 import (
     simulate,
     sufficient_stats,
 )
-from car2.estimate import Estimate, _map_rows, estimate_blocks
+from car2.estimate import Estimate, _block_columns, _map_rows, _solve
 from car2.simulate import SamplePath, simulate_exact
 
 from conftest import sorted_regime_points
@@ -209,16 +209,17 @@ class TestEstimateBlock:
         for i, kind in enumerate(kinds):
             x[i], v[i] = _row(kind, x[i], v[i])
         bounds = [0, *sorted(min(c, len(kinds)) for c in cuts), len(kinds)]
-        blocks = [(blk.t, x[a:b], v[a:b]) for a, b in zip(bounds, bounds[1:])]
+        cols = np.concatenate([_block_columns(blk.t, x[a:b], v[a:b])
+                               for a, b in zip(bounds, bounds[1:])], axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             want = [_per_path(SamplePath(blk.t, x[i].copy(), v[i].copy(), None, 1.0, params))
                     for i in range(len(kinds))]
-            if any(isinstance(w, OverflowError) for w in want):
-                with pytest.raises(OverflowError):
-                    estimate_blocks(blocks, 1.0)
-                return
-            est, threshold = estimate_blocks(blocks, 1.0)
+        if any(isinstance(w, OverflowError) for w in want):
+            with pytest.raises(OverflowError):
+                _solve(cols, float(blk.t[-1]), 1.0)
+            return
+        est, threshold = _solve(cols, float(blk.t[-1]), 1.0)
         assert est.theta1_hat.shape == threshold.shape == (len(kinds),)
         for i, w in enumerate(want):
             g = _nth_row(est, i)
@@ -253,7 +254,8 @@ class TestEstimateBlock:
         # On this path libm's pow(r(T), 2) is not r(T) * r(T) rounded, so
         # the solve must square the endpoints with ** as the per-path solve did.
         path = make_path(0.0, -1.0, horizon=20.0, n_steps=500, seed=31)
-        est, _ = estimate_blocks([(path.t, path.x[None], path.v[None])], path.sigma)
+        est, _ = _solve(_block_columns(path.t, path.x[None], path.v[None]), path.horizon,
+                        path.sigma)
         row = _nth_row(est, 0)
         want = per_path_estimate(path)
         assert row == estimate_path(path)

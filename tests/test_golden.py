@@ -92,7 +92,6 @@ def _residual_digest(report) -> str:
                            for k, T, a, b in report.residual_rows()))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_experiment_artifacts_pinned(name):
     report = run_experiment(ExperimentConfig(**EXPERIMENTS[name]))

@@ -20,7 +20,7 @@ from car2 import (
     rng,
     sample_limit,
 )
-from car2.estimate import estimate_blocks
+from car2.estimate import _block_columns, _solve
 from car2.simulate import simulate_exact
 
 from conftest import REGIME_POINTS
@@ -41,8 +41,9 @@ def setup(name, sigma=1.0, x0=0.0, dx0=0.0):
 def simulated_residuals(params, T, h, n_reps, seed=101):
     """theta_hat - theta of replications 0..n_reps-1, each row bit for bit
     `estimate_path(simulate(params, T, n, seed=seed, rep=k))`."""
-    blocks = simulate_exact(params, T, int(round(T / h)), range(n_reps), seed)
-    est, threshold = estimate_blocks(((blk.t, blk.x, blk.v) for blk in blocks), params.sigma)
+    cols = [_block_columns(blk.t, blk.x, blk.v)
+            for blk in simulate_exact(params, T, int(round(T / h)), range(n_reps), seed)]
+    est, threshold = _solve(np.concatenate(cols, axis=1), T, params.sigma)
     assert not (est.det_D <= threshold).any()
     return est.theta1_hat - params.theta1, est.theta2_hat - params.theta2
 

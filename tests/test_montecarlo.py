@@ -322,7 +322,6 @@ class TestExclusionReasons:
         assert sorted([*res.reps, *failed]) == list(range(cfg.n_reps))
         assert set(report.to_artifact_dict()["horizons"][0]) == ARTIFACT_HORIZON_KEYS
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow(self):
         # p = 2 at T = 354.5: some paths leave the float64 range; the rest
         # are used (with NaN estimates, see the NaN residual rows).
@@ -636,23 +635,27 @@ class TestNestingGroups:
         assert [res.simulated_at for res in report.results] == [4.0, 8.0]
         assert sorted(simulated_horizons) == [4.0, 8.0]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflow_at_the_longest_horizon_only(self):
-        # p = 2: by T = 354.5 some paths leave float64; their prefixes at 350
-        # and 352 stay finite, so those rows are used at the shorter horizons.
+    @pytest.mark.parametrize("horizons, steps_per_unit_time, n_excluded", [
+        ((350.0, 352.0, 354.5), 2, [0, 0, 3]),
+        ((354.0, 354.35, 354.5), 20, [1, 3, 7]),
+    ], ids=["longest_only", "middle_and_longest"])
+    def test_overflow_excludes_rows_per_horizon(self, horizons, steps_per_unit_time,
+                                                n_excluded):
+        # p = 2: near T = 354.5 the paths leave float64 one after another.  A
+        # row is excluded at the horizons its prefix overflows by and used,
+        # in its own replication's place, at the shorter ones.
         params = ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
-        cfg = ergodic_cfg(params=params, horizons=(350.0, 352.0, 354.5), n_reps=24, seed=3,
-                          steps_per_unit_time=2, comparison="none")
-        assert assert_matches_per_horizon_oracle(cfg) == [354.5] * 3
+        cfg = ergodic_cfg(params=params, horizons=horizons, n_reps=24, seed=3,
+                          steps_per_unit_time=steps_per_unit_time, comparison="none")
+        assert assert_matches_per_horizon_oracle(cfg) == [horizons[-1]] * 3
         report = run_experiment(cfg)
         for res in report.results:
             status = per_horizon_replicate(cfg, res.horizon)[2]
             excluded = np.flatnonzero(status != "ok")
             assert res.n_excluded == res.excluded_overflow == excluded.size
             assert res.first_excluded_rep == (int(excluded[0]) if excluded.size else None)
-        *shorter, longest = report.results
-        assert longest.n_excluded > 0 and all(res.n_excluded == 0 for res in shorter)
-        assert all(res.n_used == cfg.n_reps for res in shorter)
+            assert res.n_used == cfg.n_reps - res.n_excluded
+        assert [res.n_excluded for res in report.results] == n_excluded
 
     @pytest.mark.parametrize("study", [run_experiment, convergence_study])
     @pytest.mark.parametrize("horizons, steps_per_unit_time, groups", [

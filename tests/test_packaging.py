@@ -1,9 +1,10 @@
 """Every third-party module the package and its tests import is declared,
-the package uses every name it imports, and importing the CLI loads no
-scipy module: the package runs on numpy alone, and scipy is a test
-dependency (its oracles)."""
+the package uses every name it imports, every name a module exports is
+bound in it, and importing the CLI loads no scipy module: the package runs
+on numpy alone, and scipy is a test dependency (its oracles)."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -67,6 +68,18 @@ def test_package_uses_every_import():
               for module in sorted((ROOT / "src" / "car2").glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
     assert _unused_imports("from .model import Regime, RootPair\nx: Regime\n") == ["RootPair"]
+
+
+def test_every_export_is_bound():
+    # A deleted function must leave no stale name in an __all__.
+    stale = {}
+    for path in sorted((ROOT / "src" / "car2").glob("*.py")):
+        name = "car2" if path.stem == "__init__" else f"car2.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        if missing:
+            stale[name] = missing
+    assert stale == {}
 
 
 def test_test_imports_are_declared_in_the_test_extra():

@@ -20,8 +20,8 @@ from car2 import (
 from car2.io import read_path_csv, write_path_csv
 from car2.simulate import SamplePath, _recurrence, simulate_exact
 
-from conftest import sorted_regime_points
-from oracles import exact_path
+from conftest import REGIME_POINTS, sorted_regime_points
+from oracles import euler_path, exact_path
 
 # car2.simulate is the function; the module holds the block budgets
 simulate_module = importlib.import_module("car2.simulate")
@@ -154,12 +154,20 @@ def assert_same_bits(a, b):
 
 
 def exact_rows(params, *args, **kwargs):
-    """(path, overflowed) of each replication, read off simulate_exact's blocks."""
+    """(path, n_finite) of each replication, read off simulate_exact's blocks."""
     for blk in simulate_exact(params, *args, **kwargs):
         for i in range(len(blk.reps)):
             dw = None if blk.dw is None else blk.dw[i]
             yield (SamplePath(blk.t, blk.x[i], blk.v[i], dw, params.sigma, params),
-                   bool(blk.overflow[i]))
+                   int(blk.n_finite[i]))
+
+
+def first_non_finite(x, v) -> int:
+    """The first index where x or v is not finite, len(x) if there is none."""
+    for k, (a, b) in enumerate(zip(x.tolist(), v.tolist())):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return k
+    return len(x)
 
 
 class TestBlockKernel:
@@ -183,8 +191,8 @@ class TestBlockKernel:
         paths = list(exact_rows(params, 7.0, self.N_STEPS, range(self.N_REPS),
                                 seed=4, record_noise=record_noise))
         assert len(paths) == self.N_REPS
-        for k, (got, overflowed) in enumerate(paths):
-            assert not overflowed
+        for k, (got, n_finite) in enumerate(paths):
+            assert n_finite == self.N_STEPS + 1
             want = simulate(params, 7.0, self.N_STEPS, seed=4, rep=k,
                             record_noise=record_noise)
             for name in ("t", "x", "v"):
@@ -201,11 +209,13 @@ class TestBlockKernel:
         params = ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
         assert simulate_module._BLOCK_ELEMENTS // 710 > 9
         overflowed = []
-        for k, (path, flag) in enumerate(exact_rows(params, 354.5, 709, range(24), seed=3)):
-            if flag:
+        for k, (path, n_finite) in enumerate(exact_rows(params, 354.5, 709, range(24), seed=3)):
+            assert n_finite == first_non_finite(path.x, path.v)
+            if n_finite <= 709:
                 overflowed.append(k)
-                with pytest.raises(SimulationOverflowError):
+                with pytest.raises(SimulationOverflowError) as err:
                     simulate(params, 354.5, 709, seed=3, rep=k)
+                assert err.value.step == n_finite
             else:
                 assert np.isfinite(path.x).all() and np.isfinite(path.v).all()
                 assert_same_bits(path.x, simulate(params, 354.5, 709, seed=3, rep=k).x)
@@ -226,15 +236,51 @@ class TestBlockKernel:
         # float64, against the lfilter-filtered path of each replication.
         params = ModelParams(theta1=theta[0], theta2=theta[1], sigma=0.8, x0=0.3, dx0=-0.2)
         n = self.N_STEPS
-        for k, (got, overflowed) in enumerate(exact_rows(params, horizon, n, range(self.N_REPS),
-                                                         seed=3, record_noise=True)):
+        for k, (got, n_finite) in enumerate(exact_rows(params, horizon, n, range(self.N_REPS),
+                                                       seed=3, record_noise=True)):
             x, v, dw = exact_path(params, horizon, n, seed=3, rep=k)
             assert_same_bits(got.dw, dw)
             for have, want in ((got.x, x), (got.v, v)):
                 finite = np.isfinite(want)
                 assert np.array_equal(np.isfinite(have), finite)
                 assert_same_bits(have[finite], want[finite])
-            assert overflowed == (not finite.all())
+            assert n_finite == first_non_finite(x, v)
+
+
+# Regimes with a root of positive real part, where paths leave float64.
+EXPLOSIVE = ["DistinctPositive", "OppositeSign", "PositiveDouble", "SmallerRootZero",
+             "UnstableOscillation"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(name=st.sampled_from(EXPLOSIVE), start=st.floats(300.0, 308.0),
+       sign=st.sampled_from([1.0, -1.0]), sigma=st.sampled_from([0.0, 1.0]),
+       n_steps=st.integers(1, 40), n_reps=st.integers(1, 40),
+       rows=st.sampled_from([1, 3, 17, 40]), seed=st.integers(0, 2**32))
+def test_n_finite_counts_leading_finite_samples(name, start, sign, sigma, n_steps, n_reps, rows,
+                                                seed):
+    # Starting near the top of float64, the rows leave it at different
+    # steps or not at all; blocks of `rows` rows recur along or across them.
+    theta1, theta2, horizon = REGIME_POINTS[name]
+    params = ModelParams(theta1=theta1, theta2=theta2, sigma=sigma, x0=sign * 10.0**start,
+                         dx0=sign * 10.0**start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate_module, "_BLOCK_ELEMENTS", rows * (n_steps + 1))
+        got = list(exact_rows(params, horizon, n_steps, range(n_reps), seed=seed))
+    for k, (path, n_finite) in enumerate(got):
+        assert n_finite == first_non_finite(path.x, path.v)
+        for m in range(1, n_steps + 2):
+            prefix_finite = np.isfinite(path.x[:m]).all() and np.isfinite(path.v[:m]).all()
+            assert (n_finite < m) == (not prefix_finite)
+        for scheme, want in (("exact", n_finite),
+                             ("euler", first_non_finite(*euler_path(params, horizon, n_steps,
+                                                                    seed, k)))):
+            if want <= n_steps:
+                with pytest.raises(SimulationOverflowError) as err:
+                    simulate(params, horizon, n_steps, scheme=scheme, seed=seed, rep=k)
+                assert err.value.step == want
+            else:
+                simulate(params, horizon, n_steps, scheme=scheme, seed=seed, rep=k)
 
 
 def test_block_memory_does_not_grow_with_replications():
