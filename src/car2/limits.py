@@ -148,7 +148,7 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
         return slab[index * slot:index * slot + m * width].reshape(m, width)
 
     parts = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="car2-limits") as worker:
 
         def fill(gen: np.random.Generator, index: int, m: int):
             return worker.submit(_fill_increments, gen, buffer(index, m, grid_n))

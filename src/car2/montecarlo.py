@@ -19,12 +19,13 @@ of its path at a longer one, bit for bit.  So the horizons are split into
 nesting groups, and each group simulates its replications once, at its
 longest horizon, with the block kernel `simulate_exact` (which builds the
 transition kernel once and simulates rows in blocks of a fixed element
-budget).  Each member horizon sums its prefix of every row into its own
-columns as each block arrives, and the rotated solve runs once per horizon,
-bit for bit as `estimate_path` on each path alone; then, in one place, it
-excludes the rows that left float64 by it and the singular designs.  A
-horizon that nests in no other is a group of one.  The surviving rows are
-normalized as columns, with the rates and A_T evaluated once per horizon.
+budget, filling the next block on a worker thread).  Each member horizon
+sums its prefix of every row into its own columns as each block arrives,
+and the rotated solve runs once per horizon, bit for bit as `estimate_path`
+on each path alone; then, in one place, it excludes the rows that left
+float64 by it and the singular designs.  A horizon that nests in no other
+is a group of one.  The surviving rows are normalized as columns, with the
+rates and A_T evaluated once per horizon.
 
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
@@ -325,7 +326,8 @@ def _nesting_groups(cfg: ExperimentConfig, n_steps: list[int]) -> list[list[int]
 
 def _replicate(cfg: ExperimentConfig):
     """Simulate and estimate the n_reps exact paths of every horizon, one
-    simulation per nesting group, a block at a time.
+    simulation per nesting group.  Each block is summed here as
+    `simulate_exact` yields it, while its worker thread fills the next.
 
     Yields, per horizon in order, (n_steps, the surviving rows' Estimate in
     replication order, each replication's status, the horizon simulated).

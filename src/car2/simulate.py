@@ -20,17 +20,22 @@ across the rows, one step over all rows at a time, and arrays of a few rows
 
 Exact paths come from one block kernel, `simulate_exact`: per grid it builds
 the mean path, the transition kernel and its noise factor once, then
-recurs blocks of hundreds of rows in one reused buffer, each row filled
-from its own Philox stream, and yields each block in slices of fresh rows,
-the mean path added.  Memory stays flat in the number of replications, no
-row depends on its block, and an exact `simulate` path is row 0 of a
-one-row block.
+recurs blocks of hundreds of rows in two reused half-budget buffers, each
+row filled from its own Philox stream, and yields each block in slices of
+fresh rows, the mean path added.  Filling a buffer with its recurrence
+input is a stage of its own: one worker thread fills block b+1 while the
+calling thread recurs and yields block b.  Memory stays flat in the number
+of replications, no row depends on its block or on the thread that filled
+it, and an exact `simulate` path is row 0 of a one-row block, run inline.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from collections.abc import Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,9 +114,13 @@ class SimBlock(NamedTuple):
     n_finite: np.ndarray
 
 
-# Elements per (rows, n+1) array of a `simulate_exact` block (one row if n
-# is larger), and of the row slices it draws its normals in and yields.
-_BLOCK_ELEMENTS, _DRAW_ELEMENTS, _YIELD_ELEMENTS = 2**21, 2**13, 2**16
+# Elements per (rows, n+1) array of a `simulate_exact` block, halved since
+# two blocks are in flight (one row if n is larger); then per row slice that
+# its worker thread fills (the caller's are half as large) and that it
+# yields.  Each numpy call of a fill gives up the GIL and takes it back,
+# which costs a thread switch while the caller recurs, so the worker's
+# slices are large; each filling thread keeps scratch for one slice.
+_BLOCK_ELEMENTS, _DRAW_ELEMENTS, _YIELD_ELEMENTS = 2**21, 2**14, 2**16
 # Arrays of at most this many rows recur along each row, on Python floats;
 # wider ones across the rows, _CHUNK_STEPS time steps at a time.
 _NARROW_ROWS, _CHUNK_STEPS = 16, 64
@@ -165,19 +174,27 @@ def _recurrence(u: np.ndarray, tau: float, delta: float) -> None:
         s[:2] = s[m:m + 2]
 
 
+def _trace_det(m: np.ndarray) -> tuple[float, float]:
+    """(tau, delta) = (tr m, det m), the coefficients of `_recurrence` for m."""
+    return m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
 def _recurrence_input(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
-                      y0: tuple[float, float], ux: np.ndarray,
-                      uv: np.ndarray) -> tuple[float, float]:
+                      y0: tuple[float, float], ux: np.ndarray, uv: np.ndarray) -> None:
     """Write into the (rows, n+1) arrays ux, uv the input that makes
-    `_recurrence` run state[k+1] = m @ state[k] + (xi_x[:, k], xi_v[:, k])
-    from state[0] = y0, each row a path; return its (tau, delta)."""
+    `_recurrence(u, *_trace_det(m))` run state[k+1] = m @ state[k] +
+    (xi_x[:, k], xi_v[:, k]) from state[0] = y0, each row a path."""
     tau = m[0, 0] + m[1, 1]
     for comp, other, own, cross, u in ((0, 1, xi_x, xi_v, ux), (1, 0, xi_v, xi_x, uv)):
         u[:, 0] = y0[comp]
         u[:, 1] = m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[:, 0] - tau * y0[comp]
-        u[:, 2:] = (own[:, 1:] + (m[comp, comp] - tau) * own[:, :-1]
-                    + m[comp, other] * cross[:, :-1])
-    return tau, m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        # u[:, 2:] = own[:, 1:] + (m_cc - tau) own[:, :-1] + m_co cross[:, :-1],
+        # formed in place with one temporary: a fill runs beside the caller's
+        # yields, so its temporaries add to the peak memory.
+        rest = u[:, 2:]
+        np.multiply(m[comp, comp] - tau, own[:, :-1], out=rest)
+        np.add(own[:, 1:], rest, out=rest)
+        rest += m[comp, other] * cross[:, :-1]
 
 
 def _n_finite(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,6 +219,24 @@ def _noise_factor(cov: np.ndarray) -> np.ndarray:
     return vec * np.sqrt(np.clip(w, 0.0, None))
 
 
+class _Rows:
+    """The rows of a block that are still to fill, handed out under a lock
+    in consecutive slices, so that threads filling one block share it out."""
+
+    def __init__(self, count: int):
+        self._count, self._next, self._lock = count, 0, threading.Lock()
+
+    def slices(self, size: int) -> Iterator[slice]:
+        """Slices of at most size rows, taken until no row is left."""
+        while True:
+            with self._lock:
+                start = self._next
+                self._next = stop = min(self._count, start + size)
+            if start == stop:
+                return
+            yield slice(start, stop)
+
+
 def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                    reps: Sequence[int], seed: int = 0,
                    record_noise: bool = False) -> Iterator[SimBlock]:
@@ -210,6 +245,18 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
     The row of replication k is bit for bit that of a one-row call with
     reps=[k], so it does not depend on the blocking; a row that left the
     float64 range is counted in n_finite instead of raised.
+
+    Block b recurs in the first or second of two buffers, by the parity of
+    b, each of half the block budget.  Filling a buffer with its recurrence
+    input (each row's normals from its own stream, the noise factor and
+    `_recurrence_input`) is one stage; recurring it and yielding its rows
+    is the next.  With two blocks or more, one worker thread fills block
+    b+1 while the calling thread recurs and yields block b, and then the
+    caller fills the rows of block b+1 that the worker has not yet taken,
+    so neither thread waits long for the other.  The caller alone
+    builds the mean path and the transition kernel: the fill calls nothing
+    that perfbench/tracer.py wraps, since its span stack is single-threaded.
+    A call of one block runs inline and starts no thread.
     """
     _check_grid(horizon, n_steps)
     n = n_steps
@@ -223,37 +270,74 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         if params.sigma > 0.0:
             kern = transition(params, horizon / n)
             factor_t = _noise_factor(kern.cov_matrix).T
-    rows = max(1, min(len(reps), _BLOCK_ELEMENTS // (n + 1)))
-    draw_rows, yield_rows = (max(1, size // (n + 1)) for size in (_DRAW_ELEMENTS, _YIELD_ELEMENTS))
-    buffer = np.empty((2 * rows, n + 1))  # a block's x rows, then its v rows
-    gen = np.random.Generator(np.random.Philox())  # re-keyed before each row's draws
-    for start in range(0, len(reps), rows):
-        block = reps[start:start + rows]
-        r = len(block)
-        u, dw = buffer[:2 * r], np.zeros((r, n)) if record_noise else None
-        if params.sigma > 0.0:
+            coefficients = _trace_det(kern.mean_matrix)
+    rows = max(1, min(len(reps), _BLOCK_ELEMENTS // 2 // (n + 1)))
+    yield_rows = max(1, _YIELD_ELEMENTS // (n + 1))
+    blocks = [reps[start:start + rows] for start in range(0, len(reps), rows)]
+    # A block's x rows, then its v rows.
+    buffers = [np.empty((2 * rows, n + 1)) for _ in blocks[:2]] if params.sigma > 0.0 else []
+    threaded = len(buffers) == 2
+
+    def filler(size: int):
+        """fill(b, to_fill, dw): write into block b's buffer the recurrence
+        input of the rows it takes from to_fill, in slices of about size
+        elements, and their dw.  One per thread, with its own generator
+        (re-keyed before each row's draws) and scratch."""
+        gen = np.random.Generator(np.random.Philox())
+        normals, noise = np.empty((2, max(1, size // (n + 1)), n, 3))
+
+        def fill(b: int, to_fill: _Rows, dw: np.ndarray | None) -> None:
+            block = blocks[b]
+            r = len(block)
+            u = buffers[b % 2][:2 * r]
+            # Entered here: a worker thread does not inherit the caller's errstate.
             with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(0, r, draw_rows):
-                    sub = block[i:i + draw_rows]
-                    draws = np.empty((len(sub), n, 3))
-                    for j, k in enumerate(sub):
-                        rng.rekey(gen, seed, rng.DOMAIN_SIM_EXACT, k).standard_normal(out=draws[j])
-                    draws = draws @ factor_t
-                    coefficients = _recurrence_input(kern.mean_matrix, draws[..., 1],
-                                                     draws[..., 2], (0.0, 0.0), u[i:i + len(sub)],
-                                                     u[r + i:r + i + len(sub)])
-                    if record_noise:
-                        dw[i:i + len(sub)] = draws[..., 0]
+                for sl in to_fill.slices(len(normals)):
+                    m = sl.stop - sl.start
+                    for j, k in enumerate(block[sl]):
+                        rng.rekey(gen, seed, rng.DOMAIN_SIM_EXACT, k).standard_normal(
+                            out=normals[j])
+                    np.matmul(normals[:m], factor_t, out=noise[:m])
+                    _recurrence_input(kern.mean_matrix, noise[:m, :, 1], noise[:m, :, 2],
+                                      (0.0, 0.0), u[sl], u[r + sl.start:r + sl.stop])
+                    if dw is not None:
+                        dw[sl] = noise[:m, :, 0]
+        return fill
+
+    fill_here = filler(_DRAW_ELEMENTS // 2) if buffers else None
+    fill_there = filler(_DRAW_ELEMENTS) if threaded else None
+    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="car2-simulate") if threaded
+          else contextlib.nullcontext()) as worker:
+
+        def begin(b: int):
+            """Block b's dw, its rows to fill, and the worker's fill (None inline)."""
+            dw = np.zeros((len(blocks[b]), n)) if record_noise else None
+            to_fill = _Rows(len(blocks[b]))
+            return dw, to_fill, worker.submit(fill_there, b, to_fill, dw) if threaded else None
+
+        ahead = begin(0) if blocks else None
+        for b, block in enumerate(blocks):
+            r = len(block)
+            dw, to_fill, filled_there = ahead
+            if fill_here is not None:
+                fill_here(b, to_fill, dw)
+            if filled_there is not None:
+                filled_there.result()
+            if b + 1 < len(blocks):
+                ahead = begin(b + 1)  # filled while block b recurs and is read
+            if buffers:
+                u = buffers[b % 2][:2 * r]
                 _recurrence(u, *coefficients)
-        for i in range(0, r, yield_rows):
-            rows_i = slice(i, i + yield_rows)
-            if params.sigma > 0.0:
-                with np.errstate(over="ignore", invalid="ignore"):  # fresh rows: u is reused
-                    x, v = np.add(x_mean, u[:r][rows_i]), np.add(v_mean, u[r:][rows_i])
-            else:
-                x, v = (np.broadcast_to(a, (len(block[rows_i]), n + 1)) for a in (x_mean, v_mean))
-            yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i],
-                           _n_finite(x, v))
+            for i in range(0, r, yield_rows):
+                rows_i = slice(i, i + yield_rows)
+                if buffers:
+                    with np.errstate(over="ignore", invalid="ignore"):  # fresh rows: u is reused
+                        x, v = np.add(x_mean, u[:r][rows_i]), np.add(v_mean, u[r:][rows_i])
+                else:
+                    x, v = (np.broadcast_to(a, (len(block[rows_i]), n + 1))
+                            for a in (x_mean, v_mean))
+                yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i],
+                               _n_finite(x, v))
 
 
 def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str = "exact",
@@ -272,8 +356,9 @@ def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str =
               if params.sigma > 0.0 else np.zeros(n))
         u = np.empty((2, n + 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            coefficients = _recurrence_input(m, np.zeros((1, n)), params.sigma * dw[None],
-                                             (params.x0, params.dx0), u[:1], u[1:])
+            _recurrence_input(m, np.zeros((1, n)), params.sigma * dw[None],
+                              (params.x0, params.dx0), u[:1], u[1:])
+            coefficients = _trace_det(m)
         _recurrence(u, *coefficients)
         x, v = u
         t, dw = np.linspace(0.0, horizon, n + 1), dw if record_noise else None

@@ -158,8 +158,8 @@ class EagerExecutor:
     as the fastest worker would: a fill into a slot the caller still reads
     then changes the bits."""
 
-    def __init__(self, max_workers):
-        assert max_workers == 1
+    def __init__(self, max_workers, thread_name_prefix):
+        assert max_workers == 1 and thread_name_prefix == "car2-limits"
 
     def __enter__(self):
         return self
@@ -233,6 +233,18 @@ class TestFillPipeline:
         assert set(got) == set(want)
         for seed, fields in want.items():
             assert_fields_equal(got[seed], fields, True, seed)
+
+    def test_worker_thread_is_named(self, monkeypatch):
+        # A thread dump names the pool each thread belongs to.
+        fill, names = car2.limits._fill_increments, set()
+
+        def recording_fill(gen, dw):
+            names.add(threading.current_thread().name)
+            fill(gen, dw)
+
+        monkeypatch.setattr(car2.limits, "_fill_increments", recording_fill)
+        brownian_functionals(50, seed=1, two_bm=True, n_draws=3)
+        assert names and all(name.startswith("car2-limits") for name in names)
 
     @pytest.mark.parametrize("two_bm", [False, True])
     def test_worker_error_propagates(self, monkeypatch, two_bm):

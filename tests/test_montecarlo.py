@@ -589,7 +589,8 @@ def test_nested_horizons_match_per_horizon_simulation(name, steps_per_unit_time,
     n_long = max(2, round(cfg.horizons[-1] * steps_per_unit_time))
     with pytest.MonkeyPatch.context() as mp:
         # car2.simulate is the function; the module holds the block budget
-        mp.setattr(importlib.import_module("car2.simulate"), "_BLOCK_ELEMENTS", 3 * (n_long + 1))
+        mp.setattr(importlib.import_module("car2.simulate"), "_BLOCK_ELEMENTS",
+                   2 * 3 * (n_long + 1))
         assert_matches_per_horizon_oracle(cfg)
 
 

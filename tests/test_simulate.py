@@ -1,5 +1,7 @@
 import importlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import lfilter
 
+from car2 import rng as car2_rng
 from car2 import (
     ModelParams,
     SimulationOverflowError,
@@ -171,14 +174,14 @@ def first_non_finite(x, v) -> int:
 
 
 class TestBlockKernel:
-    # 700 steps: a block of 2**13 elements holds 8192 // 701 = 11 rows (22
-    # recurring across the rows), and 25 reps fill two blocks and part of a
-    # third (6 rows, recurring along each row).
+    # 700 steps: a budget of 2**14 elements gives blocks of 8192 // 701 = 11
+    # rows (22 recurring across the rows), and 25 reps fill two blocks and
+    # part of a third (6 rows, recurring along each row).
     N_STEPS, N_REPS = 700, 25
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 2**13)
+        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 2**14)
 
     @pytest.mark.parametrize("theta", [(-3.0, -2.0), (2.0, -1.0), (0.5, -1.0625)],
                              ids=["distinct", "double", "complex"])
@@ -187,7 +190,7 @@ class TestBlockKernel:
     def test_paths_equal_per_path_simulate(self, theta, sigma, record_noise):
         params = ModelParams(theta1=theta[0], theta2=theta[1], sigma=sigma,
                              x0=0.3, dx0=-0.2)
-        assert self.N_REPS % (simulate_module._BLOCK_ELEMENTS // (self.N_STEPS + 1)) != 0
+        assert self.N_REPS % (simulate_module._BLOCK_ELEMENTS // 2 // (self.N_STEPS + 1)) != 0
         paths = list(exact_rows(params, 7.0, self.N_STEPS, range(self.N_REPS),
                                 seed=4, record_noise=record_noise))
         assert len(paths) == self.N_REPS
@@ -207,7 +210,7 @@ class TestBlockKernel:
         # stay finite (near 1e300); 710 grid points give 11 rows per block,
         # so the first block holds overflowing and finite rows.
         params = ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
-        assert simulate_module._BLOCK_ELEMENTS // 710 > 9
+        assert simulate_module._BLOCK_ELEMENTS // 2 // 710 > 9
         overflowed = []
         for k, (path, n_finite) in enumerate(exact_rows(params, 354.5, 709, range(24), seed=3)):
             assert n_finite == first_non_finite(path.x, path.v)
@@ -247,6 +250,127 @@ class TestBlockKernel:
             assert n_finite == first_non_finite(x, v)
 
 
+class TestPipeline:
+    # Blocks of 3 rows at 50 steps, each filled one row at a time: the
+    # worker fills block b+1 while the caller recurs block b, and then the
+    # caller fills the rows of block b+1 the worker has not begun.
+    PARAMS = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
+    N_STEPS = 50
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * 3 * (self.N_STEPS + 1))
+        monkeypatch.setattr(simulate_module, "_DRAW_ELEMENTS", self.N_STEPS + 1)
+
+    @staticmethod
+    def pool_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("car2-simulate")]
+
+    def test_no_reps_yield_nothing(self):
+        assert list(simulate_exact(self.PARAMS, 1.0, self.N_STEPS, [])) == []
+
+    @pytest.mark.parametrize("bad_block", [0, 1, 2, 3])
+    def test_rekey_error_reaches_the_caller_after_earlier_blocks(self, bad_block):
+        bad = 2**56
+        with pytest.raises(ValueError) as want:
+            car2_rng.rekey(np.random.Generator(np.random.Philox()), 0, car2_rng.DOMAIN_SIM_EXACT,
+                           bad)
+        reps = list(range(12))
+        reps[3 * bad_block + 1] = bad
+        threads = threading.active_count()
+        got = []
+        with pytest.raises(ValueError) as err:
+            for blk in simulate_exact(self.PARAMS, 1.0, self.N_STEPS, reps, seed=2):
+                got.append(blk)
+        assert str(err.value) == str(want.value)
+        assert threading.active_count() == threads
+        assert [list(blk.reps) for blk in got] == [reps[3 * b:3 * b + 3] for b in range(bad_block)]
+        for blk in got:
+            for k, x, v in zip(blk.reps, blk.x, blk.v):
+                want_path = simulate(self.PARAMS, 1.0, self.N_STEPS, seed=2, rep=k)
+                assert_same_bits(x, want_path.x)
+                assert_same_bits(v, want_path.v)
+
+    def test_each_row_is_drawn_once(self, monkeypatch):
+        # The worker and the caller share each block's row slices out.
+        rekey, keys = car2_rng.rekey, []
+
+        def counting_rekey(gen, seed, domain, index):
+            keys.append(index)
+            return rekey(gen, seed, domain, index)
+
+        monkeypatch.setattr(car2_rng, "rekey", counting_rekey)
+        for _ in simulate_exact(self.PARAMS, 1.0, self.N_STEPS, range(14)):
+            pass
+        assert sorted(keys) == list(range(14))
+
+    def test_close_after_the_first_block_joins_the_worker(self):
+        threads = threading.active_count()
+        blocks = simulate_exact(self.PARAMS, 1.0, self.N_STEPS, range(12))
+        first = next(blocks)
+        assert list(first.reps) == [0, 1, 2]
+        assert len(self.pool_threads()) == 1  # named, for thread dumps
+        blocks.close()
+        assert threading.active_count() == threads and not self.pool_threads()
+
+    def test_fill_suppresses_its_own_warnings(self):
+        # Two steps of h = 177.44 at p = 2: the fill forms inf - inf at step 1
+        # of every row.  pytest turns a RuntimeWarning into an error, and a
+        # worker thread does not inherit the caller's errstate.
+        params = ModelParams(theta1=3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
+        for blk in simulate_exact(params, 354.88, 2, range(12)):
+            assert (blk.n_finite == 1).all()
+            for k, x in zip(blk.reps, blk.x):
+                (one,) = simulate_exact(params, 354.88, 2, [k])
+                assert_same_bits(x, one.x[0])
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # Four callers, each with its own worker, switching threads every
+        # microsecond: a row slice filled twice, skipped, or filled into the
+        # wrong buffer or by a shared generator would change some row's bits.
+        want = {seed: [simulate(self.PARAMS, 1.0, self.N_STEPS, seed=seed, rep=k,
+                                record_noise=True) for k in range(14)] for seed in range(4)}
+        got = {}
+
+        def run(seed):
+            got[seed] = list(exact_rows(self.PARAMS, 1.0, self.N_STEPS, range(14), seed=seed,
+                                        record_noise=True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in want]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert set(got) == set(want)
+        for seed, paths in want.items():
+            assert len(got[seed]) == len(paths)
+            for (have, _), path in zip(got[seed], paths):
+                for name in ("x", "v", "dw"):
+                    assert_same_bits(getattr(have, name), getattr(path, name))
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block call built an executor")
+
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", no_pool)
+        params = ModelParams(theta1=0.5, theta2=-1.0625, sigma=0.8, x0=0.3, dx0=-0.2)
+        threads = threading.active_count()
+        path = simulate(params, 3.0, self.N_STEPS, seed=5, rep=7, record_noise=True)
+        (blk,) = simulate_exact(params, 3.0, self.N_STEPS, [7, 1, 4], seed=5, record_noise=True)
+        for got in ((path.x, path.v, path.dw), (blk.x[0], blk.v[0], blk.dw[0])):
+            for have, want in zip(got, exact_path(params, 3.0, self.N_STEPS, seed=5, rep=7)):
+                assert_same_bits(have, want)
+        for k, x in zip(blk.reps, blk.x):
+            assert_same_bits(x, exact_path(params, 3.0, self.N_STEPS, seed=5, rep=k)[0])
+        assert threading.active_count() == threads
+
+
 # Regimes with a root of positive real part, where paths leave float64.
 EXPLOSIVE = ["DistinctPositive", "OppositeSign", "PositiveDouble", "SmallerRootZero",
              "UnstableOscillation"]
@@ -265,7 +389,7 @@ def test_n_finite_counts_leading_finite_samples(name, start, sign, sigma, n_step
     params = ModelParams(theta1=theta1, theta2=theta2, sigma=sigma, x0=sign * 10.0**start,
                          dx0=sign * 10.0**start)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate_module, "_BLOCK_ELEMENTS", rows * (n_steps + 1))
+        mp.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * rows * (n_steps + 1))
         got = list(exact_rows(params, horizon, n_steps, range(n_reps), seed=seed))
     for k, (path, n_finite) in enumerate(got):
         assert n_finite == first_non_finite(path.x, path.v)
@@ -284,8 +408,9 @@ def test_n_finite_counts_leading_finite_samples(name, start, sign, sigma, n_step
 
 
 def test_block_memory_does_not_grow_with_replications():
-    # One buffer serves every block, and each yielded slice is a fresh array,
-    # so a second full block costs no memory.
+    # Two half-budget buffers serve every block, one recurring while the
+    # worker stage fills the other, and each yielded slice is a fresh array,
+    # so more blocks cost no memory.
     params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0)
     n_steps = 2**13
     rows = simulate_module._BLOCK_ELEMENTS // (n_steps + 1)
