@@ -6,10 +6,11 @@ functional regimes simulate standard Brownian motion on a fine grid over
 trapezoid, stochastic integrals by left-point Ito sums).
 
 The Brownian sampler computes only the functionals the limit laws read
-(see BrownianFunctionals).  It is a two-stage pipeline: one worker thread
-draws the normal increments of the next chunk of paths (numpy releases the
-GIL while it fills an array) while the calling thread reduces the current
-one, bit for bit as if the chunks were drawn and reduced in turn.
+(see BrownianFunctionals).  It runs chunks of paths on two lanes, the
+calling thread and one worker thread, each drawing and reducing its chunk
+in place in its own slots (numpy releases the GIL in both); the caller
+then runs every BLAS call, bit for bit as if the chunks were drawn and
+reduced in turn.
 
 Draws are returned jointly as (l1, l2): wherever the theory couples the two
 coordinates (one limit a fixed negative multiple of the other, or both built
@@ -36,6 +37,7 @@ __all__ = [
 
 MIN_FUNCTIONAL_GRID = 1000
 _CHUNK_ELEMENTS = 2**22
+_REDUCE_ROWS = 16  # rows per in-place reduce block of a chunk
 
 _FUNCTIONAL_REGIMES = frozenset({
     RegimeKind.LARGER_ROOT_ZERO,
@@ -92,12 +94,6 @@ def _fill_increments(gen: np.random.Generator, dw: np.ndarray) -> None:
     dw *= math.sqrt(1.0 / dw.shape[1])
 
 
-def _path(dw: np.ndarray, w: np.ndarray) -> None:
-    """Fill w with the paths of the increments dw (w[:, 0] = 0)."""
-    w[:, 0] = 0.0
-    np.cumsum(dw, axis=1, out=w[:, 1:])
-
-
 def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                          n_draws: int = 1) -> BrownianFunctionals:
     """Simulate the Brownian functionals on a grid of grid_n steps.
@@ -105,99 +101,96 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     two_bm selects the mode, and so the fields, that BrownianFunctionals lists.
 
     Draws come in chunks of `_CHUNK_ELEMENTS // (grid_n + 1)` paths; chunk c
-    draws from stream (seed, DOMAIN_LIMIT, c), BM1 first, then BM2.  Every
-    chunk works in the same slots of one slab: dw, w, inner (dw, w, spare,
-    dw2, w2 for two_bm).  At large grids the slab is above malloc's largest
-    mmap threshold (32 MiB), so it is mapped and unmapped whole and the
-    peak memory does not depend on how the heap was reused.
+    draws from stream (seed, DOMAIN_LIMIT, c), BM1 first, then BM2.  Chunks
+    run in pairs on two lanes: the calling thread in slots 0 and 1 of one
+    slab, one worker thread in slots 2 and 3.  At large grids the slab is
+    above malloc's largest mmap threshold (32 MiB), so it is mapped and
+    unmapped whole and the peak memory does not depend on heap reuse.
 
-    One worker thread fills the increments; the calling thread does all the
-    rest (paths, products, einsums and every `@ trapw`), while the worker
-    fills the next chunk into a slot the caller is done with:
+    A lane draws each BM's increments with one `standard_normal` call into
+    the head of its slot, then reduces them in place, `_REDUCE_ROWS` rows
+    at a time: the paths go to the lane's scratch, w(1) and the Levy area
+    are read off, and the slots' rows are overwritten with the (rows, n+1)
+    arrays the gemvs read: w1^2 and w2^2, or w and the squared running
+    trapezoid of w.  Row r's result starts at element r(n+1), at or past
+    its increments (rn), so it overwrites only increments of its own block
+    or of later ones; the blocks run last first, so those have been read.
 
-    * one BM: chunk c+1 goes into dw as soon as chunk c's w is formed;
-    * two BMs: chunk c+1's BM1 goes into the spare slot when chunk c
-      starts, and its BM2 into dw2 as soon as the Levy einsums have read
-      dw and dw2.  w and w2 are then squared in place and their two gemvs
-      run back to back (OpenBLAS's threads spin for about 0.1 s after each
-      threaded call, taking a CPU from the worker; bunched, they spin once
-      per chunk).  dw and spare swap roles.
+    The caller runs every `@ trapw` gemv (squaring w in place for int w^2),
+    in chunk order, back to back per pair.  No BLAS call runs on the
+    worker: a concurrent threaded gemv could change how OpenBLAS splits the
+    rows.  OpenBLAS's threads spin for about 0.1 s after each threaded
+    call, taking a CPU from the lanes; bunched, they spin once per pair.
 
     The bits equal those of drawing and reducing one chunk after the other:
-    each chunk has its own stream and the single worker runs the fills in
-    the order they were submitted, so every stream yields the same normals;
-    the caller makes the same elementwise, cumsum, einsum and gemv calls on
-    arrays of the same shapes, strides and 64-byte alignment, so OpenBLAS
-    splits the gemvs as before.  The worker calls only `standard_normal`
-    and an in-place scale, nothing that perfbench/tracer.py wraps: the
-    tracer's span stack is single-threaded.
+    each chunk has its own stream and slots, the lanes make the same
+    elementwise, cumsum and per-row einsum calls on each row, and the
+    caller the same gemvs on arrays of the same shapes, strides and 64-byte
+    alignment.  The worker calls nothing that perfbench/tracer.py wraps:
+    the tracer's span stack is single-threaded.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    dt = 1.0 / grid_n
-    trapw = np.full(grid_n + 1, dt)
+    n, dt = grid_n, 1.0 / grid_n
+    trapw = np.full(n + 1, dt)
     trapw[0] = trapw[-1] = dt / 2.0
-    chunk = max(1, _CHUNK_ELEMENTS // (grid_n + 1))
+    chunk = max(1, _CHUNK_ELEMENTS // (n + 1))
     sizes = [min(chunk, n_draws - start) for start in range(0, n_draws, chunk)]
-    slot = -(-sizes[0] * (grid_n + 1) // 8) * 8  # 64-byte aligned slots
-    slab = np.empty((5 if two_bm else 3) * slot)
+    slot = -(-sizes[0] * (n + 1) // 8) * 8  # 64-byte aligned slots
+    slab = np.empty(4 * slot)
+    scratch = np.zeros((2, 2, _REDUCE_ROWS, n + 1))  # per lane: w1, w2 or w's trapezoid
 
-    def buffer(index: int, m: int, width: int = grid_n + 1) -> np.ndarray:
+    def buffer(index: int, m: int, width: int = n + 1) -> np.ndarray:
         return slab[index * slot:index * slot + m * width].reshape(m, width)
+
+    def lane(c: int, first: int) -> dict[str, np.ndarray]:
+        """Draw chunk c into slots first, first+1 and reduce it there."""
+        m, gen = sizes[c], rng.stream(seed, rng.DOMAIN_LIMIT, c)
+        dw = [buffer(first + i, m, n) for i in range(1 + two_bm)]
+        for d in dw:
+            _fill_increments(gen, d)
+        out = buffer(first, m), buffer(first + 1, m)
+        fields = {key: np.empty(m) for key in ("w1_end", "w2_end", "levy")[:1 + 2 * two_bm]}
+        for r0 in reversed(range(0, m, _REDUCE_ROWS)):
+            rows = slice(r0, min(r0 + _REDUCE_ROWS, m))
+            w1, w2 = scratch[first // 2, :, :rows.stop - r0]
+            for w, d in zip((w1, w2), dw):
+                np.cumsum(d[rows], axis=1, out=w[:, 1:])
+            fields["w1_end"][rows] = w1[:, -1]
+            if two_bm:
+                fields["w2_end"][rows] = w2[:, -1]
+                np.subtract(np.einsum("ij,ij->i", w1[:, :-1], dw[1][rows]),
+                            np.einsum("ij,ij->i", w2[:, :-1], dw[0][rows]),
+                            out=fields["levy"][rows])
+                np.multiply(w1, w1, out=out[0][rows])
+            else:
+                out[0][rows] = w1
+                np.add(w1[:, :-1], w1[:, 1:], out=w2[:, 1:])  # running trapezoid of w
+                np.cumsum(w2[:, 1:], axis=1, out=w2[:, 1:])
+                w2 *= dt / 2.0
+            np.multiply(w2, w2, out=out[1][rows])
+        return fields
 
     parts = []
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="car2-limits") as worker:
-
-        def fill(gen: np.random.Generator, index: int, m: int):
-            return worker.submit(_fill_increments, gen, buffer(index, m, grid_n))
-
-        gen = rng.stream(seed, rng.DOMAIN_LIMIT, 0)
-        bm1 = fill(gen, 0, sizes[0])
-        bm2 = fill(gen, 3, sizes[0]) if two_bm else None
-        dw_slot, spare_slot = 0, 2
-        for c, m in enumerate(sizes):
-            m_next = sizes[c + 1] if c + 1 < len(sizes) else 0
-            if m_next:
-                gen = rng.stream(seed, rng.DOMAIN_LIMIT, c + 1)
+        for c in range(0, len(sizes), 2):
+            there = worker.submit(lane, c + 1, 2) if c + 1 < len(sizes) else None
+            pair = [lane(c, 0)] + ([there.result()] if there else [])
+            for first, fields in zip((0, 2), pair):
+                m = len(fields["w1_end"])
+                a, b = buffer(first, m), buffer(first + 1, m)
                 if two_bm:
-                    bm1_next = fill(gen, spare_slot, m_next)
-            bm1.result()
-            dw, w = buffer(dw_slot, m, grid_n), buffer(1, m)
-            _path(dw, w)
-            fields = dict(w1_end=w[:, -1].copy())
-            if not two_bm:
-                if m_next:
-                    bm1 = fill(gen, dw_slot, m_next)
-                inner = buffer(2, m)
-                fields["z1"] = w @ trapw
-                fields["z2"] = np.multiply(w, w, out=inner) @ trapw
-                np.add(w[:, :-1], w[:, 1:], out=inner[:, 1:])  # running trapezoid of w
-                inner[:, 0] = 0.0
-                np.cumsum(inner[:, 1:], axis=1, out=inner[:, 1:])
-                inner *= dt / 2.0
-                fields["z3"] = np.multiply(inner, inner, out=inner) @ trapw
-            else:
-                bm2.result()
-                dw2, w2 = buffer(3, m, grid_n), buffer(4, m)
-                _path(dw2, w2)
-                fields["w2_end"] = w2[:, -1].copy()
-                fields["levy"] = (np.einsum("ij,ij->i", w[:, :-1], dw2)
-                                  - np.einsum("ij,ij->i", w2[:, :-1], dw))
-                if m_next:
-                    bm1, bm2 = bm1_next, fill(gen, 3, m_next)
-                w *= w
-                w2 *= w2
-                fields["z2"] = w @ trapw
-                fields["s2"] = fields["z2"] + w2 @ trapw
-                dw_slot, spare_slot = spare_slot, dw_slot
-            parts.append(fields)
-    merged = {
-        key: np.concatenate([p[key] for p in parts])
-        for key in parts[0]
-    }
-    return BrownianFunctionals(**merged)
+                    fields["z2"] = a @ trapw
+                    fields["s2"] = fields["z2"] + b @ trapw
+                else:
+                    fields["z1"] = a @ trapw
+                    fields["z2"] = np.multiply(a, a, out=a) @ trapw
+                    fields["z3"] = b @ trapw
+                parts.append(fields)
+    return BrownianFunctionals(**{key: np.concatenate([p[key] for p in parts])
+                                  for key in parts[0]})
 
 
 def _cauchy_offset(roots: RootPair, params: ModelParams, q: float) -> float:

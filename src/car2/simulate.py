@@ -211,7 +211,10 @@ def _check_grid(horizon: float, n_steps: int) -> None:
 
 
 def _noise_factor(cov: np.ndarray) -> np.ndarray:
-    """Symmetric factor L with L L^T = cov, small negative eigenvalues clipped."""
+    """Symmetric factor L with L L^T = cov, small negative eigenvalues clipped;
+    all NaN if cov overflowed, so that every path overflows at step 1."""
+    if not np.isfinite(cov).all():
+        return np.full_like(cov, np.nan)
     w, vec = np.linalg.eigh(cov)
     floor = -1e-12 * max(np.trace(cov), 0.0)
     if w.min() < floor:

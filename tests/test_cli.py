@@ -516,6 +516,20 @@ def test_overflow_exits_3(tmp_path, capsys):
     assert err.startswith("numeric failure: ")
 
 
+@pytest.mark.parametrize("theta1, theta2, horizon", [(3.0, -2.0, 355.0), (401.0, -400.0, 2.0)],
+                         ids=["paths-overflow", "kernel-overflows"])
+def test_all_overflow_exits_3(tmp_path, capsys, theta1, theta2, horizon):
+    # One step per unit time: every path leaves float64.  At (401, -400) the
+    # step's transition covariance itself overflows, and the run ends the
+    # same way as when only the paths do.
+    config = _config(params={**DISTINCT_POSITIVE, "theta1": theta1, "theta2": theta2},
+                     horizons=[horizon], n_reps=4, steps_per_unit_time=1, comparison="none")
+    code, _, err = _run(capsys, ["experiment", "--config", _write(tmp_path, config),
+                                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert err == f"numeric failure: all 4 replications failed at T={horizon}\n"
+
+
 @pytest.mark.parametrize("horizon", ["120", "200"])
 def test_non_finite_path_estimate_exits_3(tmp_path, capsys, horizon):
     # At T = 200 the sums overflow to NaN estimates; at T = 120 SXV^2 overflows.

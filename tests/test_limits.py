@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import car2.limits
 from car2 import (
@@ -95,8 +97,8 @@ class TestBrownianFunctionals:
 
 
 def sequential_functionals(grid_n, seed, two_bm, n_draws, chunk_elements):
-    """Oracle: the sampler without its fill worker, each chunk drawn and then
-    reduced in turn in one slab of fixed slots (dw, w, inner, dw2, w2)."""
+    """Oracle: the sampler on one thread, each chunk drawn and then reduced
+    whole, in turn, in one slab of fixed slots (dw, w, inner, dw2, w2)."""
     dt = 1.0 / grid_n
     trapw = np.full(grid_n + 1, dt)
     trapw[0] = trapw[-1] = dt / 2.0
@@ -154,9 +156,9 @@ def assert_fields_equal(got, want, two_bm, context):
 
 
 class EagerExecutor:
-    """Stands in for the fill worker and runs each fill as it is submitted,
-    as the fastest worker would: a fill into a slot the caller still reads
-    then changes the bits."""
+    """Stands in for the worker lane and runs each chunk as it is submitted,
+    before the caller's chunk of the pair, as the fastest worker would: a
+    lane that shared a slot or scratch with the caller's would change bits."""
 
     def __init__(self, max_workers, thread_name_prefix):
         assert max_workers == 1 and thread_name_prefix == "car2-limits"
@@ -208,6 +210,24 @@ class TestFillPipeline:
             want = sequential_functionals(grid_n, 5, two_bm, n_draws, chunk * (grid_n + 1))
             assert_fields_equal(got, want, two_bm, n_draws)
 
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(grid_n=st.integers(2, 300), chunk=st.integers(1, 40), n_chunks=st.integers(1, 7),
+           last=st.integers(1, 40), seed=st.integers(0, 2**64 - 1), two_bm=st.booleans(),
+           eager=st.booleans())
+    def test_lanes_equal_sequential_loop(self, grid_n, chunk, n_chunks, last, seed, two_bm,
+                                         eager):
+        # Chunks of up to 40 rows end inside or across a reduce block of
+        # _REDUCE_ROWS rows; the last chunk may be short, and a pair may
+        # lack its worker chunk.
+        n_draws = (n_chunks - 1) * chunk + min(last, chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
+            if eager:
+                mp.setattr(car2.limits, "ThreadPoolExecutor", EagerExecutor)
+            got = brownian_functionals(grid_n, seed, two_bm, n_draws)
+        want = sequential_functionals(grid_n, seed, two_bm, n_draws, chunk * (grid_n + 1))
+        assert_fields_equal(got, want, two_bm, n_draws)
+
     def test_concurrent_callers_under_fast_switching(self, monkeypatch):
         # four callers, each with its own worker, on a switch interval short
         # enough to interleave them mid-chunk: a slot shared across calls or
@@ -235,25 +255,32 @@ class TestFillPipeline:
             assert_fields_equal(got[seed], fields, True, seed)
 
     def test_worker_thread_is_named(self, monkeypatch):
-        # A thread dump names the pool each thread belongs to.
-        fill, names = car2.limits._fill_increments, set()
+        # Chunks alternate between the calling thread and the worker, which
+        # a thread dump names by its pool.
+        fill, names = car2.limits._fill_increments, []
 
         def recording_fill(gen, dw):
-            names.add(threading.current_thread().name)
+            names.append(threading.current_thread().name)
             fill(gen, dw)
 
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", 2 * 51)
         monkeypatch.setattr(car2.limits, "_fill_increments", recording_fill)
-        brownian_functionals(50, seed=1, two_bm=True, n_draws=3)
-        assert names and all(name.startswith("car2-limits") for name in names)
+        brownian_functionals(50, seed=1, two_bm=True, n_draws=5)
+        assert len(names) == 6
+        assert names.count(threading.current_thread().name) == 4
+        assert sum(name.startswith("car2-limits") for name in names) == 2
 
-    @pytest.mark.parametrize("two_bm", [False, True])
-    def test_worker_error_propagates(self, monkeypatch, two_bm):
-        fill = car2.limits._fill_increments
-        calls = []
+    @staticmethod
+    def check_error_on(lane, monkeypatch, two_bm):
+        """Fail the first fill of the lane's second chunk (chunk 2 on the
+        caller, 3 on the worker), of chunks of 4 rows at grid 100; the error
+        must reach the caller in time and leave no worker running."""
+        fill, calls, per_chunk = car2.limits._fill_increments, [], 1 + two_bm
 
         def failing_fill(gen, dw):
-            calls.append(1)
-            if len(calls) == 3:
+            on_worker = threading.current_thread().name.startswith("car2-limits")
+            calls.append(on_worker)
+            if on_worker == (lane == "worker") and calls.count(on_worker) == per_chunk + 1:
                 raise RuntimeError("fill failed")
             fill(gen, dw)
 
@@ -262,26 +289,18 @@ class TestFillPipeline:
         error = run_bounded(lambda: brownian_functionals(100, seed=1, two_bm=two_bm,
                                                          n_draws=40))
         assert isinstance(error, RuntimeError) and str(error) == "fill failed"
-        # the fills submitted before the error surfaced ran (with two BMs,
-        # chunk 2's BM1 is submitted as chunk 1 starts); nothing after them
-        assert len(calls) == (5 if two_bm else 3)
+        assert not [t for t in threading.enumerate() if t.name.startswith("car2-limits")]
+        # Chunks 0 to 3 were begun (the pair of the failing chunk), no later one.
+        assert len(calls) == 3 * per_chunk + 1
+        assert calls.count(lane == "worker") == per_chunk + 1
+
+    @pytest.mark.parametrize("two_bm", [False, True])
+    def test_worker_error_propagates(self, monkeypatch, two_bm):
+        self.check_error_on("worker", monkeypatch, two_bm)
 
     @pytest.mark.parametrize("two_bm", [False, True])
     def test_caller_error_propagates(self, monkeypatch, two_bm):
-        path = car2.limits._path
-        calls = []
-
-        def failing_path(dw, w):
-            calls.append(1)
-            if len(calls) == 2:
-                raise FloatingPointError("path failed")
-            path(dw, w)
-
-        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", 4 * 101)
-        monkeypatch.setattr(car2.limits, "_path", failing_path)
-        error = run_bounded(lambda: brownian_functionals(100, seed=1, two_bm=two_bm,
-                                                         n_draws=40))
-        assert isinstance(error, FloatingPointError) and str(error) == "path failed"
+        self.check_error_on("caller", monkeypatch, two_bm)
 
     def test_bits_equal_sequential_loop_one_blas_thread(self):
         # gemv results can depend on the BLAS thread count; pipeline and
@@ -296,17 +315,23 @@ class TestFillPipeline:
         assert "2 passed" in proc.stdout
 
     def test_peak_memory_is_the_slab(self, monkeypatch):
+        # Four slots, a pair per lane, and each lane's scratch of two
+        # (_REDUCE_ROWS, n+1) arrays, in both modes; the slack is numpy's
+        # iterator buffers (8192 elements per strided operand; with one BM,
+        # the lanes' running-trapezoid adds take 384 KiB).
         grid_n, chunk = 1000, 200
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         slot_bytes = 8 * (-(-chunk * (grid_n + 1) // 8) * 8)
-        brownian_functionals(grid_n, seed=2, two_bm=True, n_draws=3)  # warm up
-        tracemalloc.start()
-        try:
-            brownian_functionals(grid_n, seed=2, two_bm=True, n_draws=4 * chunk + 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 5 * slot_bytes <= peak <= 5 * slot_bytes + 2**20
+        scratch_bytes = 2 * 2 * car2.limits._REDUCE_ROWS * (grid_n + 1) * 8
+        for two_bm in (False, True):
+            brownian_functionals(grid_n, seed=2, two_bm=two_bm, n_draws=3)  # warm up
+            tracemalloc.start()
+            try:
+                brownian_functionals(grid_n, seed=2, two_bm=two_bm, n_draws=4 * chunk + 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 4 * slot_bytes <= peak <= 4 * slot_bytes + scratch_bytes + 2**19, two_bm
 
 
 class TestClosedFormSamplers:

@@ -371,6 +371,28 @@ class TestPipeline:
         assert threading.active_count() == threads
 
 
+# Grids whose one-step transition covariance overflows float64 (inf and NaN
+# entries): roots (2, 1) at steps of 177.45 and 200, roots (400, 1) at 1.
+OVERFLOWING_KERNELS = [((3.0, -2.0), 354.9), ((3.0, -2.0), 400.0), ((401.0, -400.0), 2.0)]
+
+
+@pytest.mark.parametrize("theta, horizon", OVERFLOWING_KERNELS,
+                         ids=["p2-T354.9", "p2-T400", "p400-T2"])
+def test_overflowing_kernel_overflows_every_row_at_step_1(monkeypatch, theta, horizon):
+    params = ModelParams(theta1=theta[0], theta2=theta[1], sigma=1.0, x0=0.3, dx0=-0.2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(transition(params, horizon / 2).cov_matrix).all()
+    with pytest.raises(SimulationOverflowError) as err:
+        simulate(params, horizon, 2)
+    assert err.value.step == 1
+    # Four blocks of three rows: the worker thread fills some, the caller others.
+    monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * 3 * 3)
+    monkeypatch.setattr(simulate_module, "_DRAW_ELEMENTS", 3)
+    blocks = list(simulate_exact(params, horizon, 2, range(12), record_noise=True))
+    assert [list(blk.reps) for blk in blocks] == [list(range(b, b + 3)) for b in range(0, 12, 3)]
+    assert all((blk.n_finite == 1).all() for blk in blocks)
+
+
 # Regimes with a root of positive real part, where paths leave float64.
 EXPLOSIVE = ["DistinctPositive", "OppositeSign", "PositiveDouble", "SmallerRootZero",
              "UnstableOscillation"]
