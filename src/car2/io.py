@@ -95,7 +95,12 @@ def read_path_csv(src: str | Path, params: ModelParams) -> SamplePath:
 
 
 def write_rows_csv(rows, dest: str | Path, header: str) -> None:
-    """The header, then one line per row: ints via str, others as float reprs."""
-    lines = [header]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    """The header, then one line per row: ints via str, others as float reprs.
+
+    Rows must have one length.  A column of Python ints, floats and bools is
+    written by str, which gives `_fmt`'s text for them; any other column
+    (numpy scalars) by `_fmt`."""
+    columns = [list(map(str if {int, float, bool}.issuperset(map(type, col)) else _fmt, col))
+               for col in zip(*rows, strict=True)]
+    lines = [header, *map(",".join, zip(*columns))]
     atomic_write_text(dest, "\n".join(lines) + "\n")

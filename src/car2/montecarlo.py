@@ -212,8 +212,8 @@ class ExperimentReport:
     def residual_rows(self):
         """Rows (rep, T, r1, r2) for the raw-residual CSV."""
         for res in self.results:
-            for k, a, b in zip(res.reps, res.r1, res.r2):
-                yield int(k), res.horizon, float(a), float(b)
+            for k, a, b in zip(res.reps.tolist(), res.r1.tolist(), res.r2.tolist()):
+                yield k, res.horizon, a, b
 
 
 def _finite(value: float) -> float | None:

@@ -30,14 +30,20 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
+# The counter and buffer of a stream's start.  The state setter only reads
+# (copies) them, so every call, on any thread, shares these read-only zeros.
+_ZEROS = np.zeros(4, np.uint64)
+_ZEROS.setflags(write=False)
+
+
 def rekey(gen: np.random.Generator, seed: int, domain: int, index: int = 0) -> np.random.Generator:
     """Reset Philox generator gen to the start of the (seed, domain, index) stream,
     keyed directly: a new Philox would hash OS entropy even when given a key."""
     check_seed(seed)
     if not 0 <= index < 2**_DOMAIN_SHIFT:
         raise ValueError(f"stream index out of range: {index}")
-    key = np.array([seed, (int(domain) << _DOMAIN_SHIFT) | int(index)], dtype=np.uint64)
-    gen.bit_generator.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64),
-                               "state": {"counter": np.zeros(4, np.uint64), "key": key},
+    key = (int(seed), (int(domain) << _DOMAIN_SHIFT) | int(index))
+    gen.bit_generator.state = {"bit_generator": "Philox", "buffer": _ZEROS,
+                               "state": {"counter": _ZEROS, "key": key},
                                "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen

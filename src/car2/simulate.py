@@ -24,9 +24,14 @@ recurs blocks of hundreds of rows in two reused half-budget buffers, each
 row filled from its own Philox stream, and yields each block in slices of
 fresh rows, the mean path added.  Filling a buffer with its recurrence
 input is a stage of its own: one worker thread fills block b+1 while the
-calling thread recurs and yields block b.  Memory stays flat in the number
-of replications, no row depends on its block or on the thread that filled
-it, and an exact `simulate` path is row 0 of a one-row block, run inline.
+calling thread recurs and yields block b.  A fill takes rows in slices: it
+writes their noise (the normals times the noise factor) into contiguous
+(rows, n) planes, X's and X''s (after dW's when it is recorded), and one
+transform over both planes writes the input of the block's x and v rows,
+so each slice makes a few numpy calls on contiguous data.  Memory stays
+flat in the number of replications, no row depends on its block or on the
+thread that filled it, and an exact `simulate` path is row 0 of a one-row
+block, run inline.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -119,7 +124,8 @@ class SimBlock(NamedTuple):
 # its worker thread fills (the caller's are half as large) and that it
 # yields.  Each numpy call of a fill gives up the GIL and takes it back,
 # which costs a thread switch while the caller recurs, so the worker's
-# slices are large; each filling thread keeps scratch for one slice.
+# slices are large; each filling thread keeps scratch for one slice: its
+# (rows, n, 3) normals and two or three (rows, n) noise planes.
 _BLOCK_ELEMENTS, _DRAW_ELEMENTS, _YIELD_ELEMENTS = 2**21, 2**14, 2**16
 # Arrays of at most this many rows recur along each row, on Python floats;
 # wider ones across the rows, _CHUNK_STEPS time steps at a time.
@@ -163,13 +169,14 @@ def _recurrence(u: np.ndarray, tau: float, delta: float) -> None:
     pq, w = np.empty((2, rows)), np.empty(rows)
     q, p = pq
     s[:2] = u[:, :2].T
+    multiply, subtract, add = np.multiply, np.subtract, np.add
     for k0 in range(2, n1, _CHUNK_STEPS):
         m = min(_CHUNK_STEPS, n1 - k0)
         s[2:m + 2] = u[:, k0:k0 + m].T
         for pair, y in zip(pairs[:m], s_rows[2:m + 2]):
-            np.multiply(pair, coef, out=pq)  # delta*u[:, k-2], tau*u[:, k-1]
-            np.subtract(p, q, out=w)
-            np.add(y, w, out=y)
+            multiply(pair, coef, pq)  # delta*u[:, k-2], tau*u[:, k-1]
+            subtract(p, q, w)
+            add(y, w, y)
         u[:, k0:k0 + m] = s[2:m + 2].T
         s[:2] = s[m:m + 2]
 
@@ -179,22 +186,35 @@ def _trace_det(m: np.ndarray) -> tuple[float, float]:
     return m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def _recurrence_input(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
-                      y0: tuple[float, float], ux: np.ndarray, uv: np.ndarray) -> None:
-    """Write into the (rows, n+1) arrays ux, uv the input that makes
-    `_recurrence(u, *_trace_det(m))` run state[k+1] = m @ state[k] +
-    (xi_x[:, k], xi_v[:, k]) from state[0] = y0, each row a path."""
+def _recurrence_input(m: np.ndarray,
+                      y0: tuple[float, float]) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The transform write(xi, u) that writes into the (2, rows, n+1) array u
+    the input that makes `_recurrence(u[c], *_trace_det(m))`, for c = 0 (X)
+    and 1 (X'), run state[k+1] = m @ state[k] + xi[:, :, k] from
+    state[0] = y0, each row a path.  xi is (2, rows, n), X's noise then
+    X''s, and write overwrites it.  Each call runs over both components at
+    once; the coefficients are formed here, once per m."""
     tau = m[0, 0] + m[1, 1]
-    for comp, other, own, cross, u in ((0, 1, xi_x, xi_v, ux), (1, 0, xi_v, xi_x, uv)):
-        u[:, 0] = y0[comp]
-        u[:, 1] = m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[:, 0] - tau * y0[comp]
-        # u[:, 2:] = own[:, 1:] + (m_cc - tau) own[:, :-1] + m_co cross[:, :-1],
-        # formed in place with one temporary: a fill runs beside the caller's
-        # yields, so its temporaries add to the peak memory.
-        rest = u[:, 2:]
-        np.multiply(m[comp, comp] - tau, own[:, :-1], out=rest)
-        np.add(own[:, 1:], rest, out=rest)
-        rest += m[comp, other] * cross[:, :-1]
+    start = np.array(y0, dtype=float)[:, None]
+    # Per component c: m[c, 0] * y0[0] + m[c, 1] * y0[1], then tau * y0[c].
+    first, shift = (m[:, 0] * y0[0] + m[:, 1] * y0[1])[:, None], tau * start
+    own = (np.diagonal(m) - tau)[:, None, None]  # m[c, c] - tau
+    cross = np.diagonal(m[::-1])[:, None, None]  # m[1, 0] for X's plane, m[0, 1] for X''s
+
+    def write(xi: np.ndarray, u: np.ndarray) -> None:
+        u[:, :, 0] = start
+        np.add(first, xi[:, :, 0], out=u[:, :, 1])
+        np.subtract(u[:, :, 1], shift, out=u[:, :, 1])
+        # u[c, :, 2:] = xi[c, :, 1:] + (m[c, c] - tau) xi[c, :, :-1]
+        #              + m[c, 1-c] xi[1-c, :, :-1], formed in place: xi is
+        # scaled into the cross terms after its own terms are read, so no
+        # temporary adds to a fill's memory beside the caller's yields.
+        rest = u[:, :, 2:]
+        np.multiply(own, xi[:, :, :-1], out=rest)
+        np.add(xi[:, :, 1:], rest, out=rest)
+        np.multiply(xi, cross, out=xi)
+        np.add(rest, xi[::-1, :, :-1], out=rest)
+    return write
 
 
 def _n_finite(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -251,8 +271,10 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
 
     Block b recurs in the first or second of two buffers, by the parity of
     b, each of half the block budget.  Filling a buffer with its recurrence
-    input (each row's normals from its own stream, the noise factor and
-    `_recurrence_input`) is one stage; recurring it and yielding its rows
+    input is one stage: each row's normals from its own stream, their
+    product with the noise factor written into contiguous planes (X's and
+    X''s, dW's first when record_noise is set), and `_recurrence_input`
+    over both planes at once.  Recurring the buffer and yielding its rows
     is the next.  With two blocks or more, one worker thread fills block
     b+1 while the calling thread recurs and yields block b, and then the
     caller fills the rows of block b+1 that the worker has not yet taken,
@@ -273,6 +295,8 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         if params.sigma > 0.0:
             kern = transition(params, horizon / n)
             factor_t = _noise_factor(kern.cov_matrix).T
+            factor_cols = factor_t if record_noise else factor_t[:, 1:]  # (dW,) X, X'
+            write_input = _recurrence_input(kern.mean_matrix, (0.0, 0.0))
             coefficients = _trace_det(kern.mean_matrix)
     rows = max(1, min(len(reps), _BLOCK_ELEMENTS // 2 // (n + 1)))
     yield_rows = max(1, _YIELD_ELEMENTS // (n + 1))
@@ -285,26 +309,28 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         """fill(b, to_fill, dw): write into block b's buffer the recurrence
         input of the rows it takes from to_fill, in slices of about size
         elements, and their dw.  One per thread, with its own generator
-        (re-keyed before each row's draws) and scratch."""
+        (re-keyed before each row's draws) and scratch: the normals, and
+        their noise in contiguous planes, dW's first when it is recorded."""
         gen = np.random.Generator(np.random.Philox())
-        normals, noise = np.empty((2, max(1, size // (n + 1)), n, 3))
+        cap = max(1, size // (n + 1))
+        normals = np.empty((cap, n, 3))
+        planes = np.empty((factor_cols.shape[1], cap, n))
 
         def fill(b: int, to_fill: _Rows, dw: np.ndarray | None) -> None:
             block = blocks[b]
             r = len(block)
-            u = buffers[b % 2][:2 * r]
+            u = buffers[b % 2][:2 * r].reshape(2, r, n + 1)
             # Entered here: a worker thread does not inherit the caller's errstate.
             with np.errstate(over="ignore", invalid="ignore"):
-                for sl in to_fill.slices(len(normals)):
+                for sl in to_fill.slices(cap):
                     m = sl.stop - sl.start
                     for j, k in enumerate(block[sl]):
                         rng.rekey(gen, seed, rng.DOMAIN_SIM_EXACT, k).standard_normal(
                             out=normals[j])
-                    np.matmul(normals[:m], factor_t, out=noise[:m])
-                    _recurrence_input(kern.mean_matrix, noise[:m, :, 1], noise[:m, :, 2],
-                                      (0.0, 0.0), u[sl], u[r + sl.start:r + sl.stop])
+                    np.matmul(normals[:m], factor_cols, out=planes[:, :m].transpose(1, 2, 0))
                     if dw is not None:
-                        dw[sl] = noise[:m, :, 0]
+                        dw[sl] = planes[0, :m]
+                    write_input(planes[-2:, :m], u[:, sl])
         return fill
 
     fill_here = filler(_DRAW_ELEMENTS // 2) if buffers else None
@@ -357,10 +383,10 @@ def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str =
         m = np.array([[1.0, h], [params.theta2 * h, 1.0 + params.theta1 * h]])
         dw = (math.sqrt(h) * rng.stream(seed, rng.DOMAIN_SIM_EULER, rep).standard_normal(n)
               if params.sigma > 0.0 else np.zeros(n))
-        u = np.empty((2, n + 1))
+        u, xi = np.empty((2, n + 1)), np.zeros((2, 1, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            _recurrence_input(m, np.zeros((1, n)), params.sigma * dw[None],
-                              (params.x0, params.dx0), u[:1], u[1:])
+            np.multiply(params.sigma, dw, out=xi[1, 0])
+            _recurrence_input(m, (params.x0, params.dx0))(xi, u[:, None])
             coefficients = _trace_det(m)
         _recurrence(u, *coefficients)
         x, v = u

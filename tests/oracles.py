@@ -5,8 +5,10 @@ normalizer that the harness's array version replaces, the per-horizon
 replication pass (which drops overflowing rows before it sums a block) that
 the harness's nesting groups and its one exclusion site after the solve
 replace, the scipy.signal.lfilter recursion and the exact and Euler paths
-that `simulate._recurrence` replaces, and the N/D decomposition of the MLE
-residual theta_hat - theta as discrete sums over a path's recorded noise."""
+that `simulate._recurrence` replaces, the interleaved noise and
+per-component input that `simulate_exact`'s planar fill replaces, and the
+N/D decomposition of the MLE residual theta_hat - theta as discrete sums
+over a path's recorded noise."""
 
 from __future__ import annotations
 
@@ -185,24 +187,46 @@ def per_horizon_replicate(cfg, horizon: float):
     return n_steps, _map_rows(est, lambda col: col[~singular]), status
 
 
-def _second_order_filter(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
-                         y0: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Run state[k+1] = m @ state[k] + (xi_x[k], xi_v[k]) from state[0] = y0.
+def second_order_input(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
+                       y0: tuple[float, float]) -> np.ndarray:
+    """The (2, ..., n+1) input whose two-tap recursion in tr(m), det(m) runs
+    state[k+1] = m @ state[k] + (xi_x[k], xi_v[k]) from state[0] = y0, one
+    component at a time.
 
     Time runs along the last axis of xi_x, xi_v; leading axes are independent
-    paths.  Returns the two component sequences, n+1 long in time.
+    paths.
     """
     n = xi_x.shape[-1]
     tau = m[0, 0] + m[1, 1]
-    delta = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    u = np.zeros((2,) + xi_x.shape[:-1] + (n + 1,))  # lfilter runs each 1-d slice alone
+    u = np.zeros((2,) + xi_x.shape[:-1] + (n + 1,))
     for comp, other, own, cross in ((0, 1, xi_x, xi_v), (1, 0, xi_v, xi_x)):
         u[comp, ..., 0] = y0[comp]
         u[comp, ..., 1] = (m[comp, 0] * y0[0] + m[comp, 1] * y0[1] + own[..., 0]
                            - tau * y0[comp])
         u[comp, ..., 2:] = (own[..., 1:] + (m[comp, comp] - tau) * own[..., :-1]
                             + m[comp, other] * cross[..., :-1])
-    out = lfilter([1.0], [1.0, -tau, delta], u, axis=-1)
+    return u
+
+
+def interleaved_fill(m: np.ndarray, factor_t: np.ndarray,
+                     normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, dw) of rows of normals (rows, n, 3) from the zero state: the noise
+    normals @ factor_t in one interleaved (rows, n, 3) array, then each
+    component's input alone (`simulate_exact`'s fill before its planar layout)."""
+    noise = np.matmul(normals, factor_t, out=np.empty(normals.shape))
+    return second_order_input(m, noise[..., 1], noise[..., 2], (0.0, 0.0)), noise[..., 0]
+
+
+def _second_order_filter(m: np.ndarray, xi_x: np.ndarray, xi_v: np.ndarray,
+                         y0: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Run state[k+1] = m @ state[k] + (xi_x[k], xi_v[k]) from state[0] = y0.
+
+    Returns the two component sequences, n+1 long in time.
+    """
+    tau = m[0, 0] + m[1, 1]
+    delta = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    # lfilter runs each 1-d slice alone
+    out = lfilter([1.0], [1.0, -tau, delta], second_order_input(m, xi_x, xi_v, y0), axis=-1)
     return out[0], out[1]
 
 

@@ -20,11 +20,11 @@ from car2 import (
     simulate,
     transition,
 )
-from car2.io import read_path_csv, write_path_csv
-from car2.simulate import SamplePath, _recurrence, simulate_exact
+from car2.io import _fmt, read_path_csv, write_path_csv, write_rows_csv
+from car2.simulate import SamplePath, _noise_factor, _recurrence, simulate_exact
 
 from conftest import REGIME_POINTS, sorted_regime_points
-from oracles import euler_path, exact_path
+from oracles import euler_path, exact_path, interleaved_fill
 
 # car2.simulate is the function; the module holds the block budgets
 simulate_module = importlib.import_module("car2.simulate")
@@ -393,6 +393,51 @@ def test_overflowing_kernel_overflows_every_row_at_step_1(monkeypatch, theta, ho
     assert all((blk.n_finite == 1).all() for blk in blocks)
 
 
+# Kernels of the fill property, by (theta, step): distinct, double and
+# complex roots, and roots (2, 1) at a step whose transition covariance
+# overflows, so that the noise factor is all NaN.
+FILL_KERNELS = {"distinct": ((-3.0, -2.0), 0.05), "double": ((2.0, -1.0), 0.01),
+                "complex": ((0.5, -1.0625), 0.001), "overflowing": ((3.0, -2.0), 177.45)}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(kernel=st.sampled_from(sorted(FILL_KERNELS)), record_noise=st.booleans(),
+       slice_rows=st.integers(1, 9), n_steps=st.integers(1, 300),
+       block_rows=st.integers(1, 12), n_reps=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_planar_fill_equals_interleaved_oracle(kernel, record_noise, slice_rows, n_steps,
+                                               block_rows, n_reps, seed):
+    # Every block's recurrence input, as `_recurrence` gets it, and every
+    # row's dw, against the interleaved noise and per-component input of the
+    # rows' normals.  The worker fills slices of slice_rows rows, the caller
+    # slices of half as many.
+    theta, step = FILL_KERNELS[kernel]
+    params = ModelParams(theta1=theta[0], theta2=theta[1], sigma=0.8, x0=0.3, dx0=-0.2)
+    horizon, inputs = step * n_steps, []
+
+    def recording(u, tau, delta):
+        inputs.append(u.copy())
+        _recurrence(u, tau, delta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * block_rows * (n_steps + 1))
+        mp.setattr(simulate_module, "_DRAW_ELEMENTS", slice_rows * (n_steps + 1))
+        mp.setattr(simulate_module, "_recurrence", recording)
+        blocks = list(simulate_exact(params, horizon, n_steps, range(n_reps), seed,
+                                     record_noise))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = transition(params, horizon / n_steps)
+        factor_t = _noise_factor(kern.cov_matrix).T
+        normals = np.array([car2_rng.stream(seed, car2_rng.DOMAIN_SIM_EXACT, k)
+                            .standard_normal((n_steps, 3)) for k in range(n_reps)])
+        u, dw = interleaved_fill(kern.mean_matrix, factor_t, normals)
+    assert np.isnan(factor_t).all() == (kernel == "overflowing")
+    assert_same_bits(np.concatenate([a.reshape(2, -1, n_steps + 1) for a in inputs], axis=1), u)
+    if record_noise:
+        assert_same_bits(np.concatenate([blk.dw for blk in blocks]), dw)
+    else:
+        assert all(blk.dw is None for blk in blocks)
+
+
 # Regimes with a root of positive real part, where paths leave float64.
 EXPLOSIVE = ["DistinctPositive", "OppositeSign", "PositiveDouble", "SmallerRootZero",
              "UnstableOscillation"]
@@ -556,6 +601,15 @@ class TestEulerScheme:
             assert path.v[k + 1] == pytest.approx(v, rel=1e-9, abs=1e-12)
 
 
+    @pytest.mark.parametrize("name,point", sorted_regime_points())
+    def test_euler_rows_equal_lfilter_oracle(self, name, point):
+        t1, t2, horizon = point
+        params = ModelParams(theta1=t1, theta2=t2, sigma=0.9, x0=0.4, dx0=-0.1)
+        path = simulate(params, horizon, 200, scheme="euler", seed=9, rep=3)
+        for have, want in zip((path.x, path.v), euler_path(params, horizon, 200, 9, 3)):
+            assert_same_bits(have, want)
+
+
 class TestInputGuards:
     PARAMS = ModelParams(theta1=-3.0, theta2=-2.0)
 
@@ -632,6 +686,20 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.x, path.x)
         assert np.array_equal(back.v, path.v)
         assert np.array_equal(back.dw, path.dw)
+
+    def test_rows_writer_keeps_fmt_text(self, tmp_path):
+        # Columns of Python ints, floats and bools are written by str, others
+        # (numpy scalars, or a column that mixes them in) by `_fmt`.
+        values = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf]
+        rows = [(k, v, np.float64(v), np.int64(k), k % 2 == 1) for k, v in enumerate(values)]
+        rows.append((np.int64(7), 2.5, 3.5, 4, True))
+        dest = tmp_path / "rows.csv"
+        write_rows_csv(rows, dest, "a,b,c,d,e")
+        want = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        assert dest.read_bytes() == ("a,b,c,d,e\n" + want).encode()
+        assert want.splitlines()[:2] == ["0,-0.0,-0.0,0.0,False", "1,5e-324,5e-324,1.0,True"]
+        with pytest.raises(ValueError):
+            write_rows_csv([(1, 2.0), (3,)], dest, "a,b")
 
     def test_round_trip_without_noise(self, tmp_path):
         params = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0)
