@@ -193,7 +193,7 @@ def _solve(cols: np.ndarray, T: float, sigma: float) -> tuple[Estimate, np.ndarr
         sxv_sq[ok] = [s**2 for s in stats.sxv[ok].tolist()]  # Python floats: may raise
         cond_flag = scale - sxv_sq < COND_FLAG_TOL * np.maximum(scale, 1.0)
         # Numpy-scalar ** is libm pow, as the per-path solve had it; r * r, a
-        # bit-moving change, retires this loop (ROADMAP item 1).
+        # bit-moving change, retires this loop (ROADMAP item 2).
         r0_sq, rT_sq = np.array([[r**2 for r in col] for col in (r0, rT)])
         j_rx = srr + b * sxr  # int r dX = int r X' dt
         j_xr = xT * rT - x0 * r0 - j_rx

@@ -7,10 +7,10 @@ trapezoid, stochastic integrals by left-point Ito sums).
 
 The Brownian sampler computes only the functionals the limit laws read
 (see BrownianFunctionals).  It runs chunks of paths on two lanes, the
-calling thread and one worker thread, each drawing and reducing its chunk
-in place in its own slots (numpy releases the GIL in both); the caller
-then runs every BLAS call, bit for bit as if the chunks were drawn and
-reduced in turn.
+calling thread and one worker thread, which take chunks from a shared
+counter; a lane draws and reduces each of its chunks a few rows at a time
+in its own scratch (numpy releases the GIL in both), with no BLAS call,
+bit for bit as if the chunks were reduced in turn on one thread.
 
 Draws are returned jointly as (l1, l2): wherever the theory couples the two
 coordinates (one limit a fixed negative multiple of the other, or both built
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import rng
 from .model import ModelParams, Regime, RegimeKind, RootPair
+from .simulate import _Rows
 
 __all__ = [
     "BrownianFunctionals",
@@ -37,7 +38,7 @@ __all__ = [
 
 MIN_FUNCTIONAL_GRID = 1000
 _CHUNK_ELEMENTS = 2**22
-_REDUCE_ROWS = 16  # rows per in-place reduce block of a chunk
+_REDUCE_ROWS = 16  # rows a lane draws and reduces at a time
 
 _FUNCTIONAL_REGIMES = frozenset({
     RegimeKind.LARGER_ROOT_ZERO,
@@ -88,12 +89,6 @@ class LimitSampleSet:
     seed: int
 
 
-def _fill_increments(gen: np.random.Generator, dw: np.ndarray) -> None:
-    """Fill dw with Brownian increments on a grid of dw.shape[1] steps over [0, 1]."""
-    gen.standard_normal(out=dw)
-    dw *= math.sqrt(1.0 / dw.shape[1])
-
-
 def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                          n_draws: int = 1) -> BrownianFunctionals:
     """Simulate the Brownian functionals on a grid of grid_n steps.
@@ -101,33 +96,27 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     two_bm selects the mode, and so the fields, that BrownianFunctionals lists.
 
     Draws come in chunks of `_CHUNK_ELEMENTS // (grid_n + 1)` paths; chunk c
-    draws from stream (seed, DOMAIN_LIMIT, c), BM1 first, then BM2.  Chunks
-    run in pairs on two lanes: the calling thread in slots 0 and 1 of one
-    slab, one worker thread in slots 2 and 3.  At large grids the slab is
-    above malloc's largest mmap threshold (32 MiB), so it is mapped and
-    unmapped whole and the peak memory does not depend on heap reuse.
+    draws from stream (seed, DOMAIN_LIMIT, c), BM1 first, then BM2.  Two
+    lanes, the calling thread and one worker thread, take chunks in turn
+    from a shared counter until none is left, and each writes its chunks'
+    fields at their rows of the result.
 
-    A lane draws each BM's increments with one `standard_normal` call into
-    the head of its slot, then reduces them in place, `_REDUCE_ROWS` rows
-    at a time: the paths go to the lane's scratch, w(1) and the Levy area
-    are read off, and the slots' rows are overwritten with the (rows, n+1)
-    arrays the gemvs read: w1^2 and w2^2, or w and the squared running
-    trapezoid of w.  Row r's result starts at element r(n+1), at or past
-    its increments (rn), so it overwrites only increments of its own block
-    or of later ones; the blocks run last first, so those have been read.
+    A lane reduces a chunk `_REDUCE_ROWS` rows at a time, in its own
+    scratch: it draws the block's increments, forms the paths by cumsum,
+    reads off w(1) and the Levy area and takes each trapezoid integral as
+    one einsum of the squared paths (or of w) with the trapezoid weights, a
+    fixed-order reduction inside numpy.  No BLAS call is made, so the bits
+    do not depend on the BLAS thread count.  With two BMs the Levy area of a
+    block needs BM1's increments before any of BM2's are drawn, so the lane
+    draws BM1's whole chunk into its own slot first; with one BM it keeps
+    no slot.  Consecutive `standard_normal` calls continue the stream, so a
+    chunk drawn block by block has the increments of one call.
 
-    The caller runs every `@ trapw` gemv (squaring w in place for int w^2),
-    in chunk order, back to back per pair.  No BLAS call runs on the
-    worker: a concurrent threaded gemv could change how OpenBLAS splits the
-    rows.  OpenBLAS's threads spin for about 0.1 s after each threaded
-    call, taking a CPU from the lanes; bunched, they spin once per pair.
-
-    The bits equal those of drawing and reducing one chunk after the other:
-    each chunk has its own stream and slots, the lanes make the same
-    elementwise, cumsum and per-row einsum calls on each row, and the
-    caller the same gemvs on arrays of the same shapes, strides and 64-byte
-    alignment.  The worker calls nothing that perfbench/tracer.py wraps:
-    the tracer's span stack is single-threaded.
+    The bits equal those of reducing one chunk after the other on one
+    thread: each chunk has its own stream, its fields their own rows, and
+    each lane its own slot and scratch.  A lane that fails takes every chunk
+    left, so the other one starts none.  The worker calls nothing that
+    perfbench/tracer.py wraps: the tracer's span stack is single-threaded.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -137,60 +126,63 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     trapw = np.full(n + 1, dt)
     trapw[0] = trapw[-1] = dt / 2.0
     chunk = max(1, _CHUNK_ELEMENTS // (n + 1))
-    sizes = [min(chunk, n_draws - start) for start in range(0, n_draws, chunk)]
-    slot = -(-sizes[0] * (n + 1) // 8) * 8  # 64-byte aligned slots
-    slab = np.empty(4 * slot)
-    scratch = np.zeros((2, 2, _REDUCE_ROWS, n + 1))  # per lane: w1, w2 or w's trapezoid
+    n_chunks = -(-n_draws // chunk)
+    names = ("w1_end", "z2", "w2_end", "levy", "s2") if two_bm else ("w1_end", "z2", "z1", "z3")
+    out = {key: np.empty(n_draws) for key in names}
+    chunks = _Rows(n_chunks)
 
-    def buffer(index: int, m: int, width: int = n + 1) -> np.ndarray:
-        return slab[index * slot:index * slot + m * width].reshape(m, width)
+    def integrate(f: np.ndarray, rows: slice, key: str) -> None:
+        np.einsum("ij,j->i", f, trapw, out=out[key][rows])
 
-    def lane(c: int, first: int) -> dict[str, np.ndarray]:
-        """Draw chunk c into slots first, first+1 and reduce it there."""
-        m, gen = sizes[c], rng.stream(seed, rng.DOMAIN_LIMIT, c)
-        dw = [buffer(first + i, m, n) for i in range(1 + two_bm)]
-        for d in dw:
-            _fill_increments(gen, d)
-        out = buffer(first, m), buffer(first + 1, m)
-        fields = {key: np.empty(m) for key in ("w1_end", "w2_end", "levy")[:1 + 2 * two_bm]}
-        for r0 in reversed(range(0, m, _REDUCE_ROWS)):
-            rows = slice(r0, min(r0 + _REDUCE_ROWS, m))
-            w1, w2 = scratch[first // 2, :, :rows.stop - r0]
-            for w, d in zip((w1, w2), dw):
-                np.cumsum(d[rows], axis=1, out=w[:, 1:])
-            fields["w1_end"][rows] = w1[:, -1]
-            if two_bm:
-                fields["w2_end"][rows] = w2[:, -1]
-                np.subtract(np.einsum("ij,ij->i", w1[:, :-1], dw[1][rows]),
-                            np.einsum("ij,ij->i", w2[:, :-1], dw[0][rows]),
-                            out=fields["levy"][rows])
-                np.multiply(w1, w1, out=out[0][rows])
-            else:
-                out[0][rows] = w1
-                np.add(w1[:, :-1], w1[:, 1:], out=w2[:, 1:])  # running trapezoid of w
-                np.cumsum(w2[:, 1:], axis=1, out=w2[:, 1:])
-                w2 *= dt / 2.0
-            np.multiply(w2, w2, out=out[1][rows])
-        return fields
-
-    parts = []
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="car2-limits") as worker:
-        for c in range(0, len(sizes), 2):
-            there = worker.submit(lane, c + 1, 2) if c + 1 < len(sizes) else None
-            pair = [lane(c, 0)] + ([there.result()] if there else [])
-            for first, fields in zip((0, 2), pair):
-                m = len(fields["w1_end"])
-                a, b = buffer(first, m), buffer(first + 1, m)
+    def lane() -> None:
+        bm1 = np.empty(min(chunk, n_draws) * n) if two_bm else None
+        dw = np.empty(_REDUCE_ROWS * n)
+        paths = np.zeros((2, _REDUCE_ROWS, n + 1))  # w1, w2 or w's running trapezoid
+        try:
+            for taken in chunks.slices(1):
+                c = taken.start
+                start, gen = c * chunk, rng.stream(seed, rng.DOMAIN_LIMIT, c)
+                m = min(chunk, n_draws - start)
                 if two_bm:
-                    fields["z2"] = a @ trapw
-                    fields["s2"] = fields["z2"] + b @ trapw
-                else:
-                    fields["z1"] = a @ trapw
-                    fields["z2"] = np.multiply(a, a, out=a) @ trapw
-                    fields["z3"] = b @ trapw
-                parts.append(fields)
-    return BrownianFunctionals(**{key: np.concatenate([p[key] for p in parts])
-                                  for key in parts[0]})
+                    dw1 = bm1[:m * n].reshape(m, n)
+                    gen.standard_normal(out=dw1)
+                    dw1 *= math.sqrt(dt)
+                for r0 in range(0, m, _REDUCE_ROWS):
+                    k = min(_REDUCE_ROWS, m - r0)
+                    rows = slice(start + r0, start + r0 + k)
+                    d, (w1, w2) = dw[:k * n].reshape(k, n), paths[:, :k]
+                    gen.standard_normal(out=d)
+                    d *= math.sqrt(dt)
+                    if two_bm:
+                        d1 = dw1[r0:r0 + k]
+                        np.cumsum(d1, axis=1, out=w1[:, 1:])
+                        np.cumsum(d, axis=1, out=w2[:, 1:])
+                        out["w2_end"][rows] = w2[:, -1]
+                        np.subtract(np.einsum("ij,ij->i", w1[:, :-1], d),
+                                    np.einsum("ij,ij->i", w2[:, :-1], d1), out=out["levy"][rows])
+                        integrate(np.multiply(w2, w2, out=w2), rows, "s2")
+                    else:
+                        np.cumsum(d, axis=1, out=w1[:, 1:])
+                        integrate(w1, rows, "z1")
+                        np.add(w1[:, :-1], w1[:, 1:], out=w2[:, 1:])  # running trapezoid of w
+                        np.cumsum(w2[:, 1:], axis=1, out=w2[:, 1:])
+                        w2 *= dt / 2.0
+                        integrate(np.multiply(w2, w2, out=w2), rows, "z3")
+                    out["w1_end"][rows] = w1[:, -1]
+                    integrate(np.multiply(w1, w1, out=w1), rows, "z2")
+        except BaseException:
+            for _ in chunks.slices(n_chunks):  # take every chunk left
+                pass
+            raise
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="car2-limits") as worker:
+        there = worker.submit(lane) if n_chunks > 1 else None
+        lane()
+        if there is not None:
+            there.result()
+    if two_bm:
+        out["s2"] += out["z2"]
+    return BrownianFunctionals(**out)
 
 
 def _cauchy_offset(roots: RootPair, params: ModelParams, q: float) -> float:

@@ -6,10 +6,12 @@ and, for experiments, the raw-residual rows as the CLI writes them.  The
 cases cover every normalization, NaN residuals from explosive paths, and
 exclusions by overflow and by a singular design.
 
-Only closed-form limit laws and normal / no comparisons appear: the
-Brownian-grid samplers' bits depend on the BLAS thread count, and these
-hashes must hold on any host.  A change that moves simulation or
-estimation bits on purpose must refresh the table and say why.
+Only closed-form limit laws and normal / no comparisons appear, which
+keeps the cases small: the Brownian-grid sampler's fields are pinned by
+digest in test_limits.py.  These hashes must hold on any host, and
+test_blas_threads.py checks them, and the sampler's fields, at one and two
+BLAS threads.  A change that moves simulation or estimation bits on
+purpose must refresh the table and say why.
 """
 
 import hashlib

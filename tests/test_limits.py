@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -31,6 +32,22 @@ TESTS = Path(__file__).resolve().parent
 
 ONE_BM_FIELDS = ("w1_end", "z1", "z2", "z3")
 TWO_BM_FIELDS = ("w1_end", "z2", "w2_end", "levy", "s2")
+
+# SHA-256 of each field of brownian_functionals(1000, seed=6, two_bm, 4200):
+# two chunks of the default size.  w1_end, w2_end and levy are the bits the
+# sampler gave when it took its trapezoids by gemv.  BM1 is the same path in
+# both modes, so z2 is the same too.
+W1_END = "29853c953dc267d2e7f19da79bcae7e3498d0152c25f13721cdb82f62cbd3e67"
+Z2 = "0aef20ca2885715547a228f171f0ee585ab5ff8bc9c8ae2856a03cbe5be66dca"
+FIELD_DIGESTS = {
+    False: dict(w1_end=W1_END, z2=Z2,
+                z1="a0d514a2b8f38bb6bae59bef967d6347b48f2b84d8b91736d4fce96383024890",
+                z3="d6caa0ebfe9c76a2c151b901c44e199e6ff8d3557feb6966e5e6972bccefa36c"),
+    True: dict(w1_end=W1_END, z2=Z2,
+               w2_end="72954b5d49f4757d6c0d6a8d09ee305cccacad1bb5f458a038f7e3ec2d876d9e",
+               levy="b5437076163fe09b5ed045429a3be3ba377af10c16dae74beb1320564a29ea36",
+               s2="d6e9d2557fd5cd9bbc516e788216a4484aa26fe08aac482ec8847c2e9ed93702"),
+}
 
 
 def setup(name, sigma=1.0, x0=0.0, dx0=0.0):
@@ -95,59 +112,60 @@ class TestBrownianFunctionals:
             assert np.all(np.isfinite(getattr(longer, name)))
         assert not np.array_equal(longer.s2[chunk:2 * chunk], longer.s2[:chunk])
 
+    @pytest.mark.parametrize("two_bm", [False, True])
+    def test_field_digests_pinned(self, two_bm):
+        fn = brownian_functionals(1000, seed=6, two_bm=two_bm, n_draws=4200)
+        got = {name: hashlib.sha256(value.tobytes()).hexdigest()
+               for name, value in vars(fn).items() if value is not None}
+        assert got == FIELD_DIGESTS[two_bm]
 
-def sequential_functionals(grid_n, seed, two_bm, n_draws, chunk_elements):
-    """Oracle: the sampler on one thread, each chunk drawn and then reduced
-    whole, in turn, in one slab of fixed slots (dw, w, inner, dw2, w2)."""
+
+def sequential_functionals(grid_n, seed, two_bm, n_draws, chunk_elements, gemv=False):
+    """Oracle: the sampler on one thread, each chunk drawn whole (BM1, then
+    BM2) and reduced in turn.  Each trapezoid integral is an einsum per block
+    of _REDUCE_ROWS rows, as the sampler's; with gemv, one `@ trapw` gemv
+    per chunk, as the sampler took them before, and z1_abs, the trapezoid
+    of |w|, joins the one-BM fields."""
     dt = 1.0 / grid_n
     trapw = np.full(grid_n + 1, dt)
     trapw[0] = trapw[-1] = dt / 2.0
     chunk = max(1, chunk_elements // (grid_n + 1))
-    rows = min(chunk, n_draws)
-    slot = -(-rows * (grid_n + 1) // 8) * 8
-    slab = np.empty((5 if two_bm else 3) * slot)
 
-    def buffer(index, m, width):
-        return slab[index * slot:index * slot + m * width].reshape(m, width)
+    def by_block(reduce, *arrays):
+        step = car2.limits._REDUCE_ROWS
+        return np.concatenate([reduce(*(a[r:r + step] for a in arrays))
+                               for r in range(0, len(arrays[0]), step)])
 
-    def one_bm(gen, dw, w):
-        gen.standard_normal(out=dw)
-        dw *= math.sqrt(1.0 / dw.shape[1])
-        w[:, 0] = 0.0
-        np.cumsum(dw, axis=1, out=w[:, 1:])
+    def trapezoid(f):
+        return f @ trapw if gemv else by_block(lambda b: np.einsum("ij,j->i", b, trapw), f)
 
     parts = []
     for chunk_index, start in enumerate(range(0, n_draws, chunk)):
         m = min(chunk, n_draws - start)
         gen = rng.stream(seed, rng.DOMAIN_LIMIT, chunk_index)
-        dw, w = buffer(0, m, grid_n), buffer(1, m, grid_n + 1)
-        one_bm(gen, dw, w)
-        z1 = w @ trapw
-        inner = np.multiply(w, w, out=buffer(2, m, grid_n + 1))
-        z2 = inner @ trapw
-        np.add(w[:, :-1], w[:, 1:], out=inner[:, 1:])
-        inner[:, 0] = 0.0
-        np.cumsum(inner[:, 1:], axis=1, out=inner[:, 1:])
-        inner *= dt / 2.0
-        z3 = np.multiply(inner, inner, out=inner) @ trapw
-        fields = dict(w1_end=w[:, -1].copy(), z1=z1, z2=z2, z3=z3)
+        dw = [gen.standard_normal((m, grid_n)) * math.sqrt(dt) for _ in range(1 + two_bm)]
+        w = [np.concatenate([np.zeros((m, 1)), np.cumsum(d, axis=1)], axis=1) for d in dw]
+        fields = dict(w1_end=w[0][:, -1].copy(), z2=trapezoid(w[0] * w[0]))
         if two_bm:
-            dw2, w2 = buffer(3, m, grid_n), buffer(4, m, grid_n + 1)
-            one_bm(gen, dw2, w2)
-            fields["w2_end"] = w2[:, -1].copy()
-            fields["levy"] = (np.einsum("ij,ij->i", w[:, :-1], dw2)
-                              - np.einsum("ij,ij->i", w2[:, :-1], dw))
-            fields["q11"] = (np.einsum("ij,ij->i", w[:, :-1], dw)
-                             + np.einsum("ij,ij->i", w2[:, :-1], dw2))
-            fields["s2"] = z2 + np.multiply(w2, w2, out=inner) @ trapw
+            fields["w2_end"] = w[1][:, -1].copy()
+            fields["levy"] = by_block(
+                lambda w1, w2, d1, d2: (np.einsum("ij,ij->i", w1[:, :-1], d2)
+                                        - np.einsum("ij,ij->i", w2[:, :-1], d1)), *w, *dw)
+            fields["s2"] = fields["z2"] + trapezoid(w[1] * w[1])
+        else:
+            inner = np.zeros_like(w[0])
+            np.cumsum(w[0][:, :-1] + w[0][:, 1:], axis=1, out=inner[:, 1:])
+            inner *= dt / 2.0
+            fields.update(z1=trapezoid(w[0]), z3=trapezoid(inner * inner))
+            if gemv:
+                fields["z1_abs"] = trapezoid(np.abs(w[0]))
         parts.append(fields)
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 def assert_fields_equal(got, want, two_bm, context):
     """got (BrownianFunctionals) has exactly its mode's fields, each equal
-    bit for bit to the oracle's; the oracle also returns z1, z3 and q11 with
-    two BMs, which the sampler leaves out."""
+    bit for bit to the oracle's."""
     names = TWO_BM_FIELDS if two_bm else ONE_BM_FIELDS
     for name in names:
         assert getattr(got, name).tobytes() == want[name].tobytes(), (context, name)
@@ -156,9 +174,9 @@ def assert_fields_equal(got, want, two_bm, context):
 
 
 class EagerExecutor:
-    """Stands in for the worker lane and runs each chunk as it is submitted,
-    before the caller's chunk of the pair, as the fastest worker would: a
-    lane that shared a slot or scratch with the caller's would change bits."""
+    """Stands in for the worker lane and runs it at once, on submission, so
+    the worker takes every chunk, reusing its one slot and scratch, and the
+    caller's lane finds none left."""
 
     def __init__(self, max_workers, thread_name_prefix):
         assert max_workers == 1 and thread_name_prefix == "car2-limits"
@@ -195,13 +213,14 @@ def run_bounded(call, timeout=60.0):
 
 
 class TestFillPipeline:
-    """The worker that fills the increments changes no bit and no slot."""
+    """The two lanes change no bit: each chunk is reduced once, by one lane,
+    in that lane's own slot and scratch."""
 
     @pytest.mark.parametrize("grid_n,chunk", [(50, 4), (257, 3), (2000, 10)])
     @pytest.mark.parametrize("two_bm", [False, True])
     @pytest.mark.parametrize("eager", [False, True], ids=["worker", "eager"])
     def test_bits_equal_sequential_loop(self, monkeypatch, grid_n, chunk, two_bm, eager):
-        # 2000 x 10 rows is large enough for a threaded gemv
+        # at 2000 x 10 rows a `@ trapw` gemv would run threaded
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         if eager:
             monkeypatch.setattr(car2.limits, "ThreadPoolExecutor", EagerExecutor)
@@ -217,8 +236,8 @@ class TestFillPipeline:
     def test_lanes_equal_sequential_loop(self, grid_n, chunk, n_chunks, last, seed, two_bm,
                                          eager):
         # Chunks of up to 40 rows end inside or across a reduce block of
-        # _REDUCE_ROWS rows; the last chunk may be short, and a pair may
-        # lack its worker chunk.
+        # _REDUCE_ROWS rows; the last chunk may be short, and the worker may
+        # take no chunk (eager: every chunk).
         n_draws = (n_chunks - 1) * chunk + min(last, chunk)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
@@ -254,45 +273,84 @@ class TestFillPipeline:
         for seed, fields in want.items():
             assert_fields_equal(got[seed], fields, True, seed)
 
-    def test_worker_thread_is_named(self, monkeypatch):
-        # Chunks alternate between the calling thread and the worker, which
-        # a thread dump names by its pool.
-        fill, names = car2.limits._fill_increments, []
-
-        def recording_fill(gen, dw):
-            names.append(threading.current_thread().name)
-            fill(gen, dw)
-
-        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", 2 * 51)
-        monkeypatch.setattr(car2.limits, "_fill_increments", recording_fill)
-        brownian_functionals(50, seed=1, two_bm=True, n_draws=5)
-        assert len(names) == 6
-        assert names.count(threading.current_thread().name) == 4
-        assert sum(name.startswith("car2-limits") for name in names) == 2
-
     @staticmethod
-    def check_error_on(lane, monkeypatch, two_bm):
-        """Fail the first fill of the lane's second chunk (chunk 2 on the
-        caller, 3 on the worker), of chunks of 4 rows at grid 100; the error
-        must reach the caller in time and leave no worker running."""
-        fill, calls, per_chunk = car2.limits._fill_increments, [], 1 + two_bm
+    def gate_streams(monkeypatch, lane, fail=False):
+        """Record (on the worker?, chunk) for each chunk a lane begins.  The
+        lane named ("caller" or "worker") waits in its first chunk until the
+        other lane has begun one, and then, with fail, raises; the other
+        lane's draws wait until it has got that far."""
+        stream, calls = car2.limits.rng.stream, []
+        began, released = threading.Event(), threading.Event()
 
-        def failing_fill(gen, dw):
+        class HeldGenerator:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                assert released.wait(30.0), "the gated lane did not go on"
+                return self.gen.standard_normal(*args, **kwargs)
+
+        def gated_stream(seed, domain, index):
             on_worker = threading.current_thread().name.startswith("car2-limits")
-            calls.append(on_worker)
-            if on_worker == (lane == "worker") and calls.count(on_worker) == per_chunk + 1:
-                raise RuntimeError("fill failed")
-            fill(gen, dw)
+            calls.append((on_worker, index))
+            if on_worker != (lane == "worker"):
+                began.set()
+                return HeldGenerator(stream(seed, domain, index))
+            assert began.wait(30.0), "the other lane began no chunk"
+            released.set()
+            if fail:
+                raise RuntimeError("stream failed")
+            return stream(seed, domain, index)
 
+        monkeypatch.setattr(car2.limits.rng, "stream", gated_stream)
+        return calls
+
+    def test_worker_thread_is_named(self, monkeypatch):
+        # The worker, which a thread dump names by its pool, takes chunks
+        # beside the caller; each chunk is begun once and reduced as the
+        # one-thread oracle reduces it.
+        for two_bm in (False, True):
+            want = sequential_functionals(50, 1, two_bm, 9, 2 * 51)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(car2.limits, "_CHUNK_ELEMENTS", 2 * 51)
+                calls = self.gate_streams(mp, "caller")
+                got = brownian_functionals(50, seed=1, two_bm=two_bm, n_draws=9)
+            assert sorted(index for _, index in calls) == list(range(5)), two_bm
+            assert any(on_worker for on_worker, _ in calls), two_bm
+            assert_fields_equal(got, want, two_bm, 9)
+
+    @classmethod
+    def check_error_on(cls, lane, monkeypatch, two_bm):
+        """Fail the lane's first chunk, of chunks of 4 rows at grid 100, once
+        the other lane has begun one: the error must reach the caller in
+        time, the other lane must begin no further chunk, and no worker may
+        be left running."""
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", 4 * 101)
-        monkeypatch.setattr(car2.limits, "_fill_increments", failing_fill)
+        calls = cls.gate_streams(monkeypatch, lane, fail=True)
         error = run_bounded(lambda: brownian_functionals(100, seed=1, two_bm=two_bm,
                                                          n_draws=40))
-        assert isinstance(error, RuntimeError) and str(error) == "fill failed"
+        assert isinstance(error, RuntimeError) and str(error) == "stream failed"
         assert not [t for t in threading.enumerate() if t.name.startswith("car2-limits")]
-        # Chunks 0 to 3 were begun (the pair of the failing chunk), no later one.
-        assert len(calls) == 3 * per_chunk + 1
-        assert calls.count(lane == "worker") == per_chunk + 1
+        # Of the ten chunks, one per lane was begun: the failed one, and the
+        # other lane's, which it finished.
+        assert sorted(on_worker for on_worker, _ in calls) == [False, True]
+
+    @pytest.mark.parametrize("two_bm", [False, True])
+    def test_trapezoids_match_gemv_reduction(self, monkeypatch, two_bm):
+        # The per-block einsums round differently from the `@ trapw` gemvs
+        # the sampler took before: by at most 1e-13 of the trapezoid of the
+        # integrand's magnitude.  w(1) and the Levy area keep their bits.
+        grid_n, chunk, n_draws = 10_000, 20, 45
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
+        got = brownian_functionals(grid_n, seed=8, two_bm=two_bm, n_draws=n_draws)
+        old = sequential_functionals(grid_n, 8, two_bm, n_draws, chunk * (grid_n + 1),
+                                     gemv=True)
+        for name in ("w1_end", "w2_end", "levy") if two_bm else ("w1_end",):
+            assert getattr(got, name).tobytes() == old[name].tobytes(), name
+        scales = dict(z2=old["z2"], s2=old.get("s2"), z3=old.get("z3"), z1=old.get("z1_abs"))
+        for name in ("z2", "s2") if two_bm else ("z1", "z2", "z3"):
+            assert np.all(np.abs(getattr(got, name) - old[name]) <= 1e-13 * scales[name]), name
+            assert not np.array_equal(getattr(got, name), old[name]), name
 
     @pytest.mark.parametrize("two_bm", [False, True])
     def test_worker_error_propagates(self, monkeypatch, two_bm):
@@ -303,8 +361,8 @@ class TestFillPipeline:
         self.check_error_on("caller", monkeypatch, two_bm)
 
     def test_bits_equal_sequential_loop_one_blas_thread(self):
-        # gemv results can depend on the BLAS thread count; pipeline and
-        # oracle make the same calls, so they agree at one thread as well
+        # neither the lanes nor the oracle make a BLAS call, so they agree
+        # at one BLAS thread as well
         test = f"{__file__}::TestFillPipeline::test_bits_equal_sequential_loop"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": str(TESTS.parent / "src")}
@@ -315,14 +373,16 @@ class TestFillPipeline:
         assert "2 passed" in proc.stdout
 
     def test_peak_memory_is_the_slab(self, monkeypatch):
-        # Four slots, a pair per lane, and each lane's scratch of two
-        # (_REDUCE_ROWS, n+1) arrays, in both modes; the slack is numpy's
-        # iterator buffers (8192 elements per strided operand; with one BM,
-        # the lanes' running-trapezoid adds take 384 KiB).
+        # Each lane's scratch: a block of increments and two paths of
+        # _REDUCE_ROWS rows; with two BMs each lane also holds one slot of
+        # BM1's increments for a chunk.  The slack is the fields and numpy's
+        # iterator buffers (at this grid the running-trapezoid add buffers
+        # 192 KiB per lane).
         grid_n, chunk = 1000, 200
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
-        slot_bytes = 8 * (-(-chunk * (grid_n + 1) // 8) * 8)
-        scratch_bytes = 2 * 2 * car2.limits._REDUCE_ROWS * (grid_n + 1) * 8
+        slot_bytes = 8 * chunk * grid_n
+        rows = car2.limits._REDUCE_ROWS
+        scratch_bytes = 8 * (rows * grid_n + 2 * rows * (grid_n + 1))
         for two_bm in (False, True):
             brownian_functionals(grid_n, seed=2, two_bm=two_bm, n_draws=3)  # warm up
             tracemalloc.start()
@@ -331,7 +391,8 @@ class TestFillPipeline:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert 4 * slot_bytes <= peak <= 4 * slot_bytes + scratch_bytes + 2**19, two_bm
+            lanes = 2 * (scratch_bytes + two_bm * slot_bytes)
+            assert lanes <= peak <= lanes + 2**19, two_bm
 
 
 class TestClosedFormSamplers:
