@@ -91,8 +91,8 @@ def cmd_roots(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _params_from_args(args)
-    path = simulate(params, args.horizon, args.n_steps, scheme=args.scheme,
-                    record_noise=args.record_noise, seed=args.seed, rep=args.rep)
+    path = simulate(params, args.horizon, args.n_steps, record_noise=args.record_noise,
+                    seed=args.seed, rep=args.rep)
     if args.rescale != 1.0:
         path = rescale_time(path, args.rescale)
     out = _out_dir(args)
@@ -103,12 +103,10 @@ def cmd_simulate(args) -> int:
         "params": dataclasses.asdict(path.params),
         "horizon": path.horizon,
         "n_steps": path.n_steps,
-        "scheme": args.scheme,
         "seed": args.seed,
         "replication_index": args.rep,
     }, meta_file)
-    print(f"simulate: wrote {csv_file} and {meta_file} "
-          f"({path.n_steps} steps, scheme={args.scheme})")
+    print(f"simulate: wrote {csv_file} and {meta_file} ({path.n_steps} steps)")
     return 0
 
 
@@ -219,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate one path to CSV")
     _add_model_args(p_sim, with_sim=True)
-    p_sim.add_argument("--scheme", choices=["exact", "euler"], default="exact")
     p_sim.add_argument("--record-noise", action="store_true")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--rep", type=int, default=0)

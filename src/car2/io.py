@@ -31,9 +31,15 @@ def _fmt(value) -> str:
 
 
 def atomic_write_text(dest: str | Path, text: str) -> None:
+    """Write text to dest through a temp file and a rename.  dest gets the
+    mode open(dest, "w") gives a new file, 0o666 less the umask, where the
+    temp file alone would be 0o600."""
     dest = Path(dest)
+    umask = os.umask(0o077)  # the umask is read by setting it; put it back
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=dest.name, suffix=".tmp")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, dest)

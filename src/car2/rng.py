@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 # Domain tags keep unrelated consumers of the same user seed on disjoint keys.
+# Tag 1 is retired; renumbering a tag would move every stream it keys.
 DOMAIN_SIM_EXACT = 0
-DOMAIN_SIM_EULER = 1
 DOMAIN_LIMIT = 2
 DOMAIN_REFERENCE = 3
 

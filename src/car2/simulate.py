@@ -1,11 +1,10 @@
 """Sample paths of (X, X') on a uniform grid.
 
-`simulate(params, horizon, n_steps, *, scheme, record_noise, seed, rep)`
-gives one path.  The exact scheme draws, per step, the joint Gaussian
-triple (dW, noise-to-X, noise-to-X') from the transition kernel and
-advances the state with the kernel's mean matrix, so the simulated marginal
-law is exact at any step size.  An Euler-Maruyama scheme is included for
-cross-checks.
+`simulate(params, horizon, n_steps, *, record_noise, seed, rep)` gives one
+path.  The exact scheme draws, per step, the joint Gaussian triple (dW,
+noise-to-X, noise-to-X') from the transition kernel and advances the state
+with the kernel's mean matrix, so the simulated marginal law is exact at
+any step size.
 
 The linear recursion state[k+1] = M state[k] + noise[k] runs in its scalar
 second-order form (Cayley-Hamilton: M^2 = tr(M) M - det(M) I), which works
@@ -16,7 +15,7 @@ a (rows, n+1) array, bit for bit as scipy.signal.lfilter would: the float
 operations of its direct form II transposed, from its zero state.  A numpy
 step costs microseconds of call overhead at any width, so wide arrays recur
 across the rows, one step over all rows at a time, and arrays of a few rows
-(`simulate`, Euler) recur along each row on Python floats.
+(a `simulate` path) recur along each row on Python floats.
 
 Exact paths come from one block kernel, `simulate_exact`: per grid it builds
 the mean path, the transition kernel and its noise factor once, then
@@ -186,25 +185,20 @@ def _trace_det(m: np.ndarray) -> tuple[float, float]:
     return m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def _recurrence_input(m: np.ndarray,
-                      y0: tuple[float, float]) -> Callable[[np.ndarray, np.ndarray], None]:
+def _recurrence_input(m: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
     """The transform write(xi, u) that writes into the (2, rows, n+1) array u
     the input that makes `_recurrence(u[c], *_trace_det(m))`, for c = 0 (X)
-    and 1 (X'), run state[k+1] = m @ state[k] + xi[:, :, k] from
-    state[0] = y0, each row a path.  xi is (2, rows, n), X's noise then
-    X''s, and write overwrites it.  Each call runs over both components at
-    once; the coefficients are formed here, once per m."""
+    and 1 (X'), run state[k+1] = m @ state[k] + xi[:, :, k] from the zero
+    state, each row a path.  xi is (2, rows, n), X's noise then X''s, and
+    write overwrites it.  Each call runs over both components at once; the
+    coefficients are formed here, once per m."""
     tau = m[0, 0] + m[1, 1]
-    start = np.array(y0, dtype=float)[:, None]
-    # Per component c: m[c, 0] * y0[0] + m[c, 1] * y0[1], then tau * y0[c].
-    first, shift = (m[:, 0] * y0[0] + m[:, 1] * y0[1])[:, None], tau * start
     own = (np.diagonal(m) - tau)[:, None, None]  # m[c, c] - tau
     cross = np.diagonal(m[::-1])[:, None, None]  # m[1, 0] for X's plane, m[0, 1] for X''s
 
     def write(xi: np.ndarray, u: np.ndarray) -> None:
-        u[:, :, 0] = start
-        np.add(first, xi[:, :, 0], out=u[:, :, 1])
-        np.subtract(u[:, :, 1], shift, out=u[:, :, 1])
+        u[:, :, 0] = 0.0
+        u[:, :, 1] = xi[:, :, 0]
         # u[c, :, 2:] = xi[c, :, 1:] + (m[c, c] - tau) xi[c, :, :-1]
         #              + m[c, 1-c] xi[1-c, :, :-1], formed in place: xi is
         # scaled into the cross terms after its own terms are read, so no
@@ -221,13 +215,6 @@ def _n_finite(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Count of leading samples, along the last axis, where x and v are both finite."""
     finite = np.isfinite(x) & np.isfinite(v)
     return np.where(finite.all(axis=-1), finite.shape[-1], finite.argmin(axis=-1))
-
-
-def _check_grid(horizon: float, n_steps: int) -> None:
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
 
 def _noise_factor(cov: np.ndarray) -> np.ndarray:
@@ -283,7 +270,10 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
     that perfbench/tracer.py wraps, since its span stack is single-threaded.
     A call of one block runs inline and starts no thread.
     """
-    _check_grid(horizon, n_steps)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     n = n_steps
     t = np.linspace(0.0, horizon, n + 1)
     # Overflow in explosive regimes is counted per row below; suppress the
@@ -296,7 +286,7 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
             kern = transition(params, horizon / n)
             factor_t = _noise_factor(kern.cov_matrix).T
             factor_cols = factor_t if record_noise else factor_t[:, 1:]  # (dW,) X, X'
-            write_input = _recurrence_input(kern.mean_matrix, (0.0, 0.0))
+            write_input = _recurrence_input(kern.mean_matrix)
             coefficients = _trace_det(kern.mean_matrix)
     rows = max(1, min(len(reps), _BLOCK_ELEMENTS // 2 // (n + 1)))
     yield_rows = max(1, _YIELD_ELEMENTS // (n + 1))
@@ -369,34 +359,18 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                                _n_finite(x, v))
 
 
-def simulate(params: ModelParams, horizon: float, n_steps: int, *, scheme: str = "exact",
+def simulate(params: ModelParams, horizon: float, n_steps: int, *,
              record_noise: bool = False, seed: int = 0, rep: int = 0) -> SamplePath:
-    """One path of n_steps steps over [0, horizon] by scheme "exact" or "euler";
-    dw is kept when record_noise is set.  Deterministic given (seed, rep)."""
-    if scheme == "exact":
-        (blk,) = simulate_exact(params, horizon, n_steps, [rep], seed, record_noise)
-        t, x, v, dw = blk.t, blk.x[0], blk.v[0], None if blk.dw is None else blk.dw[0]
-        n_finite = blk.n_finite[0]
-    elif scheme == "euler":
-        _check_grid(horizon, n_steps)
-        n, h = n_steps, horizon / n_steps
-        m = np.array([[1.0, h], [params.theta2 * h, 1.0 + params.theta1 * h]])
-        dw = (math.sqrt(h) * rng.stream(seed, rng.DOMAIN_SIM_EULER, rep).standard_normal(n)
-              if params.sigma > 0.0 else np.zeros(n))
-        u, xi = np.empty((2, n + 1)), np.zeros((2, 1, n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(params.sigma, dw, out=xi[1, 0])
-            _recurrence_input(m, (params.x0, params.dx0))(xi, u[:, None])
-            coefficients = _trace_det(m)
-        _recurrence(u, *coefficients)
-        x, v = u
-        t, dw = np.linspace(0.0, horizon, n + 1), dw if record_noise else None
-        n_finite = _n_finite(x, v)
-    else:
-        raise ValueError(f"scheme must be 'exact' or 'euler', got {scheme!r}")
+    """One exact path of n_steps steps over [0, horizon]: replication rep's
+    row of `simulate_exact`, raised as SimulationOverflowError if it leaves
+    float64.  dw is kept when record_noise is set.  Deterministic given
+    (seed, rep)."""
+    (blk,) = simulate_exact(params, horizon, n_steps, [rep], seed, record_noise)
+    n_finite = blk.n_finite[0]
     if n_finite <= n_steps:
-        raise SimulationOverflowError(step=int(n_finite), horizon_reached=float(t[n_finite]))
-    return SamplePath(t=t, x=x, v=v, dw=dw, sigma=params.sigma, params=params)
+        raise SimulationOverflowError(step=int(n_finite), horizon_reached=float(blk.t[n_finite]))
+    return SamplePath(t=blk.t, x=blk.x[0], v=blk.v[0], dw=None if blk.dw is None else blk.dw[0],
+                      sigma=params.sigma, params=params)
 
 
 def rescale_time(path: SamplePath, alpha: float) -> SamplePath:

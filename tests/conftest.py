@@ -21,10 +21,9 @@ def make_path():
     """Simulate a recorded-noise exact path with defaults suited to tests."""
 
     def _make(theta1, theta2, sigma=1.0, x0=0.3, dx0=-0.2, horizon=5.0,
-              n_steps=500, seed=7, rep=0, scheme="exact"):
+              n_steps=500, seed=7, rep=0):
         params = ModelParams(theta1=theta1, theta2=theta2, sigma=sigma, x0=x0, dx0=dx0)
-        return simulate(params, horizon, n_steps, scheme=scheme, record_noise=True,
-                        seed=seed, rep=rep)
+        return simulate(params, horizon, n_steps, record_noise=True, seed=seed, rep=rep)
 
     return _make
 

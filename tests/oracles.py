@@ -4,8 +4,8 @@ replaces, the likelihood ratio of a path, the per-replication residual
 normalizer that the harness's array version replaces, the per-horizon
 replication pass (which drops overflowing rows before it sums a block) that
 the harness's nesting groups and its one exclusion site after the solve
-replace, the scipy.signal.lfilter recursion and the exact and Euler paths
-that `simulate._recurrence` replaces, the interleaved noise and
+replace, the scipy.signal.lfilter recursion and the exact path that
+`simulate._recurrence` replaces, the interleaved noise and
 per-component input that `simulate_exact`'s planar fill replaces, and the
 N/D decomposition of the MLE residual theta_hat - theta as discrete sums
 over a path's recorded noise."""
@@ -242,16 +242,6 @@ def exact_path(params, horizon: float, n_steps: int, seed: int, rep: int):
         x = params.x0 * fs.x1 + params.dx0 * fs.x2 + zx
         v = params.x0 * fs.dx1 + params.dx0 * fs.dx2 + zv
     return x, v, draws[:, 0]
-
-
-def euler_path(params, horizon: float, n_steps: int, seed: int, rep: int):
-    """(x, v) of replication rep's Euler path, filtered by lfilter."""
-    n, h = n_steps, horizon / n_steps
-    m = np.array([[1.0, h], [params.theta2 * h, 1.0 + params.theta1 * h]])
-    dw = (math.sqrt(h) * rng.stream(seed, rng.DOMAIN_SIM_EULER, rep).standard_normal(n)
-          if params.sigma > 0.0 else np.zeros(n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _second_order_filter(m, np.zeros(n), params.sigma * dw, (params.x0, params.dx0))
 
 
 def gram_det(f: np.ndarray, g: np.ndarray, h: float) -> float:

@@ -328,7 +328,6 @@ RESCALED_META = """{
     "x0": 0.3
   },
   "replication_index": 0,
-  "scheme": "exact",
   "seed": 3
 }
 """
@@ -431,6 +430,26 @@ def test_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="replace refused"):
         car2.io.atomic_write_text(tmp_path / "out.txt", "text\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_artifacts_take_the_umask(tmp_path, capsys, umask, mode):
+    # The mode open(dest, "w") would give, not the temp file's 0o600.
+    old = os.umask(umask)
+    try:
+        sim_dir = _simulate(tmp_path, capsys)
+    finally:
+        os.umask(old)
+    assert {f.name: f.stat().st_mode & 0o777 for f in sim_dir.iterdir()} == {
+        "path.csv": mode, "path.meta.json": mode}
+
+
+def test_simulate_rejects_scheme_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *MODEL, "--horizon", "1", "--n-steps", "10", "--scheme", "exact",
+              "--out", str(tmp_path / "sim")])
+    assert exc.value.code == 2 and "--scheme" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 def _strict_json(text):

@@ -4,7 +4,8 @@ Each case runs a small `run_experiment` or `convergence_study` and hashes
 the byte-identical artifact (the sorted-key JSON of `to_artifact_dict()`)
 and, for experiments, the raw-residual rows as the CLI writes them.  The
 cases cover every normalization, NaN residuals from explosive paths, and
-exclusions by overflow and by a singular design.
+exclusions by overflow and by a singular design.  The `path.csv` that
+`car2 simulate` writes is pinned too, with and without recorded noise.
 
 Only closed-form limit laws and normal / no comparisons appear, which
 keeps the cases small: the Brownian-grid sampler's fields are pinned by
@@ -26,6 +27,7 @@ from car2 import (
     convergence_study,
     run_experiment,
 )
+from car2.cli import main
 
 ERGODIC = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
 DISTINCT_POSITIVE = ModelParams(theta1=1.5, theta2=-0.5, sigma=1.0, x0=0.3, dx0=-0.2)
@@ -80,6 +82,21 @@ EXPECTED = {
 }
 EXPECTED_CONVERGENCE = "7eb4bc6b6dee2f144d1ec874c02ba5bfa9b940acf0244172506bb5f7c09a82d3"
 
+# `car2 simulate` arguments beside --seed 5 --rep 3, and the path.csv digest.
+PATH_CSVS = {
+    "unstable_oscillation_noise": (
+        ["--theta1", "0.5", "--theta2", "-1.0625", "--horizon", "8", "--n-steps", "800",
+         "--record-noise"],
+        "5e9b85c77a2e875518d8339624b528de9d97456441433e516aaeb3630f2f2b8c"),
+    "distinct_positive": (
+        ["--theta1", "1.5", "--theta2", "-0.5", "--horizon", "6", "--n-steps", "300"],
+        "07c2f145264c26cd3fdc6bec7df58a60a51837ce837d68913683e44c19d90500"),
+    "positive_double_noise": (
+        ["--theta1", "2", "--theta2", "-1", "--sigma", "0.7", "--horizon", "3",
+         "--n-steps", "50", "--record-noise"],
+        "b9f5bb3108621ee229d41c6f91e4f6f93ce9c1d8bfa509bca258230b1f06366b"),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -103,3 +120,10 @@ def test_experiment_artifacts_pinned(name):
 def test_convergence_artifact_pinned():
     report = convergence_study(ExperimentConfig(**CONVERGENCE))
     assert _artifact_digest(report) == EXPECTED_CONVERGENCE
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CSVS))
+def test_simulated_path_csv_pinned(tmp_path, name):
+    argv, digest = PATH_CSVS[name]
+    assert main(["simulate", *argv, "--seed", "5", "--rep", "3", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "path.csv").read_bytes()).hexdigest() == digest

@@ -1,7 +1,8 @@
 """Every third-party module the package and its tests import is declared,
 the package uses every name it imports, every name a module exports is
-bound in it, and importing the CLI loads no scipy module: the package runs
-on numpy alone, and scipy is a test dependency (its oracles)."""
+bound in it, importing the CLI loads no scipy module (the package runs on
+numpy alone, and scipy is a test dependency, for its oracles), and the
+random streams' domain tags keep their values."""
 
 import ast
 import importlib
@@ -103,3 +104,13 @@ def test_cli_loads_no_scipy_module():
     loaded = proc.stdout.split()
     assert "car2.cli" in loaded and "numpy" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_stream_domain_tags_are_pinned():
+    from car2 import rng
+
+    tags = {name: value for name, value in vars(rng).items() if name.startswith("DOMAIN_")}
+    assert tags == {"DOMAIN_SIM_EXACT": 0, "DOMAIN_LIMIT": 2, "DOMAIN_REFERENCE": 3}, (
+        "a domain tag is part of the Philox key of every stream it names: renumbering "
+        "one (closing the gap at the retired tag 1, say) moves every limit and "
+        "reference draw, and with them the golden hashes")

@@ -24,7 +24,7 @@ from car2.io import _fmt, read_path_csv, write_path_csv, write_rows_csv
 from car2.simulate import SamplePath, _noise_factor, _recurrence, simulate_exact
 
 from conftest import REGIME_POINTS, sorted_regime_points
-from oracles import euler_path, exact_path, interleaved_fill
+from oracles import exact_path, interleaved_fill
 
 # car2.simulate is the function; the module holds the block budgets
 simulate_module = importlib.import_module("car2.simulate")
@@ -463,15 +463,12 @@ def test_n_finite_counts_leading_finite_samples(name, start, sign, sigma, n_step
         for m in range(1, n_steps + 2):
             prefix_finite = np.isfinite(path.x[:m]).all() and np.isfinite(path.v[:m]).all()
             assert (n_finite < m) == (not prefix_finite)
-        for scheme, want in (("exact", n_finite),
-                             ("euler", first_non_finite(*euler_path(params, horizon, n_steps,
-                                                                    seed, k)))):
-            if want <= n_steps:
-                with pytest.raises(SimulationOverflowError) as err:
-                    simulate(params, horizon, n_steps, scheme=scheme, seed=seed, rep=k)
-                assert err.value.step == want
-            else:
-                simulate(params, horizon, n_steps, scheme=scheme, seed=seed, rep=k)
+        if n_finite <= n_steps:
+            with pytest.raises(SimulationOverflowError) as err:
+                simulate(params, horizon, n_steps, seed=seed, rep=k)
+            assert err.value.step == n_finite
+        else:
+            simulate(params, horizon, n_steps, seed=seed, rep=k)
 
 
 def test_block_memory_does_not_grow_with_replications():
@@ -558,62 +555,9 @@ class TestStreams:
             car2_rng.rekey(gen, seed, car2_rng.DOMAIN_SIM_EXACT, index)
 
 
-class TestEulerScheme:
-    def test_euler_weak_convergence_order_one(self):
-        # Var X(T) under Euler approaches the exact value at rate ~ h.  The
-        # step grid is coarse on purpose: at fine h the O(h) bias drops below
-        # Monte Carlo noise and no order is measurable.
-        params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=1.0, dx0=0.0)
-        T = 5.0
-        kern = transition(params, T)
-        exact_mean = (kern.mean_matrix @ np.array([1.0, 0.0]))[0]
-        exact_var = kern.cov_matrix[1, 1]
-        steps = (16, 32, 64, 128)
-        var_errs, mean_errs = [], []
-        for n in steps:
-            n_reps = 6000
-            ends = np.empty(n_reps)
-            for k in range(n_reps):
-                path = simulate(params, T, n, scheme="euler", seed=13, rep=k)
-                ends[k] = path.x[-1]
-            var_errs.append(abs(ends.var() - exact_var))
-            mean_errs.append(abs(ends.mean() - exact_mean))
-        slope = np.polyfit(np.log([T / n for n in steps]), np.log(var_errs), 1)[0]
-        assert 0.6 <= slope <= 1.9
-        assert var_errs[-1] < var_errs[0] / 4
-        # Mean errors stay at Monte Carlo noise level throughout.
-        assert max(mean_errs) < 0.05
-
-    def test_euler_noiseless_constant(self):
-        params = ModelParams(theta1=0.0, theta2=0.0, sigma=0.0, x0=1.0, dx0=0.0)
-        path = simulate(params, 1.0, 64, scheme="euler")
-        assert np.all(path.x == 1.0) and np.all(path.v == 0.0)
-
-    def test_euler_matches_explicit_recursion(self):
-        params = ModelParams(theta1=-0.7, theta2=-1.2, sigma=0.9, x0=0.4, dx0=-0.1)
-        path = simulate(params, 1.0, 100, scheme="euler", seed=21, record_noise=True)
-        h = 0.01
-        x, v = params.x0, params.dx0
-        for k in range(100):
-            x, v = x + v * h, v + (params.theta2 * x + params.theta1 * v) * h \
-                + params.sigma * path.dw[k]
-            assert path.x[k + 1] == pytest.approx(x, rel=1e-9, abs=1e-12)
-            assert path.v[k + 1] == pytest.approx(v, rel=1e-9, abs=1e-12)
-
-
-    @pytest.mark.parametrize("name,point", sorted_regime_points())
-    def test_euler_rows_equal_lfilter_oracle(self, name, point):
-        t1, t2, horizon = point
-        params = ModelParams(theta1=t1, theta2=t2, sigma=0.9, x0=0.4, dx0=-0.1)
-        path = simulate(params, horizon, 200, scheme="euler", seed=9, rep=3)
-        for have, want in zip((path.x, path.v), euler_path(params, horizon, 200, 9, 3)):
-            assert_same_bits(have, want)
-
-
 class TestInputGuards:
     PARAMS = ModelParams(theta1=-3.0, theta2=-2.0)
 
-    @pytest.mark.parametrize("scheme", ["exact", "euler"])
     @pytest.mark.parametrize("horizon, n_steps, message", [
         (0.0, 10, "horizon must be positive, got 0.0"),
         (-1.0, 10, "horizon must be positive, got -1.0"),
@@ -621,17 +565,13 @@ class TestInputGuards:
         (math.inf, 10, "horizon must be positive, got inf"),
         (1.0, 0, "n_steps must be >= 1, got 0"),
     ])
-    def test_bad_grid_rejected(self, scheme, horizon, n_steps, message):
+    def test_bad_grid_rejected(self, horizon, n_steps, message):
         with pytest.raises(ValueError, match=message):
-            simulate(self.PARAMS, horizon, n_steps, scheme=scheme)
+            simulate(self.PARAMS, horizon, n_steps)
 
     def test_block_kernel_checks_the_grid(self):
         with pytest.raises(ValueError, match="n_steps must be >= 1, got 0"):
             next(simulate_exact(self.PARAMS, 1.0, 0, [0]))
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="scheme must be 'exact' or 'euler', got 'rk4'"):
-            simulate(self.PARAMS, 1.0, 10, scheme="rk4")
 
     def test_unequal_lengths_rejected(self):
         t, five = np.linspace(0.0, 1.0, 5), np.zeros(5)
