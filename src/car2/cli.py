@@ -6,7 +6,7 @@ rejected); the CLI itself reads only their "command" and "write_residuals"
 keys.  CSV holds bulk numbers.  Exit codes: 0 success, 2 argument/config
 or file error (including NLRR normalization for a regime that has none),
 3 numeric failure (singular design, overflow, a non-finite estimate, no
-valid replications).
+valid replications, a transition covariance that is not PSD).
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def cmd_limit_sample(args) -> int:
     out = _out_dir(args)
     csv_file = out / "limit.csv"
     meta_file = out / "limit.meta.json"
-    write_rows_csv(zip(draws.l1, draws.l2), csv_file, "l1,l2")
+    write_rows_csv(zip(draws.l1.tolist(), draws.l2.tolist()), csv_file, "l1,l2")
     dump_json({
         "regime": draws.regime.value,
         "p": [roots.p.real, roots.p.imag],

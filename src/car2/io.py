@@ -1,15 +1,16 @@
 """CSV / JSON serialization with deterministic, round-trippable output.
 
-Floats are written with repr (shortest string that parses back to the same
-double), so artifacts re-read bit-exactly and reruns with the same seed are
-byte-identical.  Files are written atomically (temp file + rename).
+Every CSV goes through one writer, `write_rows_csv`, which writes each value
+by str: for a float that is its repr (the shortest string that parses back to
+the same double), so artifacts re-read bit-exactly and reruns with the same
+seed are byte-identical.  Files are written atomically (temp file + rename),
+and the temp file takes the umask as a plain open(dest, "w") would.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,20 +27,14 @@ __all__ = [
 ]
 
 
-def _fmt(value) -> str:
-    return str(value) if isinstance(value, int) else repr(float(value))
-
-
 def atomic_write_text(dest: str | Path, text: str) -> None:
-    """Write text to dest through a temp file and a rename.  dest gets the
-    mode open(dest, "w") gives a new file, 0o666 less the umask, where the
-    temp file alone would be 0o600."""
+    """Write text to dest through a temp file and a rename.  The temp file is
+    created with mode 0o666, less the umask as the kernel applies it, so dest
+    gets the mode open(dest, "w") gives a new file."""
     dest = Path(dest)
-    umask = os.umask(0o077)  # the umask is read by setting it; put it back
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=dest.name, suffix=".tmp")
+    tmp = dest.with_name(f"{dest.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, dest)
@@ -55,12 +50,9 @@ def dump_json(obj, dest: str | Path) -> None:
 
 def write_path_csv(path: SamplePath, dest: str | Path) -> None:
     """Header t,x,v,dw; dw sits on the row of its step's left endpoint."""
-    lines = ["t,x,v,dw"]
-    n = path.n_steps
-    for i in range(n + 1):
-        dw = _fmt(path.dw[i]) if (path.dw is not None and i < n) else ""
-        lines.append(f"{_fmt(path.t[i])},{_fmt(path.x[i])},{_fmt(path.v[i])},{dw}")
-    atomic_write_text(dest, "\n".join(lines) + "\n")
+    dw = [""] * (path.n_steps + 1) if path.dw is None else [*path.dw.tolist(), ""]
+    write_rows_csv(zip(path.t.tolist(), path.x.tolist(), path.v.tolist(), dw, strict=True),
+                   dest, "t,x,v,dw")
 
 
 def read_path_csv(src: str | Path, params: ModelParams) -> SamplePath:
@@ -101,12 +93,10 @@ def read_path_csv(src: str | Path, params: ModelParams) -> SamplePath:
 
 
 def write_rows_csv(rows, dest: str | Path, header: str) -> None:
-    """The header, then one line per row: ints via str, others as float reprs.
+    """The header, then one line per row, each value written by str.
 
-    Rows must have one length.  A column of Python ints, floats and bools is
-    written by str, which gives `_fmt`'s text for them; any other column
-    (numpy scalars) by `_fmt`."""
-    columns = [list(map(str if {int, float, bool}.issuperset(map(type, col)) else _fmt, col))
-               for col in zip(*rows, strict=True)]
+    Rows must have one length.  Pass Python values (`tolist()`): str of a
+    Python float is its repr, and of an int its digits."""
+    columns = [map(str, col) for col in zip(*rows, strict=True)]
     lines = [header, *map(",".join, zip(*columns))]
     atomic_write_text(dest, "\n".join(lines) + "\n")

@@ -225,7 +225,7 @@ def _noise_factor(cov: np.ndarray) -> np.ndarray:
     w, vec = np.linalg.eigh(cov)
     floor = -1e-12 * max(np.trace(cov), 0.0)
     if w.min() < floor:
-        raise ValueError(f"transition covariance not PSD: min eigenvalue {w.min():.3e}")
+        raise FloatingPointError(f"transition covariance not PSD: min eigenvalue {w.min():.3e}")
     return vec * np.sqrt(np.clip(w, 0.0, None))
 
 

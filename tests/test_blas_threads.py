@@ -58,7 +58,7 @@ def run(threads, *args, timeout=120):
 def test_golden_hashes_hold_at_blas_threads(threads):
     out = run(threads, "-m", "pytest", "-q", "-p", "no:cacheprovider",
               str(TESTS / "test_golden.py"))
-    assert "9 passed" in out
+    assert "11 passed" in out
 
 
 def test_brownian_fields_do_not_depend_on_blas_threads():

@@ -4,6 +4,7 @@ Exit codes: 0 success, 2 argument, config or file error (including a regime
 with no NLRR normalization), 3 numeric failure.
 """
 
+import importlib
 import json
 import math
 import os
@@ -11,9 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import car2.io
+import car2.model
 import car2.montecarlo
 from car2 import ExperimentConfig, run_experiment
 from car2.cli import main
@@ -433,13 +436,21 @@ def test_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
-def test_artifacts_take_the_umask(tmp_path, capsys, umask, mode):
-    # The mode open(dest, "w") would give, not the temp file's 0o600.
-    old = os.umask(umask)
+def test_artifacts_take_the_umask(tmp_path, capsys, monkeypatch, umask, mode):
+    # The mode open(dest, "w") would give, not the temp file's 0o600, and
+    # without setting the umask, which is process-wide: a file another
+    # thread created meanwhile would take the value set.
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    set_umask = os.umask
+    old = set_umask(umask)
     try:
-        sim_dir = _simulate(tmp_path, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", refuse)
+            sim_dir = _simulate(tmp_path, capsys)
     finally:
-        os.umask(old)
+        set_umask(old)
     assert {f.name: f.stat().st_mode & 0o777 for f in sim_dir.iterdir()} == {
         "path.csv": mode, "path.meta.json": mode}
 
@@ -560,6 +571,27 @@ def test_non_finite_path_estimate_exits_3(tmp_path, capsys, horizon):
                                  "--out", str(tmp_path / "est")])
     assert code == 3 and err.startswith("numeric failure: ")
     assert not (tmp_path / "est").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_non_psd_transition_covariance_exits_3(tmp_path, capsys, monkeypatch, command):
+    # A covariance that is not PSD is a numeric failure, not a config error.
+    # (2, -0.999975) at h = 1/64 gives one today; this one is clearly not PSD.
+    def non_psd(params, h):
+        kern = car2.model.transition(params, h)
+        return car2.model.TransitionKernel(kern.mean_matrix, np.diag([h, 1.0, -1.0]))
+
+    # car2.simulate is the function
+    monkeypatch.setattr(importlib.import_module("car2.simulate"), "transition", non_psd)
+    if command == "simulate":
+        argv = ["simulate", *MODEL, "--horizon", "1", "--n-steps", "64"]
+    else:
+        config = _config(horizons=[1.0], n_reps=4, comparison="none")
+        argv = ["experiment", "--config", _write(tmp_path, config)]
+    code, out, err = _run(capsys, [*argv, "--out", str(tmp_path / "out")])
+    assert (code, out) == (3, "")
+    assert err == "numeric failure: transition covariance not PSD: min eigenvalue -1.000e+00\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_runs_without_jsonschema():

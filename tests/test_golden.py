@@ -5,7 +5,9 @@ the byte-identical artifact (the sorted-key JSON of `to_artifact_dict()`)
 and, for experiments, the raw-residual rows as the CLI writes them.  The
 cases cover every normalization, NaN residuals from explosive paths, and
 exclusions by overflow and by a singular design.  The `path.csv` that
-`car2 simulate` writes is pinned too, with and without recorded noise.
+`car2 simulate` writes is pinned too, with and without recorded noise, and
+the `limit.csv` and `limit.meta.json` of `car2 limit-sample` for two
+closed-form laws, whose Cauchy-type draws span many exponents.
 
 Only closed-form limit laws and normal / no comparisons appear, which
 keeps the cases small: the Brownian-grid sampler's fields are pinned by
@@ -97,6 +99,19 @@ PATH_CSVS = {
         "b9f5bb3108621ee229d41c6f91e4f6f93ce9c1d8bfa509bca258230b1f06366b"),
 }
 
+# `car2 limit-sample` arguments beside --n 500 --seed 4, and the digests of
+# limit.csv and limit.meta.json.
+LIMIT_CSVS = {
+    "ergodic": (
+        ["--theta1", "-3", "--theta2", "-2"],
+        ("1cce466c6b66afa51278d84130d77b92f1f420b7a9ec2bad7603bf132513774c",
+         "283c808751b347531d981552e633ad5fc1a143a17a481a930b6a5522e44afc6b")),
+    "distinct_positive": (
+        ["--theta1", "1.5", "--theta2", "-0.5"],
+        ("55663acfffb4d9b3393b78eff4d74f3606c434c4500ee1d8fccf03969dab1e28",
+         "7435df9bdf875abed27d91b4d45daa993ec56d077a7702037966c95d08d1ae87")),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -127,3 +142,11 @@ def test_simulated_path_csv_pinned(tmp_path, name):
     argv, digest = PATH_CSVS[name]
     assert main(["simulate", *argv, "--seed", "5", "--rep", "3", "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "path.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_CSVS))
+def test_limit_sample_csv_pinned(tmp_path, name):
+    argv, digests = LIMIT_CSVS[name]
+    assert main(["limit-sample", *argv, "--n", "500", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                 for f in ("limit.csv", "limit.meta.json")) == digests

@@ -1,8 +1,9 @@
 """Every third-party module the package and its tests import is declared,
 the package uses every name it imports, every name a module exports is
 bound in it, importing the CLI loads no scipy module (the package runs on
-numpy alone, and scipy is a test dependency, for its oracles), and the
-random streams' domain tags keep their values."""
+numpy alone, and scipy is a test dependency, for its oracles), the
+package changes no process-wide state, and the random streams' domain tags
+keep their values."""
 
 import ast
 import importlib
@@ -104,6 +105,50 @@ def test_cli_loads_no_scipy_module():
     loaded = proc.stdout.split()
     assert "car2.cli" in loaded and "numpy" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+# Calls that change state every thread of the process shares.  A library
+# that sets one to do its work (the umask to read it, say) changes it under
+# the caller's other threads; context-local settings such as np.errstate
+# are fine.
+PROCESS_WIDE = {"os.umask", "os.chdir", "os.putenv", "numpy.seterr", "numpy.random.seed",
+                "sys.setswitchinterval", "sys.setrecursionlimit"}
+
+
+def _process_wide_uses(source: str) -> list[str]:
+    """`PROCESS_WIDE` names a module reads, by the line, after its import aliases."""
+    tree = ast.parse(source)
+    aliases = {}  # local name -> dotted module path
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                aliases[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    found = []
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            name = ".".join([aliases.get(node.id, node.id), *reversed(parts)])
+            if name in PROCESS_WIDE:
+                found.append((node.lineno, name))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_package_changes_no_process_wide_state():
+    uses = {module.name: _process_wide_uses(module.read_text())
+            for module in sorted((ROOT / "src" / "car2").glob("*.py"))}
+    assert {name: found for name, found in uses.items() if found} == {}
+    probe = ("import os\nimport numpy as np\nfrom sys import setrecursionlimit as limit\n"
+             "with np.errstate(over='ignore'):\n    pass\n"
+             "mask = os.umask(0)\nnp.random.seed(1)\nlimit(99)\n")
+    assert _process_wide_uses(probe) == ["6: os.umask", "7: numpy.random.seed",
+                                         "8: sys.setrecursionlimit"]
 
 
 def test_stream_domain_tags_are_pinned():

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from car2 import (
+    ExperimentConfig,
     ModelParams,
     RegimeKind,
     char_roots,
     classify,
+    classify_params,
     nlrr_rate,
     rate_functions,
     scaling_matrix,
     sufficient_stats,
 )
+from car2.montecarlo import _replicate
 from car2.regimes import NoNlrrError, rotation_template
 
 from conftest import REGIME_POINTS, sorted_regime_points
@@ -232,3 +235,59 @@ class TestScalingMatrix:
         a_t = scaling_matrix(regime, 2.0)
         expected = math.exp(-2.0) * np.array([[1.0, 1.0], [1.0, 1.0]])
         np.testing.assert_allclose(a_t, expected, rtol=1e-12)
+
+
+# (theta1, theta2) and the two horizons of each label check.
+LABEL_CASES = {
+    "Ergodic": ((-3.0, -2.0), (10.0, 40.0)),
+    "OppositeSign": ((1.0, 2.0), (6.0, 12.0)),
+    "DistinctPositive": ((1.5, -0.5), (8.0, 16.0)),
+    "PositiveDouble": ((2.0, -1.0), (8.0, 16.0)),
+    "SmallerRootZero": ((1.0, 0.0), (8.0, 16.0)),
+    "Harmonic": ((0.0, -1.0), (20.0, 80.0)),
+    "ZeroDouble": ((0.0, 0.0), (20.0, 80.0)),
+    # J_T reaches its limit law at the relative rate e^{-2 lam T} (lam = 1/4),
+    # the variance of the martingale remainder: 2% at T = 8, 3e-4 at T = 16.
+    "UnstableOscillation": ((0.5, -1.0625), (16.0, 32.0)),
+}
+
+
+def _cv_ratio(traces: np.ndarray) -> np.ndarray:
+    """CV of the second horizon's traces over the first's; traces is (..., 2, reps)."""
+    cv = traces.std(axis=-1) / traces.mean(axis=-1)
+    return cv[..., 1] / cv[..., 0]
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_CASES))
+def test_llr_label_matches_information_spread(name):
+    """The normalized information J_T = A_T Psi_T A_T^T tends to a constant
+    under LAN, so the CV of tr J_T falls as T^{-1/2} and the ratio of its
+    CVs at T1 < T2 tends to sqrt(T1/T2).  Under the mixed families (DLAMN,
+    LABF, LAMN-family) J_T tends to a random limit, and the ratio to 1: in
+    the DLAMN regimes e^{-pT} X_T (over T at a double root) converges almost
+    surely.  The band is four bootstrap standard errors of the ratio, the
+    replications resampled jointly at both horizons.
+
+    The "D" of DLAMN is left unchecked: A_T there has rank one by
+    construction, so a rank test of J_T would prove nothing.  LargerRootZero
+    ("LABF/LAN") is unchecked too: its tr J_T tends to 1/4 + (1/4) int_0^1 B^2,
+    a deterministic part plus a random one, so its CV falls from above to
+    0.385 at the rate T^{-1/2} and the ratio is not near 1 at feasible T."""
+    (theta1, theta2), horizons = LABEL_CASES[name]
+    params = ModelParams(theta1=theta1, theta2=theta2, x0=0.3, dx0=-0.2)
+    regime = classify_params(params)
+    assert regime.tag.value == name
+    cfg = ExperimentConfig(params=params, horizons=horizons, n_reps=400, seed=5,
+                           steps_per_unit_time=50, comparison="none")
+    traces = []
+    for horizon, (_, est, status, _) in zip(horizons, _replicate(cfg)):
+        assert (status == "ok").all()  # so both horizons hold the same replications
+        a_t = scaling_matrix(regime, horizon)
+        traces.append(np.trace(a_t @ est.psi @ a_t.T, axis1=1, axis2=2))
+    traces = np.stack(traces)
+    resampled = traces[:, np.random.default_rng(0).integers(0, 400, (1000, 400))]
+    band = 4.0 * _cv_ratio(resampled.swapaxes(0, 1)).std()
+    lan = math.sqrt(horizons[0] / horizons[1])
+    assert band < 1.0 - lan  # the band excludes the other family's ratio
+    expected = lan if rate_functions(regime).llr_label == "LAN" else 1.0
+    assert abs(_cv_ratio(traces) - expected) <= band

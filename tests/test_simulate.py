@@ -20,7 +20,7 @@ from car2 import (
     simulate,
     transition,
 )
-from car2.io import _fmt, read_path_csv, write_path_csv, write_rows_csv
+from car2.io import read_path_csv, write_path_csv, write_rows_csv
 from car2.simulate import SamplePath, _noise_factor, _recurrence, simulate_exact
 
 from conftest import REGIME_POINTS, sorted_regime_points
@@ -627,17 +627,18 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.v, path.v)
         assert np.array_equal(back.dw, path.dw)
 
-    def test_rows_writer_keeps_fmt_text(self, tmp_path):
-        # Columns of Python ints, floats and bools are written by str, others
-        # (numpy scalars, or a column that mixes them in) by `_fmt`.
+    def test_rows_writer_writes_str_text(self, tmp_path):
+        # Every value is written by str: a float, Python or numpy, as the
+        # float's repr; an int, Python or numpy, as its digits; a bool by name.
         values = [-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf]
         rows = [(k, v, np.float64(v), np.int64(k), k % 2 == 1) for k, v in enumerate(values)]
         rows.append((np.int64(7), 2.5, 3.5, 4, True))
         dest = tmp_path / "rows.csv"
         write_rows_csv(rows, dest, "a,b,c,d,e")
-        want = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        want = "".join(f"{k},{v!r},{v!r},{k},{k % 2 == 1}\n" for k, v in enumerate(values))
+        want += "7,2.5,3.5,4,True\n"
         assert dest.read_bytes() == ("a,b,c,d,e\n" + want).encode()
-        assert want.splitlines()[:2] == ["0,-0.0,-0.0,0.0,False", "1,5e-324,5e-324,1.0,True"]
+        assert want.splitlines()[:2] == ["0,-0.0,-0.0,0,False", "1,5e-324,5e-324,1,True"]
         with pytest.raises(ValueError):
             write_rows_csv([(1, 2.0), (3,)], dest, "a,b")
 
