@@ -30,25 +30,21 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(RuntimeError):
-    pass
-
-
 def _load_experiment(args, command: str) -> tuple[ExperimentConfig, bool]:
     """The config at args.config, with args.seed applied, and write_residuals."""
     try:
         with open(args.config) as handle:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        raise ValueError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     found = raw.pop("command", None)
     if found != command:
-        raise ConfigError(f"config command {found!r}, expected {command!r}")
+        raise ValueError(f"config command {found!r}, expected {command!r}")
     write_residuals = raw.pop("write_residuals", False)
     if not isinstance(write_residuals, bool):
-        raise ConfigError(f"write_residuals must be a boolean, got {write_residuals!r}")
+        raise ValueError(f"write_residuals must be a boolean, got {write_residuals!r}")
     cfg = ExperimentConfig.from_dict(raw)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -117,7 +113,7 @@ def cmd_estimate(args) -> int:
             meta = json.load(handle)
         params = ModelParams(**meta["params"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot read path metadata {meta_file}: {exc}") from exc
+        raise ValueError(f"cannot read path metadata {meta_file}: {exc}") from exc
     path = read_path_csv(args.path, params)
     est = estimate_path(path)
     if not (math.isfinite(est.theta1_hat) and math.isfinite(est.theta2_hat)):
@@ -262,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ArithmeticError) as exc:

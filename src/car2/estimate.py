@@ -209,4 +209,4 @@ def estimate_sigma(path: SamplePath) -> float:
     if path.n_steps < 2:
         raise ValueError("need at least 2 steps")
     dv = np.diff(path.v)
-    return math.sqrt(float(dv @ dv) / path.horizon)
+    return math.sqrt(float(np.add.reduce(dv * dv)) / path.horizon)  # pairwise: no BLAS call

@@ -17,20 +17,21 @@ step costs microseconds of call overhead at any width, so wide arrays recur
 across the rows, one step over all rows at a time, and arrays of a few rows
 (a `simulate` path) recur along each row on Python floats.
 
-Exact paths come from one block kernel, `simulate_exact`: per grid it builds
-the mean path, the transition kernel and its noise factor once, then
-recurs blocks of hundreds of rows in two reused half-budget buffers, each
-row filled from its own Philox stream, and yields each block in slices of
-fresh rows, the mean path added.  Filling a buffer with its recurrence
-input is a stage of its own: one worker thread fills block b+1 while the
-calling thread recurs and yields block b.  A fill takes rows in slices: it
-writes their noise (the normals times the noise factor) into contiguous
-(rows, n) planes, X's and X''s (after dW's when it is recorded), and one
-transform over both planes writes the input of the block's x and v rows,
-so each slice makes a few numpy calls on contiguous data.  Memory stays
-flat in the number of replications, no row depends on its block or on the
-thread that filled it, and an exact `simulate` path is row 0 of a one-row
-block, run inline.
+Exact paths come from one block kernel, `simulate_exact`, for every sigma:
+per grid it builds the mean path, the transition kernel and its noise
+factor once (zero at sigma = 0, so a noiseless row is the mean path and its
+dW is 0), then recurs blocks of hundreds of rows in two reused half-budget
+buffers, each row filled from its own Philox stream, and yields each block
+in slices of fresh rows, the mean path added.  Filling a buffer with its
+recurrence input is a stage of its own: one worker thread fills block b+1
+while the calling thread recurs and yields block b.  A fill takes rows in
+slices: it writes their noise (the normals times the noise factor) into
+contiguous (rows, n) planes, X's and X''s (after dW's when it is recorded),
+and one transform over both planes writes the input of the block's x and v
+rows, so each slice makes a few numpy calls on contiguous data.  Memory
+stays flat in the number of replications, no row depends on its block or
+on the thread that filled it, and an exact `simulate` path is row 0 of a
+one-row block, run inline.
 """
 
 from __future__ import annotations
@@ -180,19 +181,17 @@ def _recurrence(u: np.ndarray, tau: float, delta: float) -> None:
         s[:2] = s[m:m + 2]
 
 
-def _trace_det(m: np.ndarray) -> tuple[float, float]:
-    """(tau, delta) = (tr m, det m), the coefficients of `_recurrence` for m."""
-    return m[0, 0] + m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def _recurrence_input(m: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
-    """The transform write(xi, u) that writes into the (2, rows, n+1) array u
-    the input that makes `_recurrence(u[c], *_trace_det(m))`, for c = 0 (X)
-    and 1 (X'), run state[k+1] = m @ state[k] + xi[:, :, k] from the zero
-    state, each row a path.  xi is (2, rows, n), X's noise then X''s, and
-    write overwrites it.  Each call runs over both components at once; the
-    coefficients are formed here, once per m."""
+def _recurrence_input(m: np.ndarray) -> tuple[Callable[[np.ndarray, np.ndarray], None],
+                                               tuple[float, float]]:
+    """(write, (tau, delta)): the coefficients (tr m, det m) of `_recurrence`
+    for m, and the transform write(xi, u) that writes into the (2, rows, n+1)
+    array u the input that makes `_recurrence(u[c], tau, delta)`, for c = 0
+    (X) and 1 (X'), run state[k+1] = m @ state[k] + xi[:, :, k] from the
+    zero state, each row a path.  xi is (2, rows, n), X's noise then X''s,
+    and write overwrites it.  Each call runs over both components at once;
+    the coefficients are formed here, once per m."""
     tau = m[0, 0] + m[1, 1]
+    delta = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     own = (np.diagonal(m) - tau)[:, None, None]  # m[c, c] - tau
     cross = np.diagonal(m[::-1])[:, None, None]  # m[1, 0] for X's plane, m[0, 1] for X''s
 
@@ -208,7 +207,7 @@ def _recurrence_input(m: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]
         np.add(xi[:, :, 1:], rest, out=rest)
         np.multiply(xi, cross, out=xi)
         np.add(rest, xi[::-1, :, :-1], out=rest)
-    return write
+    return write, (tau, delta)
 
 
 def _n_finite(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -254,7 +253,10 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
 
     The row of replication k is bit for bit that of a one-row call with
     reps=[k], so it does not depend on the blocking; a row that left the
-    float64 range is counted in n_finite instead of raised.
+    float64 range is counted in n_finite instead of raised.  At sigma = 0
+    the noise factor is zero, dW's column too: the rows take the same
+    pipeline from zero noise and come out as the mean path, with dw 0,
+    while the recurrence coefficients (tr M, det M) are finite.
 
     Block b recurs in the first or second of two buffers, by the parity of
     b, each of half the block budget.  Filling a buffer with its recurrence
@@ -282,17 +284,16 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         fs = fundamental_solutions(char_roots(params), t)
         x_mean = params.x0 * fs.x1 + params.dx0 * fs.x2
         v_mean = params.x0 * fs.dx1 + params.dx0 * fs.dx2
-        if params.sigma > 0.0:
-            kern = transition(params, horizon / n)
-            factor_t = _noise_factor(kern.cov_matrix).T
-            factor_cols = factor_t if record_noise else factor_t[:, 1:]  # (dW,) X, X'
-            write_input = _recurrence_input(kern.mean_matrix)
-            coefficients = _trace_det(kern.mean_matrix)
+        kern = transition(params, horizon / n)
+        # Noiseless: a zero factor, dW's column too, so each row is the mean path.
+        factor_t = _noise_factor(kern.cov_matrix).T if params.sigma > 0.0 else np.zeros((3, 3))
+        factor_cols = factor_t if record_noise else factor_t[:, 1:]  # (dW,) X, X'
+        write_input, coefficients = _recurrence_input(kern.mean_matrix)
     rows = max(1, min(len(reps), _BLOCK_ELEMENTS // 2 // (n + 1)))
     yield_rows = max(1, _YIELD_ELEMENTS // (n + 1))
     blocks = [reps[start:start + rows] for start in range(0, len(reps), rows)]
     # A block's x rows, then its v rows.
-    buffers = [np.empty((2 * rows, n + 1)) for _ in blocks[:2]] if params.sigma > 0.0 else []
+    buffers = [np.empty((2 * rows, n + 1)) for _ in blocks[:2]]
     threaded = len(buffers) == 2
 
     def filler(size: int):
@@ -323,7 +324,7 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                     write_input(planes[-2:, :m], u[:, sl])
         return fill
 
-    fill_here = filler(_DRAW_ELEMENTS // 2) if buffers else None
+    fill_here = filler(_DRAW_ELEMENTS // 2)
     fill_there = filler(_DRAW_ELEMENTS) if threaded else None
     with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="car2-simulate") if threaded
           else contextlib.nullcontext()) as worker:
@@ -338,23 +339,17 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         for b, block in enumerate(blocks):
             r = len(block)
             dw, to_fill, filled_there = ahead
-            if fill_here is not None:
-                fill_here(b, to_fill, dw)
+            fill_here(b, to_fill, dw)
             if filled_there is not None:
                 filled_there.result()
             if b + 1 < len(blocks):
                 ahead = begin(b + 1)  # filled while block b recurs and is read
-            if buffers:
-                u = buffers[b % 2][:2 * r]
-                _recurrence(u, *coefficients)
+            u = buffers[b % 2][:2 * r]
+            _recurrence(u, *coefficients)
             for i in range(0, r, yield_rows):
                 rows_i = slice(i, i + yield_rows)
-                if buffers:
-                    with np.errstate(over="ignore", invalid="ignore"):  # fresh rows: u is reused
-                        x, v = np.add(x_mean, u[:r][rows_i]), np.add(v_mean, u[r:][rows_i])
-                else:
-                    x, v = (np.broadcast_to(a, (len(block[rows_i]), n + 1))
-                            for a in (x_mean, v_mean))
+                with np.errstate(over="ignore", invalid="ignore"):  # fresh rows: u is reused
+                    x, v = np.add(x_mean, u[:r][rows_i]), np.add(v_mean, u[r:][rows_i])
                 yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i],
                                _n_finite(x, v))
 

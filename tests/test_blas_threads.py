@@ -1,11 +1,11 @@
 """Results that must not depend on the BLAS thread count.
 
-The block estimator sums each row with its own dot product, and
-`estimate_sigma` takes one over a path's increments.  OpenBLAS runs a dot
-product on one thread for at most 10,000 samples; the strict xfails here
-pin what longer ones do.  A blocked matrix-vector product would split rows
-across threads and round differently.  The Brownian sampler makes no BLAS
-call at all.
+The block estimator sums each row with its own dot product.  OpenBLAS
+runs a dot product on one thread for at most 10,000 samples; the strict
+xfail here pins what longer rows do.  A blocked matrix-vector product would
+split rows across threads and round differently.  `estimate_sigma` sums
+its squared increments with numpy's pairwise sum, and the Brownian sampler
+makes no BLAS call at all.
 """
 
 import os
@@ -58,7 +58,7 @@ def run(threads, *args, timeout=120):
 def test_golden_hashes_hold_at_blas_threads(threads):
     out = run(threads, "-m", "pytest", "-q", "-p", "no:cacheprovider",
               str(TESTS / "test_golden.py"))
-    assert "11 passed" in out
+    assert "12 passed" in out
 
 
 def test_brownian_fields_do_not_depend_on_blas_threads():
@@ -84,13 +84,9 @@ def test_harness_residuals_do_not_depend_on_blas_threads(steps_per_unit):
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
-@pytest.mark.parametrize("n_steps", [
-    9000,
-    pytest.param(20000, marks=pytest.mark.xfail(
-        strict=True, reason="`estimate_sigma`'s dv @ dv runs OpenBLAS's threaded ddot "
-                            "on more than 10,000 increments (ROADMAP item 2)")),
-])
+@pytest.mark.parametrize("n_steps", [9000, 20000, 100000])
 def test_sigma_hat_does_not_depend_on_blas_threads(n_steps):
-    # `car2 estimate`'s sigma_hat, from n_steps increments of X'.
+    # `car2 estimate`'s sigma_hat, from n_steps increments of X': a dot
+    # product over them would run OpenBLAS's threaded ddot above 10,000.
     one, two = (run(threads, "-c", SIGMA_HAT, str(n_steps)) for threads in ("1", "2"))
     assert one == two

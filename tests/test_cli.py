@@ -8,6 +8,7 @@ import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +16,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import car2
+import car2.cli
 import car2.io
 import car2.model
 import car2.montecarlo
-from car2 import ExperimentConfig, run_experiment
+from car2 import (
+    ExperimentConfig,
+    NoNlrrError,
+    SimulationOverflowError,
+    SingularDesignError,
+    run_experiment,
+)
 from car2.cli import main
 
 MODEL = ["--theta1", "-3", "--theta2", "-2", "--x0", "0.3", "--dx0", "-0.2"]
@@ -592,6 +601,61 @@ def test_non_psd_transition_covariance_exits_3(tmp_path, capsys, monkeypatch, co
     assert (code, out) == (3, "")
     assert err == "numeric failure: transition covariance not PSD: min eigenvalue -1.000e+00\n"
     assert not (tmp_path / "out").exists()
+
+
+# Each exception a command may raise, and the exit code `main` maps it to.
+RAISED = {
+    "no_nlrr": (NoNlrrError("no NLRR for Harmonic"), 2),
+    "singular_design": (SingularDesignError(0.0, 1e-12), 3),
+    "simulation_overflow": (SimulationOverflowError(step=3, horizon_reached=1.5), 3),
+    "floating_point": (FloatingPointError("covariance not PSD"), 3),
+    "overflow": (OverflowError("(34, 'Numerical result out of range')"), 3),
+    "runtime": (RuntimeError("all 4 replications failed"), 3),
+    "value": (ValueError("tol must be finite"), 2),
+    "json_decode": (json.JSONDecodeError("Expecting value", "{not json", 1), 2),
+    "os": (OSError("No such file or directory"), 2),
+}
+PREFIXES = {2: "error: ", 3: "numeric failure: "}
+# Exit code by base class: argument, config or file errors, then numeric failures.
+FAMILIES = {2: (ValueError, OSError), 3: (RuntimeError, ArithmeticError)}
+
+
+def _exit_for(monkeypatch, capsys, exc):
+    """main's exit code and stderr when the roots command raises exc."""
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(car2.cli, "cmd_roots", raising)
+    code, out, err = _run(capsys, ["roots", "--theta1", "0", "--theta2", "-1"])
+    assert out == ""
+    return code, err
+
+
+@pytest.mark.parametrize("name", sorted(RAISED))
+def test_exit_code_of_each_exception(monkeypatch, capsys, name):
+    exc, code = RAISED[name]
+    assert _exit_for(monkeypatch, capsys, exc) == (code, f"{PREFIXES[code]}{exc}\n")
+
+
+def _package_exceptions():
+    """Every exception class defined in a module of the car2 package."""
+    found = set()
+    for info in pkgutil.iter_modules(car2.__path__):
+        module = importlib.import_module(f"car2.{info.name}")
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__ == module.__name__)
+    return sorted(found, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+
+
+def test_package_exceptions_exit_by_base_family(monkeypatch, capsys):
+    classes = _package_exceptions()
+    assert {NoNlrrError, SingularDesignError, SimulationOverflowError} <= set(classes)
+    for cls in classes:
+        (code,) = [code for code, bases in FAMILIES.items() if issubclass(cls, bases)]
+        exc = cls.__new__(cls)  # past its own __init__: only the class matters
+        BaseException.__init__(exc, "raised")
+        assert _exit_for(monkeypatch, capsys, exc) == (code, f"{PREFIXES[code]}raised\n"), cls
 
 
 def test_runs_without_jsonschema():

@@ -5,9 +5,10 @@ the byte-identical artifact (the sorted-key JSON of `to_artifact_dict()`)
 and, for experiments, the raw-residual rows as the CLI writes them.  The
 cases cover every normalization, NaN residuals from explosive paths, and
 exclusions by overflow and by a singular design.  The `path.csv` that
-`car2 simulate` writes is pinned too, with and without recorded noise, and
-the `limit.csv` and `limit.meta.json` of `car2 limit-sample` for two
-closed-form laws, whose Cauchy-type draws span many exponents.
+`car2 simulate` writes is pinned too, with and without recorded noise and
+for a noiseless path, and the `limit.csv` and `limit.meta.json` of
+`car2 limit-sample` for two closed-form laws, whose Cauchy-type draws span
+many exponents.
 
 Only closed-form limit laws and normal / no comparisons appear, which
 keeps the cases small: the Brownian-grid sampler's fields are pinned by
@@ -97,6 +98,11 @@ PATH_CSVS = {
         ["--theta1", "2", "--theta2", "-1", "--sigma", "0.7", "--horizon", "3",
          "--n-steps", "50", "--record-noise"],
         "b9f5bb3108621ee229d41c6f91e4f6f93ce9c1d8bfa509bca258230b1f06366b"),
+    # sigma = 0: the mean path from a nonzero start, and dw all zeros.
+    "noiseless_noise": (
+        ["--theta1", "-1", "--theta2", "-2", "--sigma", "0", "--x0", "0.3", "--dx0", "-0.2",
+         "--horizon", "4", "--n-steps", "400", "--record-noise"],
+        "5050b8f835bf597589dc250a441f33be04361121c241a7eb6718a55a771446e3"),
 }
 
 # `car2 limit-sample` arguments beside --n 500 --seed 4, and the digests of

@@ -16,6 +16,7 @@ from car2 import (
     ModelParams,
     SimulationOverflowError,
     char_roots,
+    fundamental_solutions,
     rescale_time,
     simulate,
     transition,
@@ -469,6 +470,56 @@ def test_n_finite_counts_leading_finite_samples(name, start, sign, sigma, n_step
             assert err.value.step == n_finite
         else:
             simulate(params, horizon, n_steps, seed=seed, rep=k)
+
+
+# Zero, moderate starts, and +-10**e near the top of float64, where the
+# rows of explosive regimes leave it at different steps.
+starts = st.one_of(st.just(0.0), st.floats(-1e3, 1e3),
+                   st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+                             st.floats(290.0, 307.0)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(REGIME_POINTS)), x0=starts, dx0=starts,
+       record_noise=st.booleans(), n_steps=st.integers(1, 60),
+       n_reps=st.integers(1, 12), rows=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_noiseless_rows_are_the_mean_path(name, x0, dx0, record_noise, n_steps, n_reps, rows,
+                                          seed):
+    # Blocks of `rows` rows, filled a row at a time by the worker and the
+    # caller: the zero noise factor leaves every row the mean path, and the
+    # starts near the top of float64 make rows leave it in explosive regimes.
+    theta1, theta2, horizon = REGIME_POINTS[name]
+    params = ModelParams(theta1=theta1, theta2=theta2, sigma=0.0, x0=x0, dx0=dx0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * rows * (n_steps + 1))
+        mp.setattr(simulate_module, "_DRAW_ELEMENTS", n_steps + 1)
+        blocks = list(simulate_exact(params, horizon, n_steps, range(n_reps), seed,
+                                     record_noise))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = fundamental_solutions(char_roots(params), np.linspace(0.0, horizon, n_steps + 1))
+        mean = (x0 * fs.x1 + dx0 * fs.x2, x0 * fs.dx1 + dx0 * fs.dx2)
+    assert [k for blk in blocks for k in blk.reps] == list(range(n_reps))
+    for blk in blocks:
+        assert (blk.n_finite == first_non_finite(*mean)).all()
+        for have, want in zip((blk.x, blk.v), mean):
+            finite = np.isfinite(have)
+            assert np.array_equal(have[finite], np.broadcast_to(want, have.shape)[finite])
+        if record_noise:
+            assert blk.dw.shape == (len(blk.reps), n_steps) and not blk.dw.any()
+        else:
+            assert blk.dw is None
+
+
+@pytest.mark.xfail(strict=True, raises=SimulationOverflowError,
+                   reason="the recurrence coefficient det(M) of a long step overflows "
+                          "before the path leaves float64")
+def test_noiseless_path_outlasts_its_step_determinant():
+    # p = q = 1 over two steps of 350: M's entries are about 350 e^350, so
+    # x1(h) x2'(h) - x2(h) x1'(h) is -inf - -inf, although det(M) = e^700
+    # and x1(700) ~ -7e306 are finite.  `_recurrence` carries the NaN into
+    # every row from step 2, so a path from rest, all zeros, raises there.
+    path = simulate(ModelParams(theta1=2.0, theta2=-1.0, sigma=0.0), 700.0, 2)
+    assert not path.x.any() and not path.v.any()
 
 
 def test_block_memory_does_not_grow_with_replications():
