@@ -171,7 +171,6 @@ class HorizonResult:
     excluded_overflow: int  # simulation left the float64 range
     excluded_singular: int  # singular design in the rotated solve
     first_excluded_rep: int | None
-    cond_flagged: int  # used replications whose Estimate.cond_flag is set
 
 
 @dataclass
@@ -234,7 +233,7 @@ def ks_two_sample(a, b) -> float:
     both = np.concatenate([a, b])
     d = (np.searchsorted(a, both, side="right") / a.size
          - np.searchsorted(b, both, side="right") / b.size)
-    return float(max(d.max(), np.clip(-d.min(), 0, 1)))
+    return float(np.abs(d).max())
 
 
 def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, rate_spec, horizon: float,
@@ -392,7 +391,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             excluded_overflow=int((status == "overflow").sum()),
             excluded_singular=int((status == "singular").sum()),
             first_excluded_rep=int(excluded[0]) if excluded.size else None,
-            cond_flagged=int(est.cond_flag.sum()),
         ))
 
     comparison_name = (cfg.comparison if isinstance(cfg.comparison, str)

@@ -11,11 +11,11 @@ second-order form (Cayley-Hamilton: M^2 = tr(M) M - det(M) I), which works
 for defective M (double roots) where diagonalization would not: after a
 two-tap transform of the noise, each state component u obeys
 u[k] += tr(M) u[k-1] - det(M) u[k-2].  `_recurrence` runs that in place on
-a (rows, n+1) array, bit for bit as scipy.signal.lfilter would: the float
-operations of its direct form II transposed, from its zero state.  A numpy
-step costs microseconds of call overhead at any width, so wide arrays recur
-across the rows, one step over all rows at a time, and arrays of a few rows
-(a `simulate` path) recur along each row on Python floats.
+a (rows, n+1) array from the start columns the fill writes, bit for bit as
+scipy.signal.lfilter from its zero state.  A numpy step costs microseconds
+of call overhead at any width, so wide arrays recur across the rows, one
+step over all rows at a time, and arrays of a few rows (a `simulate` path)
+recur along each row on Python floats.
 
 Exact paths come from one block kernel, `simulate_exact`, for every sigma:
 per grid it builds the mean path, the transition kernel and its noise
@@ -134,21 +134,11 @@ _NARROW_ROWS, _CHUNK_STEPS = 16, 64
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows are the caller's to flag
 def _recurrence(u: np.ndarray, tau: float, delta: float) -> None:
-    """Run u[:, k] += tau*u[:, k-1] - delta*u[:, k-2] in place, bit for bit as
-    lfilter([1], [1, -tau, delta], u, axis=-1) (non-finite where it is).
-
-    lfilter starts from a zero state, so step 0 adds 0.0 and step 1 adds
-    0.0 + tau*u[:, 0].  Its direct form II transposed also adds
-    u[:, k-1]*0 + u[:, k-2]*0 of the input, which sets only the sign of a
-    zero u[:, k] (or makes NaN next to a non-finite input, where lfilter's
-    output is not finite either): that is added first, when u has a zero.
-    """
+    """Run u[:, k] += tau*u[:, k-1] - delta*u[:, k-2] in place for k >= 2.  On
+    the input `_recurrence_input` writes (column 0 +0.0) this is bit for bit
+    lfilter([1], [1, -tau, delta], u, axis=-1), non-finite where it is."""
     rows, n1 = u.shape
     tau, delta = float(tau), float(delta)
-    if not u[:, 2:].all():
-        u[:, 2:] += u[:, 1:-1] * 0.0 + u[:, :-2] * 0.0
-    u[:, :1] += 0.0
-    u[:, 1:2] += tau * u[:, :1] + 0.0
     if n1 < 3:
         return
     if rows <= _NARROW_ROWS:
@@ -187,11 +177,17 @@ def _recurrence_input(m: np.ndarray) -> tuple[Callable[[np.ndarray, np.ndarray],
     for m, and the transform write(xi, u) that writes into the (2, rows, n+1)
     array u the input that makes `_recurrence(u[c], tau, delta)`, for c = 0
     (X) and 1 (X'), run state[k+1] = m @ state[k] + xi[:, :, k] from the
-    zero state, each row a path.  xi is (2, rows, n), X's noise then X''s,
-    and write overwrites it.  Each call runs over both components at once;
-    the coefficients are formed here, once per m."""
+    zero state, each row a path: the first two outputs (the zero state, then
+    the first step's noise) and the inputs from step 2 on.  xi is
+    (2, rows, n), X's noise then X''s, and write overwrites it.  Each call
+    runs over both components at once; the coefficients are formed here,
+    once per m."""
     tau = m[0, 0] + m[1, 1]
     delta = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if not np.isfinite(delta):  # products overflowed: form them on m / 2^e
+        e = np.frexp(np.abs(m).max())[1]
+        s = np.ldexp(m, -e)
+        delta = np.ldexp(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0], 2 * e)
     own = (np.diagonal(m) - tau)[:, None, None]  # m[c, c] - tau
     cross = np.diagonal(m[::-1])[:, None, None]  # m[1, 0] for X's plane, m[0, 1] for X''s
 

@@ -6,9 +6,9 @@ and, for experiments, the raw-residual rows as the CLI writes them.  The
 cases cover every normalization, NaN residuals from explosive paths, and
 exclusions by overflow and by a singular design.  The `path.csv` that
 `car2 simulate` writes is pinned too, with and without recorded noise and
-for a noiseless path, and the `limit.csv` and `limit.meta.json` of
-`car2 limit-sample` for two closed-form laws, whose Cauchy-type draws span
-many exponents.
+for noiseless paths (one from rest, where only zero signs can move), and
+the `limit.csv` and `limit.meta.json` of `car2 limit-sample` for two
+closed-form laws, whose Cauchy-type draws span many exponents.
 
 Only closed-form limit laws and normal / no comparisons appear, which
 keeps the cases small: the Brownian-grid sampler's fields are pinned by
@@ -103,6 +103,12 @@ PATH_CSVS = {
         ["--theta1", "-1", "--theta2", "-2", "--sigma", "0", "--x0", "0.3", "--dx0", "-0.2",
          "--horizon", "4", "--n-steps", "400", "--record-noise"],
         "5050b8f835bf597589dc250a441f33be04361121c241a7eb6718a55a771446e3"),
+    # sigma = 0 from rest: x's mean path is -0.0 past pi and v's on (pi/2, pi),
+    # so a sample there reads -0.0 if the recurrence gave -0.0.
+    "noiseless_rest_noise": (
+        ["--theta1", "0", "--theta2", "-1", "--sigma", "0", "--horizon", "4", "--n-steps", "400",
+         "--record-noise"],
+        "7c73d723efdc707f5db653f5e3fa962481e5d523bfdd1da0f57df0cb8c0f1b2f"),
 }
 
 # `car2 limit-sample` arguments beside --n 500 --seed 4, and the digests of

@@ -679,23 +679,6 @@ class TestNestingGroups:
             assert set(row) == ARTIFACT_HORIZON_KEYS
 
 
-def test_cond_flagged_counts_used_replications(monkeypatch):
-    # On harness grids the trapezoid's O(h^2) error keeps D/(SXX*SVV) far
-    # above COND_FLAG_TOL; raised, the tolerance flags part of the
-    # replications.  The count stays out of the artifact.
-    monkeypatch.setattr(car2.estimate, "COND_FLAG_TOL", 0.006)
-    params = ModelParams(theta1=1.5, theta2=-0.5, sigma=1.0, x0=0.3, dx0=-0.2)
-    cfg = ergodic_cfg(params=params, horizons=(4.0,), n_reps=20, steps_per_unit_time=20,
-                      comparison="none")
-    report = run_experiment(cfg)
-    res = report.results[0]
-    flags = [estimate_path(simulate(params, 4.0, res.n_steps, seed=cfg.seed, rep=k))
-             .cond_flag for k in res.reps]
-    assert 0 < res.cond_flagged == sum(flags) < res.n_used
-    assert set(report.to_artifact_dict()["horizons"][0]) == ARTIFACT_HORIZON_KEYS
-    assert run_experiment(ergodic_cfg(n_reps=5)).results[0].cond_flagged == 0
-
-
 class TestConvergenceStudy:
     def test_ergodic_medians_shrink_and_stabilize(self):
         cfg = ergodic_cfg(horizons=(25.0, 50.0, 100.0), n_reps=80,

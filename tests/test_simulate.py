@@ -22,7 +22,13 @@ from car2 import (
     transition,
 )
 from car2.io import read_path_csv, write_path_csv, write_rows_csv
-from car2.simulate import SamplePath, _noise_factor, _recurrence, simulate_exact
+from car2.simulate import (
+    SamplePath,
+    _noise_factor,
+    _recurrence,
+    _recurrence_input,
+    simulate_exact,
+)
 
 from conftest import REGIME_POINTS, sorted_regime_points
 from oracles import exact_path, interleaved_fill
@@ -510,16 +516,37 @@ def test_noiseless_rows_are_the_mean_path(name, x0, dx0, record_noise, n_steps, 
             assert blk.dw is None
 
 
-@pytest.mark.xfail(strict=True, raises=SimulationOverflowError,
-                   reason="the recurrence coefficient det(M) of a long step overflows "
-                          "before the path leaves float64")
 def test_noiseless_path_outlasts_its_step_determinant():
     # p = q = 1 over two steps of 350: M's entries are about 350 e^350, so
-    # x1(h) x2'(h) - x2(h) x1'(h) is -inf - -inf, although det(M) = e^700
-    # and x1(700) ~ -7e306 are finite.  `_recurrence` carries the NaN into
-    # every row from step 2, so a path from rest, all zeros, raises there.
+    # x1(h) x2'(h) - x2(h) x1'(h) overflows to -inf - -inf, although
+    # det(M) = e^700 and x1(700) ~ -7e306 are finite.  Formed on M scaled
+    # by a power of two, det(M) stays finite, and a path from rest stays 0.
     path = simulate(ModelParams(theta1=2.0, theta2=-1.0, sigma=0.0), 700.0, 2)
     assert not path.x.any() and not path.v.any()
+
+
+@pytest.mark.parametrize("name", sorted(REGIME_POINTS))
+def test_step_determinant_is_the_plain_formula_where_finite(name):
+    # The scaled determinant is formed only where the plain one overflows.
+    theta1, theta2, _ = REGIME_POINTS[name]
+    for step in (1e-3, 0.1, 1.0, 5.0):
+        m = transition(ModelParams(theta1=theta1, theta2=theta2, sigma=0.0), step).mean_matrix
+        plain = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        assert np.isfinite(plain)
+        assert_same_bits(_recurrence_input(m)[1][1], plain)
+
+
+@pytest.mark.parametrize("theta1, theta2, step", [(2.0, -1.0, 350.0), (2.0, -1.0, 354.0),
+                                                   (8.0, -16.0, 88.0), (1.0, -0.25, 700.0)])
+def test_step_determinant_outlasts_its_products(theta1, theta2, step):
+    # A double root p: det(M) = e^(2ph) = e^(theta1 h), while the products
+    # x1(h) x2'(h) and x2(h) x1'(h), about (ph)^2 e^(2ph), overflow float64;
+    # their difference cancels about (ph)^2 of the scaled products' digits.
+    m = transition(ModelParams(theta1=theta1, theta2=theta2, sigma=0.0), step).mean_matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        delta = _recurrence_input(m)[1][1]
+    assert abs(delta / math.exp(theta1 * step) - 1.0) < 1e-10
 
 
 def test_block_memory_does_not_grow_with_replications():
@@ -557,29 +584,23 @@ class TestRecurrence:
     @given(data=st.data(), narrow=st.booleans(), n_steps=st.integers(0, 50),
            chunk=st.sampled_from([1, 2, 7, 64]), tau=coefficients, delta=coefficients)
     def test_equals_lfilter(self, data, narrow, n_steps, chunk, tau, delta):
-        # Bit for bit through both loop orders, with steps in chunks that
-        # split the series or not; non-finite exactly where lfilter's is.
+        # On fill-shaped input (column 0 the zero state), through both loop
+        # orders, with steps in chunks that split the series or not:
+        # non-finite exactly where lfilter's is, and bit for bit but for the
+        # sign of a zero, which lfilter's direct form sets from its state.
         cutoff = simulate_module._NARROW_ROWS
         rows = data.draw(st.integers(1, cutoff) if narrow else st.integers(cutoff + 1, 3 * cutoff))
         u = data.draw(arrays(np.float64, (rows, n_steps + 1), elements=values))
+        u[:, 0] = 0.0
         want = lfilter([1.0], [1.0, -tau, delta], u, axis=-1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate_module, "_CHUNK_STEPS", chunk)
             _recurrence(u, tau, delta)
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(u), finite)
-        assert u[finite].view(np.int64).tolist() == want[finite].view(np.int64).tolist()
-
-    def test_zero_input_takes_lfilter_sign(self):
-        # tau < 0 makes tau*u[k-1] - delta*u[k-2] = -0.0 on zeros, and
-        # -0.0 + -0.0 = -0.0; lfilter's direct form still gives +0.0 at a
-        # -0.0 input unless both earlier inputs were -0.0 too.
-        u = np.array([[0.0, 0.0, -0.0, -0.0, -0.0]] * 2 + [[-0.0] * 5] * 10)
-        want = lfilter([1.0], [1.0, 1.5, 0.5], u, axis=-1)
-        for rows in (u[:2].copy(), u.copy()):
-            _recurrence(rows, -1.5, 0.5)
-            assert np.signbit(rows).tolist() == np.signbit(want[:len(rows)]).tolist()
-        assert np.signbit(want[0]).tolist() == [False, False, False, False, True]
+        assert np.array_equal(u[finite], want[finite])
+        nonzero = finite & (want != 0.0)
+        assert u[nonzero].view(np.int64).tolist() == want[nonzero].view(np.int64).tolist()
 
 
 class TestStreams:
