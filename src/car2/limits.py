@@ -9,8 +9,12 @@ The Brownian sampler computes only the functionals the limit laws read
 (see BrownianFunctionals).  It runs chunks of paths on two lanes, the
 calling thread and one worker thread, which take chunks from a shared
 counter; a lane draws and reduces each of its chunks a few rows at a time
-in its own scratch (numpy releases the GIL in both), with no BLAS call,
-bit for bit as if the chunks were reduced in turn on one thread.
+in its own scratch, with no BLAS call, bit for bit as if the chunks were
+reduced in turn on one thread.  The lanes overlap only inside numpy calls
+that release the GIL: the draws, the elementwise products, the einsums and
+a 1-D cumsum into another array release it (numpy 2.4), but a 2-D cumsum
+along rows, or a 1-D one in place, holds it for the whole call, so the
+paths are summed one row at a time into a separate array.
 
 Draws are returned jointly as (l1, l2): wherever the theory couples the two
 coordinates (one limit a fixed negative multiple of the other, or both built
@@ -102,15 +106,18 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     fields at their rows of the result.
 
     A lane reduces a chunk `_REDUCE_ROWS` rows at a time, in its own
-    scratch: it draws the block's increments, forms the paths by cumsum,
-    reads off w(1) and the Levy area and takes each trapezoid integral as
-    one einsum of the squared paths (or of w) with the trapezoid weights, a
-    fixed-order reduction inside numpy.  No BLAS call is made, so the bits
-    do not depend on the BLAS thread count.  With two BMs the Levy area of a
-    block needs BM1's increments before any of BM2's are drawn, so the lane
-    draws BM1's whole chunk into its own slot first; with one BM it keeps
-    no slot.  Consecutive `standard_normal` calls continue the stream, so a
-    chunk drawn block by block has the increments of one call.
+    scratch: it draws the block's increments, forms the paths by cumsum, a
+    row at a time (see _cumsum_rows), reads off w(1) and the Levy area and
+    takes each trapezoid integral as one einsum of the squared paths (or of
+    w) with the trapezoid weights, a fixed-order reduction inside numpy.  A
+    block's lone row is reduced as both rows of a pair (see _row_einsum),
+    so a draw's fields do not depend on the block it falls in.  No BLAS
+    call is made, so the bits do not depend on the BLAS thread count.  With
+    two BMs the Levy area of a block needs BM1's increments before any of
+    BM2's are drawn, so the lane draws BM1's whole chunk into its own slot
+    first; with one BM it keeps no slot.  Consecutive `standard_normal`
+    calls continue the stream, so a chunk drawn block by block has the
+    increments of one call.
 
     The bits equal those of reducing one chunk after the other on one
     thread: each chunk has its own stream, its fields their own rows, and
@@ -132,7 +139,7 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     chunks = _Rows(n_chunks)
 
     def integrate(f: np.ndarray, rows: slice, key: str) -> None:
-        np.einsum("ij,j->i", f, trapw, out=out[key][rows])
+        out[key][rows] = _row_einsum("ij,j->i", f, trapw)
 
     def lane() -> None:
         bm1 = np.empty(min(chunk, n_draws) * n) if two_bm else None
@@ -155,17 +162,17 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                     d *= math.sqrt(dt)
                     if two_bm:
                         d1 = dw1[r0:r0 + k]
-                        np.cumsum(d1, axis=1, out=w1[:, 1:])
-                        np.cumsum(d, axis=1, out=w2[:, 1:])
+                        _cumsum_rows(d1, w1[:, 1:])
+                        _cumsum_rows(d, w2[:, 1:])
                         out["w2_end"][rows] = w2[:, -1]
-                        np.subtract(np.einsum("ij,ij->i", w1[:, :-1], d),
-                                    np.einsum("ij,ij->i", w2[:, :-1], d1), out=out["levy"][rows])
+                        np.subtract(_row_einsum("ij,ij->i", w1[:, :-1], d),
+                                    _row_einsum("ij,ij->i", w2[:, :-1], d1), out=out["levy"][rows])
                         integrate(np.multiply(w2, w2, out=w2), rows, "s2")
                     else:
-                        np.cumsum(d, axis=1, out=w1[:, 1:])
+                        _cumsum_rows(d, w1[:, 1:])
                         integrate(w1, rows, "z1")
-                        np.add(w1[:, :-1], w1[:, 1:], out=w2[:, 1:])  # running trapezoid of w
-                        np.cumsum(w2[:, 1:], axis=1, out=w2[:, 1:])
+                        np.add(w1[:, :-1], w1[:, 1:], out=d)  # w's running trapezoid, in d's place
+                        _cumsum_rows(d, w2[:, 1:])
                         w2 *= dt / 2.0
                         integrate(np.multiply(w2, w2, out=w2), rows, "z3")
                     out["w1_end"][rows] = w1[:, -1]
@@ -183,6 +190,30 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     if two_bm:
         out["s2"] += out["z2"]
     return BrownianFunctionals(**out)
+
+
+def _cumsum_rows(a: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = cumsum(a[i]) for each row: the bits of a cumsum along axis 1,
+    but the GIL is released for each row (out must not overlap a).  The
+    ufunc's accumulate is called directly: np.cumsum's dispatch costs about
+    as much as summing a row of 1,000 (5 us on a 2-vCPU VM, numpy 2.4)."""
+    for row, dest in zip(a, out):
+        np.add.accumulate(row, out=dest)
+
+
+def _row_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum(subscripts, *operands) for a reduction of each row of a block.
+
+    numpy 2.4 reduces a lone row longer than 8,192 elements in buffer-sized
+    pieces, which round otherwise than the same row in a block of two rows or
+    more; so a lone row is reduced as both rows of a pair, a read-only view
+    that repeats it.  The 1-D operands (weights) are passed as they are.
+    """
+    k = len(operands[0])
+    if k == 1:
+        operands = tuple(np.broadcast_to(a, (2, a.shape[1])) if a.ndim == 2 else a
+                         for a in operands)
+    return np.einsum(subscripts, *operands)[:k]
 
 
 def _cauchy_offset(roots: RootPair, params: ModelParams, q: float) -> float:

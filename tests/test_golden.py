@@ -8,14 +8,17 @@ exclusions by overflow and by a singular design.  The `path.csv` that
 `car2 simulate` writes is pinned too, with and without recorded noise and
 for noiseless paths (one from rest, where only zero signs can move), and
 the `limit.csv` and `limit.meta.json` of `car2 limit-sample` for two
-closed-form laws, whose Cauchy-type draws span many exponents.
+closed-form laws, whose Cauchy-type draws span many exponents, and for
+two functional laws at the default Brownian grid of 10,000 steps (two
+full chunks of paths, so both of the sampler's lanes run).
 
-Only closed-form limit laws and normal / no comparisons appear, which
-keeps the cases small: the Brownian-grid sampler's fields are pinned by
-digest in test_limits.py.  These hashes must hold on any host, and
-test_blas_threads.py checks them, and the sampler's fields, at one and two
-BLAS threads.  A change that moves simulation or estimation bits on
-purpose must refresh the table and say why.
+The experiments use only closed-form limit laws and normal / no
+comparisons, which keeps them small: the Brownian-grid sampler's fields
+are also pinned by digest in test_limits.py, at grid 1,000.  These hashes
+must hold on any host, and test_blas_threads.py checks them, and the
+sampler's fields, at one and two BLAS threads.  A change that moves
+simulation or estimation bits on purpose must refresh the table and say
+why.
 """
 
 import hashlib
@@ -111,17 +114,27 @@ PATH_CSVS = {
         "7c73d723efdc707f5db653f5e3fa962481e5d523bfdd1da0f57df0cb8c0f1b2f"),
 }
 
-# `car2 limit-sample` arguments beside --n 500 --seed 4, and the digests of
+# `car2 limit-sample` arguments beside --seed 4, and the digests of
 # limit.csv and limit.meta.json.
 LIMIT_CSVS = {
     "ergodic": (
-        ["--theta1", "-3", "--theta2", "-2"],
+        ["--theta1", "-3", "--theta2", "-2", "--n", "500"],
         ("1cce466c6b66afa51278d84130d77b92f1f420b7a9ec2bad7603bf132513774c",
          "283c808751b347531d981552e633ad5fc1a143a17a481a930b6a5522e44afc6b")),
     "distinct_positive": (
-        ["--theta1", "1.5", "--theta2", "-0.5"],
+        ["--theta1", "1.5", "--theta2", "-0.5", "--n", "500"],
         ("55663acfffb4d9b3393b78eff4d74f3606c434c4500ee1d8fccf03969dab1e28",
          "7435df9bdf875abed27d91b4d45daa993ec56d077a7702037966c95d08d1ae87")),
+    # Grid 10,000: chunks of 419 = 26 * 16 + 3 paths, so no reduce block
+    # holds a lone row.
+    "harmonic": (
+        ["--theta1", "0", "--theta2", "-1", "--n", "838"],
+        ("5cf9a3e40904716e99d8fdb15995697b3a3d53fec082f281a87c509bc88bf177",
+         "67af60377ac50e03ef64c836696f619f19f2d444a78437bf4d24b3ada801b864")),
+    "zero_double": (
+        ["--theta1", "0", "--theta2", "0", "--n", "838"],
+        ("d4b0f31e819ab7f70015e7319178ff0abe548b643cbd90daecc60f5fb3bf2c00",
+         "d40b61892370cbbcf79d40ff2c0d86c504f30de0f93eafe99cb8ed7055e3fd0b")),
 }
 
 
@@ -159,6 +172,6 @@ def test_simulated_path_csv_pinned(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(LIMIT_CSVS))
 def test_limit_sample_csv_pinned(tmp_path, name):
     argv, digests = LIMIT_CSVS[name]
-    assert main(["limit-sample", *argv, "--n", "500", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert main(["limit-sample", *argv, "--seed", "4", "--out", str(tmp_path)]) == 0
     assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                  for f in ("limit.csv", "limit.meta.json")) == digests

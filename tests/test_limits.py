@@ -112,6 +112,17 @@ class TestBrownianFunctionals:
             assert np.all(np.isfinite(getattr(longer, name)))
         assert not np.array_equal(longer.s2[chunk:2 * chunk], longer.s2[:chunk])
 
+    def test_lone_block_row_keeps_its_bits(self):
+        # One BM: chunk 0's draws come from its own stream, so the first 17
+        # of 18 draws are the first 17 draws.  Draw 16 is a lone row in its
+        # 16-row block in the first run and shares a block in the second: at
+        # grid 2**14 the sampler must not reduce a lone row on its own.
+        grid = 2**14
+        short = brownian_functionals(grid, seed=4, n_draws=17)
+        longer = brownian_functionals(grid, seed=4, n_draws=18)
+        for name in ONE_BM_FIELDS:
+            assert getattr(longer, name)[:17].tobytes() == getattr(short, name).tobytes(), name
+
     @pytest.mark.parametrize("two_bm", [False, True])
     def test_field_digests_pinned(self, two_bm):
         fn = brownian_functionals(1000, seed=6, two_bm=two_bm, n_draws=4200)
@@ -122,22 +133,20 @@ class TestBrownianFunctionals:
 
 def sequential_functionals(grid_n, seed, two_bm, n_draws, chunk_elements, gemv=False):
     """Oracle: the sampler on one thread, each chunk drawn whole (BM1, then
-    BM2) and reduced in turn.  Each trapezoid integral is an einsum per block
-    of _REDUCE_ROWS rows, as the sampler's; with gemv, one `@ trapw` gemv
-    per chunk, as the sampler took them before, and z1_abs, the trapezoid
-    of |w|, joins the one-BM fields."""
+    BM2) and reduced in turn.  Each trapezoid integral, and each Levy sum,
+    is one einsum over the chunk's rows, not the sampler's blocks of
+    _REDUCE_ROWS: a row of an einsum of two rows or more has the same bits
+    in any such einsum.  (A lone row longer than 8,192 elements does not,
+    so a one-row chunk on such a grid is no oracle.)  With gemv, each
+    trapezoid is one `@ trapw` gemv per chunk, as the sampler took them
+    before, and z1_abs, the trapezoid of |w|, joins the one-BM fields."""
     dt = 1.0 / grid_n
     trapw = np.full(grid_n + 1, dt)
     trapw[0] = trapw[-1] = dt / 2.0
     chunk = max(1, chunk_elements // (grid_n + 1))
 
-    def by_block(reduce, *arrays):
-        step = car2.limits._REDUCE_ROWS
-        return np.concatenate([reduce(*(a[r:r + step] for a in arrays))
-                               for r in range(0, len(arrays[0]), step)])
-
     def trapezoid(f):
-        return f @ trapw if gemv else by_block(lambda b: np.einsum("ij,j->i", b, trapw), f)
+        return f @ trapw if gemv else np.einsum("ij,j->i", f, trapw)
 
     parts = []
     for chunk_index, start in enumerate(range(0, n_draws, chunk)):
@@ -148,9 +157,8 @@ def sequential_functionals(grid_n, seed, two_bm, n_draws, chunk_elements, gemv=F
         fields = dict(w1_end=w[0][:, -1].copy(), z2=trapezoid(w[0] * w[0]))
         if two_bm:
             fields["w2_end"] = w[1][:, -1].copy()
-            fields["levy"] = by_block(
-                lambda w1, w2, d1, d2: (np.einsum("ij,ij->i", w1[:, :-1], d2)
-                                        - np.einsum("ij,ij->i", w2[:, :-1], d1)), *w, *dw)
+            fields["levy"] = (np.einsum("ij,ij->i", w[0][:, :-1], dw[1])
+                              - np.einsum("ij,ij->i", w[1][:, :-1], dw[0]))
             fields["s2"] = fields["z2"] + trapezoid(w[1] * w[1])
         else:
             inner = np.zeros_like(w[0])
@@ -228,6 +236,52 @@ class TestFillPipeline:
             got = brownian_functionals(grid_n, seed=5, two_bm=two_bm, n_draws=n_draws)
             want = sequential_functionals(grid_n, 5, two_bm, n_draws, chunk * (grid_n + 1))
             assert_fields_equal(got, want, two_bm, n_draws)
+
+    @pytest.mark.parametrize("grid_n", [10_000, 2**14])
+    @pytest.mark.parametrize("two_bm", [False, True])
+    def test_lone_block_rows_equal_sequential_loop(self, monkeypatch, grid_n, two_bm):
+        # Chunks of _REDUCE_ROWS + 1 rows each end in a one-row block; the
+        # oracle reduces each whole chunk in one einsum.
+        chunk = car2.limits._REDUCE_ROWS + 1
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
+        got = brownian_functionals(grid_n, seed=3, two_bm=two_bm, n_draws=2 * chunk)
+        want = sequential_functionals(grid_n, 3, two_bm, 2 * chunk, chunk * (grid_n + 1))
+        assert_fields_equal(got, want, two_bm, grid_n)
+
+    @pytest.mark.parametrize("two_bm", [False, True])
+    @pytest.mark.parametrize("eager", [False, True], ids=["worker", "eager"])
+    def test_paths_are_summed_row_by_row(self, monkeypatch, two_bm, eager):
+        # numpy 2.4 holds the GIL through a 2-D cumsum, and through a 1-D
+        # one in place, so the other lane would wait on it: each lane sums
+        # every path (and one-BM's running trapezoid) as one 1-D cumsum per
+        # row into another array.  Every cumsum the sampler makes, by
+        # np.cumsum or np.add.accumulate, is recorded.
+        grid_n, chunk, n_draws = 300, 20, 65
+        monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
+        if eager:
+            monkeypatch.setattr(car2.limits, "ThreadPoolExecutor", EagerExecutor)
+        calls = []
+
+        def recorded(cumsum):
+            def call(a, *args, out=None, **kwargs):
+                calls.append((np.ndim(a), out is None or np.shares_memory(a, out)))
+                return cumsum(a, *args, out=out, **kwargs)
+            return call
+
+        class Add:
+            __call__ = staticmethod(np.add)
+            accumulate = staticmethod(recorded(np.add.accumulate))
+
+        class Numpy:
+            """numpy as car2.limits sees it, with its cumsums recorded."""
+            add, cumsum = Add(), staticmethod(recorded(np.cumsum))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(car2.limits, "np", Numpy())
+        brownian_functionals(grid_n, seed=1, two_bm=two_bm, n_draws=n_draws)
+        assert calls == [(1, False)] * (2 * n_draws)
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(grid_n=st.integers(2, 300), chunk=st.integers(1, 40), n_chunks=st.integers(1, 7),
@@ -377,7 +431,7 @@ class TestFillPipeline:
         # _REDUCE_ROWS rows; with two BMs each lane also holds one slot of
         # BM1's increments for a chunk.  The slack is the fields and numpy's
         # iterator buffers (at this grid the running-trapezoid add buffers
-        # 192 KiB per lane).
+        # its two inputs, 128 KiB per lane).
         grid_n, chunk = 1000, 200
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         slot_bytes = 8 * chunk * grid_n
