@@ -28,7 +28,7 @@ columns; `estimate_path` takes the same two steps on one checked path, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class SingularDesignError(ArithmeticError):
         super().__init__(f"singular design: D = {det:.6g} <= threshold {threshold:.6g}")
 
 
-@dataclass(frozen=True)
-class SufficientStats:
+class SufficientStats(NamedTuple):
     """The five path functionals entering the MLE, plus endpoints: floats for
     one path, or one array entry per row (horizon and sigma_used stay floats)."""
 
@@ -80,8 +79,7 @@ class SufficientStats:
         return cells.reshape(np.shape(self.sxx) + (2, 2))
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """Floats for one path, or one array entry per row (see SufficientStats)."""
 
     theta1_hat: float
@@ -97,10 +95,9 @@ class Estimate:
 
 def _map_rows(obj, fn):
     """obj (an Estimate or SufficientStats) with fn applied to each per-row array."""
-    values = (getattr(obj, f.name) for f in fields(obj))
     return type(obj)(*(_map_rows(val, fn) if isinstance(val, SufficientStats)
                        else fn(val) if isinstance(val, np.ndarray) else val
-                       for val in values))
+                       for val in obj))
 
 
 @np.errstate(all="ignore")  # non-finite and SXX = 0 rows are the caller's to exclude

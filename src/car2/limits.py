@@ -8,8 +8,8 @@ trapezoid, stochastic integrals by left-point Ito sums).
 The Brownian sampler computes only the functionals the limit laws read
 (see BrownianFunctionals).  It runs chunks of paths on two lanes, the
 calling thread and one worker thread, which take chunks from a shared
-counter; a lane draws and reduces each of its chunks a few rows at a time
-in its own scratch, with no BLAS call, bit for bit as if the chunks were
+counter; a lane draws and reduces each of its chunks a block of rows at a
+time in its own scratch, with no BLAS call, bit for bit as if the chunks were
 reduced in turn on one thread.  The lanes overlap only inside numpy calls
 that release the GIL: the draws, the elementwise products, the einsums and
 a 1-D cumsum into another array release it (numpy 2.4), but a 2-D cumsum
@@ -24,14 +24,13 @@ from one Brownian path), the stored pair satisfies the coupling exactly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
 from .model import ModelParams, Regime, RegimeKind, RootPair
-from .simulate import _Rows
+from .simulate import _Rows, _Worker
 
 __all__ = [
     "BrownianFunctionals",
@@ -42,7 +41,10 @@ __all__ = [
 
 MIN_FUNCTIONAL_GRID = 1000
 _CHUNK_ELEMENTS = 2**22
-_REDUCE_ROWS = 16  # rows a lane draws and reduces at a time
+# Increments a lane draws and reduces at a time (16 rows at grid 10,000): a
+# block's Python work holds the GIL, so a block of few increments makes the
+# other lane wait.
+_REDUCE_ELEMENTS = 16 * 10_000
 
 _FUNCTIONAL_REGIMES = frozenset({
     RegimeKind.LARGER_ROOT_ZERO,
@@ -58,8 +60,7 @@ _SIGMA_DEPENDENT = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class BrownianFunctionals:
+class BrownianFunctionals(NamedTuple):
     """Functionals of BM on [0, 1]; arrays of shape (n_draws,).
 
     One BM, for the zero-root laws: w1_end = w(1), z1 = int w, z2 = int w^2
@@ -79,8 +80,7 @@ class BrownianFunctionals:
     s2: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class LimitSampleSet:
+class LimitSampleSet(NamedTuple):
     """Joint draws (l1, l2) from the limit law of one regime.
 
     grid_n is 0 for closed-form regimes.
@@ -105,11 +105,12 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     from a shared counter until none is left, and each writes its chunks'
     fields at their rows of the result.
 
-    A lane reduces a chunk `_REDUCE_ROWS` rows at a time, in its own
-    scratch: it draws the block's increments, forms the paths by cumsum, a
-    row at a time (see _cumsum_rows), reads off w(1) and the Levy area and
-    takes each trapezoid integral as one einsum of the squared paths (or of
-    w) with the trapezoid weights, a fixed-order reduction inside numpy.  A
+    A lane reduces a chunk in blocks of `_REDUCE_ELEMENTS // grid_n` rows
+    (at least one, at most a chunk), in its own scratch: it draws the
+    block's increments, forms the paths by cumsum, a row at a time (see
+    _cumsum_rows), reads off w(1) and the Levy area and takes each
+    trapezoid integral as one einsum of the squared paths (or of w) with
+    the trapezoid weights, a fixed-order reduction inside numpy.  A
     block's lone row is reduced as both rows of a pair (see _row_einsum),
     so a draw's fields do not depend on the block it falls in.  No BLAS
     call is made, so the bits do not depend on the BLAS thread count.  With
@@ -134,6 +135,8 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     trapw[0] = trapw[-1] = dt / 2.0
     chunk = max(1, _CHUNK_ELEMENTS // (n + 1))
     n_chunks = -(-n_draws // chunk)
+    slot = min(chunk, n_draws)  # rows of the largest chunk
+    block = max(1, min(_REDUCE_ELEMENTS // n, slot))
     names = ("w1_end", "z2", "w2_end", "levy", "s2") if two_bm else ("w1_end", "z2", "z1", "z3")
     out = {key: np.empty(n_draws) for key in names}
     chunks = _Rows(n_chunks)
@@ -142,9 +145,9 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
         out[key][rows] = _row_einsum("ij,j->i", f, trapw)
 
     def lane() -> None:
-        bm1 = np.empty(min(chunk, n_draws) * n) if two_bm else None
-        dw = np.empty(_REDUCE_ROWS * n)
-        paths = np.zeros((2, _REDUCE_ROWS, n + 1))  # w1, w2 or w's running trapezoid
+        bm1 = np.empty(slot * n) if two_bm else None
+        dw = np.empty(block * n)
+        paths = np.zeros((2, block, n + 1))  # w1, w2 or w's running trapezoid
         try:
             for taken in chunks.slices(1):
                 c = taken.start
@@ -154,8 +157,8 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                     dw1 = bm1[:m * n].reshape(m, n)
                     gen.standard_normal(out=dw1)
                     dw1 *= math.sqrt(dt)
-                for r0 in range(0, m, _REDUCE_ROWS):
-                    k = min(_REDUCE_ROWS, m - r0)
+                for r0 in range(0, m, block):
+                    k = min(block, m - r0)
                     rows = slice(start + r0, start + r0 + k)
                     d, (w1, w2) = dw[:k * n].reshape(k, n), paths[:, :k]
                     gen.standard_normal(out=d)
@@ -182,11 +185,14 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                 pass
             raise
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="car2-limits") as worker:
-        there = worker.submit(lane) if n_chunks > 1 else None
+    there = _Worker("car2-limits", lane) if n_chunks > 1 else None
+    try:
         lane()
+    finally:
         if there is not None:
-            there.result()
+            there.join()
+    if there is not None:
+        there.result()
     if two_bm:
         out["s2"] += out["z2"]
     return BrownianFunctionals(**out)

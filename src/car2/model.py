@@ -13,7 +13,7 @@ noiseless equation, and assembles the exact one-step Gaussian transition
 kernel of the state (X, X').
 
 All operations are pure functions of their arguments; returned values are
-plain dataclasses safe to share across threads.
+immutable records (NamedTuples) safe to share across threads.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ class ModelParams:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(NamedTuple):
     """Characteristic roots, p with the larger real part.
 
     Complex roots are stored as a conjugate pair with Im(p) > 0.
@@ -120,16 +120,14 @@ class RegimeKind(enum.Enum):
     UNSTABLE_OSCILLATION = "UnstableOscillation"
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     """A regime with the roots classify assigned it from, so the two agree."""
 
     tag: RegimeKind
     roots: RootPair
 
 
-@dataclass(frozen=True)
-class FundamentalValues:
+class FundamentalValues(NamedTuple):
     """x1, x2 and their time derivatives at one or more times.
 
     x1, x2 solve x'' - theta1 x' - theta2 x = 0 with x1(0)=1, x1'(0)=0,
@@ -142,8 +140,7 @@ class FundamentalValues:
     dx2: np.ndarray | float
 
 
-@dataclass(frozen=True)
-class TransitionKernel:
+class TransitionKernel(NamedTuple):
     """Exact one-step Gaussian transition over a step of length h.
 
     mean_matrix maps the state (X, X'); cov_matrix is the 3x3 covariance of

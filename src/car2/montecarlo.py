@@ -38,6 +38,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,8 +154,7 @@ class ExperimentConfig:
             raise ValueError(f"invalid config: {exc}") from exc
 
 
-@dataclass
-class HorizonResult:
+class HorizonResult(NamedTuple):
     horizon: float
     n_steps: int
     n_used: int
@@ -173,8 +173,7 @@ class HorizonResult:
     first_excluded_rep: int | None
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     regime: str
     normalization: str
     comparison: str
@@ -407,8 +406,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-@dataclass
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     horizon: float
     raw_median1: float
     raw_median2: float
@@ -418,8 +416,7 @@ class ConvergenceRow:
     n_excluded: int
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     regime: str
     rows: list[ConvergenceRow]
     stabilized1: bool

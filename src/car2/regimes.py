@@ -11,8 +11,7 @@ Each rate is exponentiated from its log form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,8 +35,7 @@ class NoNlrrError(ValueError):
     """No normal-limit-with-random-rate exists for this regime."""
 
 
-@dataclass(frozen=True)
-class RateSpec:
+class RateSpec(NamedTuple):
     regime: RegimeKind
     v1: Callable[[float], float]
     v2: Callable[[float], float]
@@ -49,8 +47,7 @@ class RateSpec:
     v2_expr: str
 
 
-@dataclass(frozen=True)
-class NlrrRates:
+class NlrrRates(NamedTuple):
     """Scalar random rates (arrays for array stats); r2 is None when only
     theta1 admits one."""
 

@@ -36,11 +36,9 @@ one-row block, run inline.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -242,6 +240,28 @@ class _Rows:
             yield slice(start, stop)
 
 
+class _Worker(threading.Thread):
+    """fn(*args) on a thread of its own, started here and named name (for
+    thread dumps); result() joins it and raises what fn raised.  Whoever
+    starts one joins it on every exit path."""
+
+    def __init__(self, name: str, fn: Callable[..., None], *args):
+        super().__init__(target=fn, args=args, name=name)
+        self.error = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            super().run()
+        except BaseException as exc:  # noqa: BLE001 - raised on the caller by result()
+            self.error = exc
+
+    def result(self) -> None:
+        self.join()
+        if self.error is not None:
+            raise self.error
+
+
 def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                    reps: Sequence[int], seed: int = 0,
                    record_noise: bool = False) -> Iterator[SimBlock]:
@@ -322,16 +342,16 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
 
     fill_here = filler(_DRAW_ELEMENTS // 2)
     fill_there = filler(_DRAW_ELEMENTS) if threaded else None
-    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="car2-simulate") if threaded
-          else contextlib.nullcontext()) as worker:
 
-        def begin(b: int):
-            """Block b's dw, its rows to fill, and the worker's fill (None inline)."""
-            dw = np.zeros((len(blocks[b]), n)) if record_noise else None
-            to_fill = _Rows(len(blocks[b]))
-            return dw, to_fill, worker.submit(fill_there, b, to_fill, dw) if threaded else None
+    def begin(b: int):
+        """Block b's dw, its rows to fill, and the worker filling them (None inline)."""
+        dw = np.zeros((len(blocks[b]), n)) if record_noise else None
+        to_fill = _Rows(len(blocks[b]))
+        return dw, to_fill, (_Worker("car2-simulate", fill_there, b, to_fill, dw) if threaded
+                             else None)
 
-        ahead = begin(0) if blocks else None
+    ahead = begin(0) if blocks else None
+    try:
         for b, block in enumerate(blocks):
             r = len(block)
             dw, to_fill, filled_there = ahead
@@ -348,6 +368,9 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                     x, v = np.add(x_mean, u[:r][rows_i]), np.add(v_mean, u[r:][rows_i])
                 yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i],
                                _n_finite(x, v))
+    finally:  # a failed or closed call leaves no worker running
+        if ahead is not None and ahead[2] is not None:
+            ahead[2].join()
 
 
 def simulate(params: ModelParams, horizon: float, n_steps: int, *,

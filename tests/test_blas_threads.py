@@ -22,7 +22,7 @@ import hashlib
 from car2 import brownian_functionals
 for two_bm in (False, True):
     fn = brownian_functionals(5000, seed=3, two_bm=two_bm, n_draws=100)
-    for name, value in sorted(vars(fn).items()):
+    for name, value in sorted(fn._asdict().items()):
         if value is not None:
             print(two_bm, name, hashlib.sha256(value.tobytes()).hexdigest())
 """

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -230,7 +229,7 @@ class TestEstimateBlock:
                 assert g.cond_flag == w.cond_flag
                 assert (_bits(g.theta1_hat, g.theta2_hat, g.det_D)
                         == _bits(w.theta1_hat, w.theta2_hat, w.det_D))
-                assert _bits(*dataclasses.astuple(g.stats)) == _bits(*dataclasses.astuple(w.stats))
+                assert _bits(*g.stats) == _bits(*w.stats)
 
     def test_every_row_kind_reached(self):
         # Each row kind reaches its outcome, so the property above covers

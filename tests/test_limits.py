@@ -4,8 +4,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from car2 import (
     sample_limit,
 )
 from car2.estimate import _block_columns, _solve
-from car2.simulate import simulate_exact
+from car2.simulate import _Worker, simulate_exact
 
 from conftest import REGIME_POINTS
 
@@ -113,33 +113,37 @@ class TestBrownianFunctionals:
         assert not np.array_equal(longer.s2[chunk:2 * chunk], longer.s2[:chunk])
 
     def test_lone_block_row_keeps_its_bits(self):
-        # One BM: chunk 0's draws come from its own stream, so the first 17
-        # of 18 draws are the first 17 draws.  Draw 16 is a lone row in its
-        # 16-row block in the first run and shares a block in the second: at
-        # grid 2**14 the sampler must not reduce a lone row on its own.
+        # One BM: chunk 0's draws come from its own stream, so the first
+        # rows + 1 of rows + 2 draws are the first rows + 1 draws.  The last
+        # of them is a lone row in its reduce block in the first run and
+        # shares a block in the second: at grid 2**14 the sampler must not
+        # reduce a lone row on its own.
         grid = 2**14
-        short = brownian_functionals(grid, seed=4, n_draws=17)
-        longer = brownian_functionals(grid, seed=4, n_draws=18)
+        rows = car2.limits._REDUCE_ELEMENTS // grid  # a reduce block
+        assert 1 < rows < car2.limits._CHUNK_ELEMENTS // (grid + 1)  # within one chunk
+        short = brownian_functionals(grid, seed=4, n_draws=rows + 1)
+        longer = brownian_functionals(grid, seed=4, n_draws=rows + 2)
         for name in ONE_BM_FIELDS:
-            assert getattr(longer, name)[:17].tobytes() == getattr(short, name).tobytes(), name
+            want = getattr(short, name).tobytes()
+            assert getattr(longer, name)[:rows + 1].tobytes() == want, name
 
     @pytest.mark.parametrize("two_bm", [False, True])
     def test_field_digests_pinned(self, two_bm):
         fn = brownian_functionals(1000, seed=6, two_bm=two_bm, n_draws=4200)
         got = {name: hashlib.sha256(value.tobytes()).hexdigest()
-               for name, value in vars(fn).items() if value is not None}
+               for name, value in fn._asdict().items() if value is not None}
         assert got == FIELD_DIGESTS[two_bm]
 
 
 def sequential_functionals(grid_n, seed, two_bm, n_draws, chunk_elements, gemv=False):
     """Oracle: the sampler on one thread, each chunk drawn whole (BM1, then
     BM2) and reduced in turn.  Each trapezoid integral, and each Levy sum,
-    is one einsum over the chunk's rows, not the sampler's blocks of
-    _REDUCE_ROWS: a row of an einsum of two rows or more has the same bits
-    in any such einsum.  (A lone row longer than 8,192 elements does not,
-    so a one-row chunk on such a grid is no oracle.)  With gemv, each
-    trapezoid is one `@ trapw` gemv per chunk, as the sampler took them
-    before, and z1_abs, the trapezoid of |w|, joins the one-BM fields."""
+    is one einsum over the chunk's rows, not the sampler's reduce blocks:
+    a row of an einsum of two rows or more has the same bits in any such
+    einsum.  (A lone row longer than 8,192 elements does not, so a one-row
+    chunk on such a grid is no oracle.)  With gemv, each trapezoid is one
+    `@ trapw` gemv per chunk, as the sampler took them before, and z1_abs,
+    the trapezoid of |w|, joins the one-BM fields."""
     dt = 1.0 / grid_n
     trapw = np.full(grid_n + 1, dt)
     trapw[0] = trapw[-1] = dt / 2.0
@@ -181,24 +185,20 @@ def assert_fields_equal(got, want, two_bm, context):
         assert getattr(got, name) is None, (context, name)
 
 
-class EagerExecutor:
-    """Stands in for the worker lane and runs it at once, on submission, so
-    the worker takes every chunk, reusing its one slot and scratch, and the
-    caller's lane finds none left."""
+class EagerWorker(_Worker):
+    """Stands in for the worker lane's thread and runs the lane at once, on
+    the caller, when it starts, so the worker takes every chunk, reusing its
+    one slot and scratch, and the caller's lane finds none left."""
 
-    def __init__(self, max_workers, thread_name_prefix):
-        assert max_workers == 1 and thread_name_prefix == "car2-limits"
+    def __init__(self, name, fn, *args):
+        assert name == "car2-limits"
+        super().__init__(name, fn, *args)
 
-    def __enter__(self):
-        return self
+    def start(self):
+        self.run()
 
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def join(self, timeout=None):
+        pass
 
 
 def run_bounded(call, timeout=60.0):
@@ -231,7 +231,7 @@ class TestFillPipeline:
         # at 2000 x 10 rows a `@ trapw` gemv would run threaded
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         if eager:
-            monkeypatch.setattr(car2.limits, "ThreadPoolExecutor", EagerExecutor)
+            monkeypatch.setattr(car2.limits, "_Worker", EagerWorker)
         for n_draws in (1, chunk - 1, chunk, 2 * chunk + 3, 7 * chunk + 1):
             got = brownian_functionals(grid_n, seed=5, two_bm=two_bm, n_draws=n_draws)
             want = sequential_functionals(grid_n, 5, two_bm, n_draws, chunk * (grid_n + 1))
@@ -240,9 +240,9 @@ class TestFillPipeline:
     @pytest.mark.parametrize("grid_n", [10_000, 2**14])
     @pytest.mark.parametrize("two_bm", [False, True])
     def test_lone_block_rows_equal_sequential_loop(self, monkeypatch, grid_n, two_bm):
-        # Chunks of _REDUCE_ROWS + 1 rows each end in a one-row block; the
-        # oracle reduces each whole chunk in one einsum.
-        chunk = car2.limits._REDUCE_ROWS + 1
+        # Chunks of one reduce block and a row each end in a one-row block;
+        # the oracle reduces each whole chunk in one einsum.
+        chunk = car2.limits._REDUCE_ELEMENTS // grid_n + 1
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         got = brownian_functionals(grid_n, seed=3, two_bm=two_bm, n_draws=2 * chunk)
         want = sequential_functionals(grid_n, 3, two_bm, 2 * chunk, chunk * (grid_n + 1))
@@ -259,7 +259,7 @@ class TestFillPipeline:
         grid_n, chunk, n_draws = 300, 20, 65
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         if eager:
-            monkeypatch.setattr(car2.limits, "ThreadPoolExecutor", EagerExecutor)
+            monkeypatch.setattr(car2.limits, "_Worker", EagerWorker)
         calls = []
 
         def recorded(cumsum):
@@ -285,18 +285,19 @@ class TestFillPipeline:
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(grid_n=st.integers(2, 300), chunk=st.integers(1, 40), n_chunks=st.integers(1, 7),
-           last=st.integers(1, 40), seed=st.integers(0, 2**64 - 1), two_bm=st.booleans(),
-           eager=st.booleans())
-    def test_lanes_equal_sequential_loop(self, grid_n, chunk, n_chunks, last, seed, two_bm,
-                                         eager):
-        # Chunks of up to 40 rows end inside or across a reduce block of
-        # _REDUCE_ROWS rows; the last chunk may be short, and the worker may
-        # take no chunk (eager: every chunk).
+           last=st.integers(1, 40), block=st.integers(1, 20), seed=st.integers(0, 2**64 - 1),
+           two_bm=st.booleans(), eager=st.booleans())
+    def test_lanes_equal_sequential_loop(self, grid_n, chunk, n_chunks, last, block, seed,
+                                         two_bm, eager):
+        # Chunks of up to 40 rows end inside or across a reduce block of up
+        # to 20 rows; the last chunk may be short, and the worker may take no
+        # chunk (eager: every chunk).
         n_draws = (n_chunks - 1) * chunk + min(last, chunk)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
+            mp.setattr(car2.limits, "_REDUCE_ELEMENTS", block * grid_n)
             if eager:
-                mp.setattr(car2.limits, "ThreadPoolExecutor", EagerExecutor)
+                mp.setattr(car2.limits, "_Worker", EagerWorker)
             got = brownian_functionals(grid_n, seed, two_bm, n_draws)
         want = sequential_functionals(grid_n, seed, two_bm, n_draws, chunk * (grid_n + 1))
         assert_fields_equal(got, want, two_bm, n_draws)
@@ -332,7 +333,9 @@ class TestFillPipeline:
         """Record (on the worker?, chunk) for each chunk a lane begins.  The
         lane named ("caller" or "worker") waits in its first chunk until the
         other lane has begun one, and then, with fail, raises; the other
-        lane's draws wait until it has got that far."""
+        lane's draws wait until it has got that far, and then take 0.05 s
+        each, so that the other lane is still drawing when the error is
+        raised."""
         stream, calls = car2.limits.rng.stream, []
         began, released = threading.Event(), threading.Event()
 
@@ -342,6 +345,7 @@ class TestFillPipeline:
 
             def standard_normal(self, *args, **kwargs):
                 assert released.wait(30.0), "the gated lane did not go on"
+                time.sleep(0.05)
                 return self.gen.standard_normal(*args, **kwargs)
 
         def gated_stream(seed, domain, index):
@@ -427,15 +431,16 @@ class TestFillPipeline:
         assert "2 passed" in proc.stdout
 
     def test_peak_memory_is_the_slab(self, monkeypatch):
-        # Each lane's scratch: a block of increments and two paths of
-        # _REDUCE_ROWS rows; with two BMs each lane also holds one slot of
+        # Each lane's scratch: a reduce block of increments and two paths of
+        # as many rows; with two BMs each lane also holds one slot of
         # BM1's increments for a chunk.  The slack is the fields and numpy's
         # iterator buffers (at this grid the running-trapezoid add buffers
         # its two inputs, 128 KiB per lane).
         grid_n, chunk = 1000, 200
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         slot_bytes = 8 * chunk * grid_n
-        rows = car2.limits._REDUCE_ROWS
+        rows = car2.limits._REDUCE_ELEMENTS // grid_n
+        assert 1 < rows < chunk
         scratch_bytes = 8 * (rows * grid_n + 2 * rows * (grid_n + 1))
         for two_bm in (False, True):
             brownian_functionals(grid_n, seed=2, two_bm=two_bm, n_draws=3)  # warm up

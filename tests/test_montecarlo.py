@@ -457,7 +457,7 @@ def test_rates_evaluated_once_per_horizon(monkeypatch):
                 return rate(T)
             return wrapped
 
-        return dataclasses.replace(spec, v1=count("v1", spec.v1), v2=count("v2", spec.v2))
+        return spec._replace(v1=count("v1", spec.v1), v2=count("v2", spec.v2))
 
     rate_functions = car2.montecarlo.rate_functions
     monkeypatch.setattr(car2.montecarlo, "rate_functions", counting)
@@ -552,8 +552,7 @@ def test_replicate_ladder_holds_columns_per_horizon(small_blocks):
 
 def estimate_bytes(est) -> list[bytes]:
     """Every column of an Estimate, its stats included, as raw bytes."""
-    columns = (est.theta1_hat, est.theta2_hat, est.det_D, est.cond_flag,
-               *dataclasses.astuple(est.stats))
+    columns = (est.theta1_hat, est.theta2_hat, est.det_D, est.cond_flag, *est.stats)
     return [np.asarray(col).tobytes() for col in columns]
 
 
@@ -700,7 +699,7 @@ class TestConvergenceStudy:
         def dominant_root_rates(regime):
             def f(T):
                 return math.exp(2 * T)
-            return dataclasses.replace(registry(regime), v1=f, v2=f)
+            return registry(regime)._replace(v1=f, v2=f)
 
         monkeypatch.setattr(car2.montecarlo, "rate_functions", dominant_root_rates)
         wrong = convergence_study(cfg)

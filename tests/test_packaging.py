@@ -1,12 +1,15 @@
 """Every third-party module the package and its tests import is declared,
 the package uses every name it imports, every name a module exports is
 bound in it, importing the CLI loads no scipy module (the package runs on
-numpy alone, and scipy is a test dependency, for its oracles), the
+numpy alone, and scipy is a test dependency, for its oracles), nor
+concurrent.futures or logging, and creates only four dataclasses, the
 package changes no process-wide state, and the random streams' domain tags
 keep their values."""
 
 import ast
+import functools
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -96,15 +99,47 @@ def test_test_imports_are_declared_in_the_test_extra():
     assert third_party <= declared, sorted(third_party - declared)
 
 
+CLI_IMPORT_PROBE = """
+import sys
+import car2.cli
+import dataclasses, json
+classes = {f"{cls.__module__}.{cls.__qualname__}"
+           for name, module in list(sys.modules.items()) if name.split(".")[0] == "car2"
+           for cls in vars(module).values()
+           if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls)}
+print(json.dumps({"modules": sorted(sys.modules), "dataclasses": sorted(classes)}))
+"""
+
+
+@functools.cache
+def _cli_import_probe() -> dict:
+    """What `import car2.cli` leaves in a fresh interpreter: every loaded
+    module, and the classes defined in car2 that are dataclasses."""
+    proc = subprocess.run([sys.executable, "-c", CLI_IMPORT_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_cli_loads_no_scipy_module():
     # Set-up time: importing scipy.signal once took most of a run's start-up.
-    script = "import sys\nimport car2.cli\nprint('\\n'.join(sorted(sys.modules)))\n"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
+    loaded = _cli_import_probe()["modules"]
     assert "car2.cli" in loaded and "numpy" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_cli_import_footprint():
+    # Set-up time again: car2 runs its two worker threads on `threading`
+    # alone, since concurrent.futures brings logging and queue with it, and
+    # its results are NamedTuples, whose classes cost a fraction of a
+    # dataclass's to create.  The dataclasses are the four records that
+    # validate their fields in __post_init__.
+    probe = _cli_import_probe()
+    assert [m for m in probe["modules"] if m.split(".")[0] in ("concurrent", "logging")] == []
+    assert probe["dataclasses"] == ["car2.model.ModelParams", "car2.montecarlo.ExperimentConfig",
+                                    "car2.montecarlo.NormalReference",
+                                    "car2.simulate.SamplePath"]
 
 
 # Calls that change state every thread of the process shares.  A library

@@ -311,13 +311,54 @@ class TestPipeline:
             pass
         assert sorted(keys) == list(range(14))
 
-    def test_close_after_the_first_block_joins_the_worker(self):
+    def test_close_after_the_first_block_joins_the_worker(self, monkeypatch):
+        # The worker filling block 1 (reps 3-5) is held in its first row
+        # until 0.2 s after the close begins: the close must wait for it.
+        rekey, began, released = car2_rng.rekey, threading.Event(), threading.Event()
+
+        def held_rekey(gen, seed, domain, index):
+            if index >= 3 and threading.current_thread().name == "car2-simulate":
+                began.set()
+                assert released.wait(30.0), "the worker was not released"
+            return rekey(gen, seed, domain, index)
+
+        monkeypatch.setattr(car2_rng, "rekey", held_rekey)
         threads = threading.active_count()
         blocks = simulate_exact(self.PARAMS, 1.0, self.N_STEPS, range(12))
         first = next(blocks)
         assert list(first.reps) == [0, 1, 2]
+        assert began.wait(30.0)
         assert len(self.pool_threads()) == 1  # named, for thread dumps
+        release = threading.Timer(0.2, released.set)
+        release.start()
         blocks.close()
+        assert not self.pool_threads()
+        release.join(30.0)
+        assert threading.active_count() == threads
+
+    def test_worker_fill_error_reaches_the_caller(self, monkeypatch):
+        # A fill that fails on the worker raises its error, with its type,
+        # on the caller, and leaves no worker running.  The caller's rows of
+        # block 1 (reps 3-5) wait until the worker has failed, so the worker
+        # fails in block 0 or 1, whichever rows it takes first.
+        class FillError(Exception):
+            pass
+
+        rekey, failed = car2_rng.rekey, threading.Event()
+
+        def failing_rekey(gen, seed, domain, index):
+            if threading.current_thread().name == "car2-simulate":
+                failed.set()
+                raise FillError(index)
+            if index >= 3:
+                assert failed.wait(30.0), "the worker took no row"
+            return rekey(gen, seed, domain, index)
+
+        monkeypatch.setattr(car2_rng, "rekey", failing_rekey)
+        threads = threading.active_count()
+        with pytest.raises(FillError):
+            for _ in simulate_exact(self.PARAMS, 1.0, self.N_STEPS, range(12)):
+                pass
         assert threading.active_count() == threads and not self.pool_threads()
 
     def test_fill_suppresses_its_own_warnings(self):
@@ -362,10 +403,10 @@ class TestPipeline:
                     assert_same_bits(getattr(have, name), getattr(path, name))
 
     def test_one_block_starts_no_thread(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-block call built an executor")
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a one-block call started a worker")
 
-        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(simulate_module, "_Worker", no_worker)
         params = ModelParams(theta1=0.5, theta2=-1.0625, sigma=0.8, x0=0.3, dx0=-0.2)
         threads = threading.active_count()
         path = simulate(params, 3.0, self.N_STEPS, seed=5, rep=7, record_noise=True)
