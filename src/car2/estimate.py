@@ -100,24 +100,40 @@ def _map_rows(obj, fn):
                        for val in obj))
 
 
+def _trapezoid(T: float, n: int) -> np.ndarray:
+    """Trapezoid weights of n equal steps over [0, T]: T/n, halved at both ends."""
+    w = np.full(n + 1, T / n)
+    w[0] = w[-1] = T / n / 2.0
+    return w
+
+
 @np.errstate(all="ignore")  # non-finite and SXX = 0 rows are the caller's to exclude
-def _block_columns(t: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _block_columns(t: np.ndarray, x: np.ndarray, v: np.ndarray, w: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """One block's per-row columns, as a fresh (11, rows) array: SXX, SVV, b,
     trap(X r), trap(r^2), and the endpoints x0, x_end, v0, v_end, r0, r_end.
     A row with a non-finite sample gives columns that mean nothing, silently.
 
-    Each sum is one dot product per row (`np.vecdot` rounds as a 1-d `@`,
-    unlike a blocked gemv), so no row depends on its block.  The columns
-    are a copy: the block can be freed once it is summed.
+    w is `_trapezoid(t[-1], n)` and scratch a float64 array of at least
+    2 * x.size elements; each is made here when not given, so that a caller
+    summing many blocks makes them once.  The products and r = v - b x are
+    written into two contiguous (rows, n+1) planes of scratch, whose old
+    contents do not matter.  Each sum is one dot product per row
+    (`np.vecdot` rounds as a 1-d `@`, unlike a blocked gemv), so no row
+    depends on its block.  The columns are a copy: the block and the scratch
+    can be reused once it is summed.  `np.vecdot` holds the GIL when it runs
+    500 rows or fewer, as the harness's slices do, so a filling worker
+    thread waits meanwhile.
     """
-    n = len(t) - 1
-    T = float(t[-1])
-    w = np.full(n + 1, T / n)
-    w[0] = w[-1] = T / n / 2.0
-    sxx = np.vecdot(x * x, w)
-    b = np.vecdot(x * v, w) / sxx
-    r = v - b[:, None] * x
-    return np.stack([sxx, np.vecdot(v * v, w), b, np.vecdot(x * r, w), np.vecdot(r * r, w),
+    rows, n1 = x.shape
+    w = _trapezoid(float(t[-1]), len(t) - 1) if w is None else w
+    scratch = np.empty(2 * rows * n1) if scratch is None else scratch
+    p, r = scratch[:2 * rows * n1].reshape(2, rows, n1)
+    sxx = np.vecdot(np.multiply(x, x, out=p), w)
+    b = np.vecdot(np.multiply(x, v, out=p), w) / sxx
+    np.subtract(v, np.multiply(b[:, None], x, out=r), out=r)
+    return np.stack([sxx, np.vecdot(np.multiply(v, v, out=p), w), b,
+                     np.vecdot(np.multiply(x, r, out=p), w), np.vecdot(np.multiply(r, r, out=p), w),
                      x[:, 0], x[:, -1], v[:, 0], v[:, -1], r[:, 0], r[:, -1]])
 
 

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
+from .estimate import _trapezoid
 from .model import ModelParams, Regime, RegimeKind, RootPair
 from .simulate import _Rows, _Worker
 
@@ -131,8 +132,7 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     n, dt = grid_n, 1.0 / grid_n
-    trapw = np.full(n + 1, dt)
-    trapw[0] = trapw[-1] = dt / 2.0
+    trapw = _trapezoid(1.0, n)
     chunk = max(1, _CHUNK_ELEMENTS // (n + 1))
     n_chunks = -(-n_draws // chunk)
     slot = min(chunk, n_draws)  # rows of the largest chunk
@@ -181,8 +181,7 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
                     out["w1_end"][rows] = w1[:, -1]
                     integrate(np.multiply(w1, w1, out=w1), rows, "z2")
         except BaseException:
-            for _ in chunks.slices(n_chunks):  # take every chunk left
-                pass
+            chunks.take_rest()
             raise
 
     there = _Worker("car2-limits", lane) if n_chunks > 1 else None

@@ -289,11 +289,27 @@ def _reference_samples(cfg: ExperimentConfig, regime: Regime, horizon_index: int
 
 
 def _quantiles(values: np.ndarray) -> dict[int, float]:
-    if values.size == 0 or not np.isfinite(values).any():
-        return {lev: math.nan for lev in QUANTILE_LEVELS}
+    """The finite values' QUANTILE_LEVELS percentiles (NaN if there are none)
+    by Hyndman & Fan's definition 7, bit for bit np.percentile's "linear"
+    method, whose np.unique imports numpy.ma at every run: the same virtual
+    index (n-1) q, the same partition kth (so ties and signed zeros land
+    where numpy puts them) and the same two-branch lerp."""
     finite = values[np.isfinite(values)]
-    qs = np.percentile(finite, QUANTILE_LEVELS)
-    return {lev: float(v) for lev, v in zip(QUANTILE_LEVELS, qs)}
+    n = finite.size
+    if n == 0:
+        return {lev: math.nan for lev in QUANTILE_LEVELS}
+    picks = []  # (virtual index, lower, upper); -1, the largest, from index n-1 on
+    for lev in QUANTILE_LEVELS:
+        index = (n - 1) * (lev / 100)
+        lower = -1 if index >= n - 1 else math.floor(index)
+        picks.append((index, lower, -1 if lower == -1 else lower + 1))
+    finite.partition(sorted({0, -1}.union(*(pick[1:] for pick in picks))))
+    out = {}
+    for lev, (index, lower, upper) in zip(QUANTILE_LEVELS, picks):
+        a, b, gamma = finite[lower].item(), finite[upper].item(), index - lower
+        diff = b - a
+        out[lev] = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    return out
 
 
 def _nesting_groups(cfg: ExperimentConfig, n_steps: list[int]) -> list[list[int]]:
@@ -339,15 +355,22 @@ def _replicate(cfg: ExperimentConfig):
     for group in _nesting_groups(cfg, n_steps):
         longest = cfg.horizons[group[-1]]
         counts = []  # each block's n_finite
+        # Each member's grid ends at its horizon exactly (np.linspace sets the end).
+        weights = [estimate._trapezoid(cfg.horizons[i], n_steps[i]) for i in group]
+        scratch = np.empty(0)  # the products' two planes
         for blk in simulate_exact(cfg.params, longest, n_steps[group[-1]], range(cfg.n_reps),
                                   cfg.seed):
             counts.append(blk.n_finite)
-            for i in group:
+            if scratch.size < 2 * blk.x.size:  # once: the first slice is the largest
+                scratch = np.empty(2 * blk.x.size)
+            for i, w in zip(group, weights):
                 end = n_steps[i] + 1
                 cols[i].append(estimate._block_columns(blk.t[:end], blk.x[:, :end],
-                                                       blk.v[:, :end]))
+                                                       blk.v[:, :end], w, scratch))
+            blk = None  # freed before the next slice is made
         n_finite.update(dict.fromkeys(group, np.concatenate(counts)))
         simulated_at.update(dict.fromkeys(group, longest))
+    scratch = None  # not held while the caller draws its limit samples
 
     for i, horizon in enumerate(cfg.horizons):
         est, threshold = estimate._solve(np.concatenate(cols[i], axis=1), horizon,

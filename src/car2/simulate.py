@@ -239,6 +239,11 @@ class _Rows:
                 return
             yield slice(start, stop)
 
+    def take_rest(self) -> None:
+        """Take every row left, so that no thread begins another slice."""
+        with self._lock:
+            self._next = self._count
+
 
 class _Worker(threading.Thread):
     """fn(*args) on a thread of its own, started here and named name (for
@@ -368,8 +373,10 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                     x, v = np.add(x_mean, u[:r][rows_i]), np.add(v_mean, u[r:][rows_i])
                 yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i],
                                _n_finite(x, v))
-    finally:  # a failed or closed call leaves no worker running
+                x = v = None  # a caller that has dropped the slice frees it before the next
+    finally:  # a failed or closed call leaves no worker running, nor waits for its whole fill
         if ahead is not None and ahead[2] is not None:
+            ahead[1].take_rest()
             ahead[2].join()
 
 

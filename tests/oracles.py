@@ -1,6 +1,7 @@
 """Test-only oracles: the per-path estimator and closed-form MLE that the
 columnar rotated solve (`estimate._block_columns`, `estimate._solve`)
-replaces, the likelihood ratio of a path, the per-replication residual
+replaces, the fresh-temporary column sums that `_block_columns`' reused
+scratch replaces, the likelihood ratio of a path, the per-replication residual
 normalizer that the harness's array version replaces, the per-horizon
 replication pass (which drops overflowing rows before it sums a block) that
 the harness's nesting groups and its one exclusion site after the solve
@@ -162,6 +163,20 @@ def per_rep_normalized_residuals(cfg, regime, rate_spec, horizon: float, a_t,
         rotation = np.array([[u_s, u_c], [-u_c, u_s]]) / (u_s * u_s + u_c * u_c)
         vec = rotation @ vec
     return float(vec[0]), float(vec[1])
+
+
+@np.errstate(all="ignore")
+def fresh_block_columns(t: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`estimate._block_columns` with a fresh array for every product and r."""
+    n = len(t) - 1
+    T = float(t[-1])
+    w = np.full(n + 1, T / n)
+    w[0] = w[-1] = T / n / 2.0
+    sxx = np.vecdot(x * x, w)
+    b = np.vecdot(x * v, w) / sxx
+    r = v - b[:, None] * x
+    return np.stack([sxx, np.vecdot(v * v, w), b, np.vecdot(x * r, w), np.vecdot(r * r, w),
+                     x[:, 0], x[:, -1], v[:, 0], v[:, -1], r[:, 0], r[:, -1]])
 
 
 def per_horizon_replicate(cfg, horizon: float):

@@ -15,12 +15,12 @@ from car2 import (
     simulate,
     sufficient_stats,
 )
-from car2.estimate import Estimate, _block_columns, _map_rows, _solve
+from car2.estimate import Estimate, _block_columns, _map_rows, _solve, _trapezoid
 from car2.simulate import SamplePath, simulate_exact
 
 from conftest import sorted_regime_points
-from oracles import (gram_det, log_likelihood_ratio, mle, normalized_llr, per_path_estimate,
-                     reconstructed_stats, residual_oracle, wiener_numerator)
+from oracles import (fresh_block_columns, gram_det, log_likelihood_ratio, mle, normalized_llr,
+                     per_path_estimate, reconstructed_stats, residual_oracle, wiener_numerator)
 
 # Fixed example sequence, small enough to keep the suite fast.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -259,6 +259,43 @@ class TestEstimateBlock:
         want = per_path_estimate(path)
         assert row == estimate_path(path)
         assert _bits(row.theta1_hat, row.theta2_hat) == _bits(want.theta1_hat, want.theta2_hat)
+
+
+def _sample_row(kind, x, v):
+    """`_row`'s kinds, and rows with a NaN ("nan") or an infinite ("inf")
+    sample of X mid-path and -inf as the last sample of X'."""
+    if kind not in ("nan", "inf"):
+        return _row(kind, x, v)
+    x, v = x.copy(), v.copy()
+    x[len(x) // 2] = math.nan if kind == "nan" else math.inf
+    v[-1] = -math.inf
+    return x, v
+
+
+class TestBlockColumnsScratch:
+    """The harness passes `_block_columns` one trapezoid per horizon and one
+    scratch per simulation, reused slice after slice and for every nested
+    horizon's prefix: its columns must be those of fresh temporaries."""
+
+    @PROPERTY
+    @given(point=st.sampled_from(sorted_regime_points()), seed=st.integers(0, 2**32),
+           n_steps=st.integers(2, 40), cut=st.integers(2, 40),
+           kinds=st.lists(st.sampled_from(ROW_KINDS + ("nan", "inf")), min_size=1, max_size=8))
+    def test_reused_scratch_matches_fresh_temporaries(self, point, seed, n_steps, cut, kinds):
+        t1, t2, horizon = point[1]
+        params = ModelParams(theta1=t1, theta2=t2, sigma=1.0, x0=0.3, dx0=-0.2)
+        (blk,) = simulate_exact(params, horizon, n_steps, range(len(kinds)), seed=seed)
+        x, v = (np.array(rows) for rows in zip(*(_sample_row(kind, a, b)
+                                                  for kind, a, b in zip(kinds, blk.x, blk.v))))
+        scratch = np.full(2 * x.size, math.nan)  # stale contents
+        # The whole rows, then a prefix view; the block, then its first row alone.
+        for end in (n_steps + 1, min(cut, n_steps) + 1):
+            t = blk.t[:end]
+            for rows in (slice(None), slice(0, 1)):
+                want = fresh_block_columns(t, x[rows, :end], v[rows, :end]).tobytes()
+                assert _block_columns(t, x[rows, :end], v[rows, :end],
+                                      _trapezoid(float(t[-1]), end - 1), scratch).tobytes() == want
+                assert _block_columns(t, x[rows, :end], v[rows, :end]).tobytes() == want
 
 
 class TestEstimateSigma:

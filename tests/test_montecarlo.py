@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -32,6 +32,7 @@ from car2 import (
     simulate,
 )
 from car2.model import _branch, classify_params
+from car2.montecarlo import QUANTILE_LEVELS, _quantiles
 from car2.regimes import SCALAR_NLRR, NoNlrrError, rate_functions, scaling_matrix
 from car2.simulate import simulate_exact
 
@@ -74,6 +75,15 @@ tied_samples = st.lists(st.integers(-6, 6), min_size=1, max_size=60).map(
 # The same with a NaN for every 7 drawn.
 tied_samples_with_nan = st.lists(st.integers(-6, 7), min_size=1, max_size=60).map(
     lambda ks: np.array([math.nan if k == 7 else k for k in ks]) * 0.1)
+
+
+# Residual-like samples: ties, both zero signs, and NaN and +-inf mixed in;
+# and mostly zeros, where which zero a partition leaves at an index shows.
+quantile_samples = (
+    st.lists(st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.3, 2.5, -7.0, math.nan, math.inf,
+                              -math.inf]) | st.floats(), min_size=1, max_size=40)
+    | st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, math.nan]), min_size=1,
+               max_size=40)).map(np.array)
 
 
 def same_float(x, y) -> bool:
@@ -169,6 +179,31 @@ class TestRunExperiment:
             values = [quantiles[lev] for lev in sorted(quantiles)]
             assert values == sorted(values)
 
+    @PROPERTY
+    @given(values=quantile_samples)
+    @example(values=np.array([-0.0]))
+    @example(values=np.array([0.0, -0.0]))
+    @example(values=np.array([-0.0, math.nan, 0.0, math.inf]))
+    @example(values=np.array([1.5, 1.5, -0.0, 0.0, -0.0, 1.5]))
+    @example(values=np.array([-0.0, 0.0, -1.0, -0.0]))  # a full sort moves a zero's sign
+    @example(values=np.array([-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0, -0.0,
+                              1.0, 0.0, -0.0]))  # so does a kth set of the lower indexes alone
+    @example(values=np.array([math.nan, -math.inf]))
+    def test_quantiles_match_numpy_percentile(self, values):
+        # _quantiles is np.percentile's linear method on the finite values,
+        # bit for bit, and leaves its input as it was.
+        before = values.tobytes()
+        got = _quantiles(values)
+        assert values.tobytes() == before and list(got) == list(QUANTILE_LEVELS)
+        finite = values[np.isfinite(values)]
+        if finite.size == 0:
+            assert all(math.isnan(q) for q in got.values())
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # b - a may overflow
+            want = np.percentile(finite, QUANTILE_LEVELS)
+        assert all(same_float(g, w) for g, w in zip(got.values(), want.tolist()))
+
     def test_normal_reference_comparison(self):
         cfg = ergodic_cfg(comparison=NormalReference(mean1=0.0, var1=18.0,
                                                      mean2=0.0, var2=36.0))
@@ -211,9 +246,9 @@ class TestRunExperiment:
         # NLRR rates read the statistics it returned.
         rows = []
 
-        def recording(t, x, v):
+        def recording(t, x, v, *reused):
             rows.extend(x.copy())
-            return block_columns(t, x, v)
+            return block_columns(t, x, v, *reused)
 
         block_columns = car2.estimate._block_columns
         monkeypatch.setattr(car2.estimate, "_block_columns", recording)

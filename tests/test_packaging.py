@@ -107,14 +107,22 @@ classes = {f"{cls.__module__}.{cls.__qualname__}"
            for name, module in list(sys.modules.items()) if name.split(".")[0] == "car2"
            for cls in vars(module).values()
            if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls)}
-print(json.dumps({"modules": sorted(sys.modules), "dataclasses": sorted(classes)}))
+modules = sorted(sys.modules)
+from car2 import ExperimentConfig, ModelParams, run_experiment
+run_experiment(ExperimentConfig(
+    params=ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2),
+    horizons=(2.0, 4.0), n_reps=20, seed=0, steps_per_unit_time=50, n_reference=200,
+    grid_n=100))
+print(json.dumps({"modules": modules, "dataclasses": sorted(classes),
+                  "run_modules": sorted(sys.modules)}))
 """
 
 
 @functools.cache
 def _cli_import_probe() -> dict:
     """What `import car2.cli` leaves in a fresh interpreter: every loaded
-    module, and the classes defined in car2 that are dataclasses."""
+    module, and the classes defined in car2 that are dataclasses; then every
+    module loaded once a small experiment has run."""
     proc = subprocess.run([sys.executable, "-c", CLI_IMPORT_PROBE], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           timeout=120)
@@ -140,6 +148,14 @@ def test_cli_import_footprint():
     assert probe["dataclasses"] == ["car2.model.ModelParams", "car2.montecarlo.ExperimentConfig",
                                     "car2.montecarlo.NormalReference",
                                     "car2.simulate.SamplePath"]
+
+
+def test_experiment_loads_no_numpy_ma():
+    # Run time: np.percentile's linear method imports numpy.ma (9-15 ms),
+    # through np.unique, at its first call; the harness's quantiles do not.
+    loaded = _cli_import_probe()["run_modules"]
+    assert "car2.montecarlo" in loaded and "car2.limits" in loaded
+    assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 
 # Calls that change state every thread of the process shares.  A library

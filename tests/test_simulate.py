@@ -336,6 +336,36 @@ class TestPipeline:
         release.join(30.0)
         assert threading.active_count() == threads
 
+    def test_close_takes_the_next_blocks_rows_from_the_worker(self, monkeypatch):
+        # Blocks of 8 rows.  The worker filling block 1 (reps 8-15) is held
+        # in its first row until 0.2 s after the close begins; the close
+        # takes the block's other rows, so the worker fills at most one more
+        # (one-row) slice instead of the whole block.
+        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * 8 * (self.N_STEPS + 1))
+        rekey, began, released, closing = (car2_rng.rekey, threading.Event(),
+                                           threading.Event(), threading.Event())
+        after_close = []
+
+        def held_rekey(gen, seed, domain, index):
+            if index >= 8 and threading.current_thread().name == "car2-simulate":
+                if closing.is_set():
+                    after_close.append(index)
+                began.set()
+                assert released.wait(30.0), "the worker was not released"
+            return rekey(gen, seed, domain, index)
+
+        monkeypatch.setattr(car2_rng, "rekey", held_rekey)
+        blocks = simulate_exact(self.PARAMS, 1.0, self.N_STEPS, range(24))
+        assert list(next(blocks).reps) == list(range(8))
+        assert began.wait(30.0)
+        release = threading.Timer(0.2, released.set)
+        release.start()
+        closing.set()
+        blocks.close()
+        release.join(30.0)
+        assert not self.pool_threads()
+        assert len(after_close) <= 1, after_close
+
     def test_worker_fill_error_reaches_the_caller(self, monkeypatch):
         # A fill that fails on the worker raises its error, with its type,
         # on the caller, and leaves no worker running.  The caller's rows of
