@@ -18,10 +18,11 @@ Replication k's path at a shorter horizon is, on an equal step, the prefix
 of its path at a longer one, bit for bit.  So the horizons are split into
 nesting groups, and each group simulates its replications once, at its
 longest horizon, with the block kernel `simulate_exact` (which builds the
-transition kernel once and simulates rows in blocks of a fixed element
-budget, filling the next block on a worker thread).  Each member horizon
-sums its prefix of every row into its own columns as each block arrives,
-and the rotated solve runs once per horizon, bit for bit as `estimate_path`
+transition kernel once and simulates rows in blocks of at most 256
+replications, fewer where a fixed element budget binds first, filling the
+next block on a worker thread).  Each member horizon sums its prefix of
+every row into its own columns as each block arrives, and the rotated
+solve runs once per horizon, bit for bit as `estimate_path`
 on each path alone; then, in one place, it excludes the rows that left
 float64 by it and the singular designs.  A horizon that nests in no other
 is a group of one.  The surviving rows are normalized as columns, with the
@@ -312,6 +313,19 @@ def _quantiles(values: np.ndarray) -> dict[int, float]:
     return out
 
 
+def _median(values: np.ndarray) -> float:
+    """Bit for bit np.median, whose NaN check imports numpy.ma at every run:
+    the same partition kth, the mean of the middle value or pair (ndarray.mean
+    sums from +0.0, so a middle -0.0 gives 0.0), and NaN if any value is NaN
+    (the partition puts it last); NaN for no values, without the warning."""
+    n = values.size
+    if n == 0:
+        return math.nan
+    middle = slice((n - 1) // 2, n // 2 + 1)
+    part = np.partition(values, [*range(middle.start, middle.stop), -1])
+    return math.nan if math.isnan(part[-1]) else part[middle].mean().item()
+
+
 def _nesting_groups(cfg: ExperimentConfig, n_steps: list[int]) -> list[list[int]]:
     """cfg.horizons' indices, split into groups whose paths are prefixes of
     the path at the group's last (longest) horizon, bit for bit.
@@ -481,7 +495,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     rows = []
     for horizon, (_, est, _, _) in zip(cfg.horizons, _replicate(cfg)):
         d1, d2 = est.theta1_hat - cfg.params.theta1, est.theta2_hat - cfg.params.theta2
-        m1, m2 = float(np.median(np.abs(d1))), float(np.median(np.abs(d2)))
+        m1, m2 = _median(np.abs(d1)), _median(np.abs(d2))
         rows.append(ConvergenceRow(horizon, m1, m2,
                                    spec.v1(horizon) * m1, spec.v2(horizon) * m2,
                                    d1.size, cfg.n_reps - d1.size))

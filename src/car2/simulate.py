@@ -20,11 +20,12 @@ recur along each row on Python floats.
 Exact paths come from one block kernel, `simulate_exact`, for every sigma:
 per grid it builds the mean path, the transition kernel and its noise
 factor once (zero at sigma = 0, so a noiseless row is the mean path and its
-dW is 0), then recurs blocks of hundreds of rows in two reused half-budget
-buffers, each row filled from its own Philox stream, and yields each block
-in slices of fresh rows, the mean path added.  Filling a buffer with its
-recurrence input is a stage of its own: one worker thread fills block b+1
-while the calling thread recurs and yields block b.  A fill takes rows in
+dW is 0), then recurs blocks of at most 256 replications, fewer on long
+grids, in two reused buffers, each row filled from its own Philox stream,
+and yields each block in slices of fresh rows, the mean path added.
+Filling a buffer with its recurrence input is a stage of its own: one
+worker thread fills block b+1 while the calling thread recurs and yields
+block b.  A fill takes rows in
 slices: it writes their noise (the normals times the noise factor) into
 contiguous (rows, n) planes, X's and X''s (after dW's when it is recorded),
 and one transform over both planes writes the input of the block's x and v
@@ -118,13 +119,17 @@ class SimBlock(NamedTuple):
 
 
 # Elements per (rows, n+1) array of a `simulate_exact` block, halved since
-# two blocks are in flight (one row if n is larger); then per row slice that
-# its worker thread fills (the caller's are half as large) and that it
-# yields.  Each numpy call of a fill gives up the GIL and takes it back,
+# two blocks are in flight (one row if n is larger), and replications per
+# block, the bound on grids of fewer than 4,096 points: a recurrence step
+# costs about as much per element at 512 rows as at 1,048 (within 5% at
+# 2,001 points), so wider blocks would mostly hold more memory (two buffers
+# of 33.5 MB, not 16.4 MB, at 2,000 steps).  Then elements per row slice that a block's worker thread
+# fills (the caller's are half as large) and that it yields.  Each numpy call of a fill gives up the GIL and takes it back,
 # which costs a thread switch while the caller recurs, so the worker's
 # slices are large; each filling thread keeps scratch for one slice: its
 # (rows, n, 3) normals and two or three (rows, n) noise planes.
-_BLOCK_ELEMENTS, _DRAW_ELEMENTS, _YIELD_ELEMENTS = 2**21, 2**14, 2**16
+_BLOCK_ELEMENTS, _BLOCK_REPS = 2**21, 256
+_DRAW_ELEMENTS, _YIELD_ELEMENTS = 2**14, 2**16
 # Arrays of at most this many rows recur along each row, on Python floats;
 # wider ones across the rows, _CHUNK_STEPS time steps at a time.
 _NARROW_ROWS, _CHUNK_STEPS = 16, 64
@@ -279,13 +284,16 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
     pipeline from zero noise and come out as the mean path, with dw 0,
     while the recurrence coefficients (tr M, det M) are finite.
 
-    Block b recurs in the first or second of two buffers, by the parity of
-    b, each of half the block budget.  Filling a buffer with its recurrence
-    input is one stage: each row's normals from its own stream, their
-    product with the noise factor written into contiguous planes (X's and
-    X''s, dW's first when record_noise is set), and `_recurrence_input`
-    over both planes at once.  Recurring the buffer and yielding its rows
-    is the next.  With two blocks or more, one worker thread fills block
+    A block holds _BLOCK_REPS replications, or as many as half the element
+    budget _BLOCK_ELEMENTS holds on this grid if fewer, and recurs in the
+    first or second of two buffers, by the parity of its index b.  The cap
+    bounds the buffers' memory on short grids, where the budget alone would
+    make blocks of over 500 replications that recur no faster per element.
+    Filling a buffer with its recurrence input is one stage: each row's
+    normals from its own stream, their product with the noise factor
+    written into contiguous planes (X's and X''s, dW's first when
+    record_noise is set), and `_recurrence_input` over both planes at once.
+    Recurring the buffer and yielding its rows is the next.  With two blocks or more, one worker thread fills block
     b+1 while the calling thread recurs and yields block b, and then the
     caller fills the rows of block b+1 that the worker has not yet taken,
     so neither thread waits long for the other.  The caller alone
@@ -310,7 +318,7 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         factor_t = _noise_factor(kern.cov_matrix).T if params.sigma > 0.0 else np.zeros((3, 3))
         factor_cols = factor_t if record_noise else factor_t[:, 1:]  # (dW,) X, X'
         write_input, coefficients = _recurrence_input(kern.mean_matrix)
-    rows = max(1, min(len(reps), _BLOCK_ELEMENTS // 2 // (n + 1)))
+    rows = max(1, min(len(reps), _BLOCK_REPS, _BLOCK_ELEMENTS // 2 // (n + 1)))
     yield_rows = max(1, _YIELD_ELEMENTS // (n + 1))
     blocks = [reps[start:start + rows] for start in range(0, len(reps), rows)]
     # A block's x rows, then its v rows.

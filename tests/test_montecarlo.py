@@ -32,7 +32,7 @@ from car2 import (
     simulate,
 )
 from car2.model import _branch, classify_params
-from car2.montecarlo import QUANTILE_LEVELS, _quantiles
+from car2.montecarlo import QUANTILE_LEVELS, _median, _quantiles
 from car2.regimes import SCALAR_NLRR, NoNlrrError, rate_functions, scaling_matrix
 from car2.simulate import simulate_exact
 
@@ -203,6 +203,42 @@ class TestRunExperiment:
             warnings.simplefilter("ignore", RuntimeWarning)  # b - a may overflow
             want = np.percentile(finite, QUANTILE_LEVELS)
         assert all(same_float(g, w) for g, w in zip(got.values(), want.tolist()))
+
+    @PROPERTY
+    @given(values=quantile_samples)
+    @example(values=np.array([-0.0]))
+    @example(values=np.array([2.5]))
+    @example(values=np.array([-0.0, -0.0]))
+    @example(values=np.array([0.3, -7.0]))
+    @example(values=np.array([1.5, -0.0, 1.5, 0.0, -0.0]))
+    @example(values=np.array([-0.0, 1.0, math.nan]))
+    @example(values=np.array([math.inf, -math.inf]))
+    @example(values=np.array([math.inf, 0.1, math.inf, -math.inf]))
+    def test_median_matches_numpy_median(self, values):
+        # convergence_study's medians are np.median's, bit for bit, signed
+        # zeros and NaN included, and leave their input as it was.
+        before = values.tobytes()
+        with warnings.catch_warnings():
+            # inf - inf or an overflowing middle pair warns in both
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, want = _median(values), np.median(values).item()
+        assert values.tobytes() == before and same_float(got, want)
+
+    def test_artifacts_do_not_depend_on_the_block_cap(self):
+        # Rows never depend on their block: blocks of 3 or 7 replications in
+        # place of one block of 20 move no byte of the report or residuals.
+        cfg = ergodic_cfg(horizons=(5.0, 10.0), n_reps=20, n_reference=500, grid_n=500)
+
+        def artifact_bytes():
+            report = run_experiment(cfg)
+            return (json.dumps(report.to_artifact_dict(), sort_keys=True),
+                    "".join(f"{k},{T!r},{a!r},{b!r}\n" for k, T, a, b in report.residual_rows()))
+
+        want = artifact_bytes()
+        for block_reps in (3, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(importlib.import_module("car2.simulate"), "_BLOCK_REPS", block_reps)
+                assert artifact_bytes() == want
 
     def test_normal_reference_comparison(self):
         cfg = ergodic_cfg(comparison=NormalReference(mean1=0.0, var1=18.0,

@@ -3,8 +3,8 @@ the package uses every name it imports, every name a module exports is
 bound in it, importing the CLI loads no scipy module (the package runs on
 numpy alone, and scipy is a test dependency, for its oracles), nor
 concurrent.futures or logging, and creates only four dataclasses, the
-package changes no process-wide state, and the random streams' domain tags
-keep their values."""
+package changes no process-wide state and reads no environment variable,
+and the random streams' domain tags keep their values."""
 
 import ast
 import functools
@@ -108,11 +108,13 @@ classes = {f"{cls.__module__}.{cls.__qualname__}"
            for cls in vars(module).values()
            if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls)}
 modules = sorted(sys.modules)
-from car2 import ExperimentConfig, ModelParams, run_experiment
-run_experiment(ExperimentConfig(
+from car2 import ExperimentConfig, ModelParams, convergence_study, run_experiment
+cfg = ExperimentConfig(
     params=ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2),
-    horizons=(2.0, 4.0), n_reps=20, seed=0, steps_per_unit_time=50, n_reference=200,
-    grid_n=100))
+    horizons=(2.0, 4.0, 8.0), n_reps=20, seed=0, steps_per_unit_time=50, n_reference=200,
+    grid_n=100)
+run_experiment(cfg)
+convergence_study(cfg)
 print(json.dumps({"modules": modules, "dataclasses": sorted(classes),
                   "run_modules": sorted(sys.modules)}))
 """
@@ -122,7 +124,7 @@ print(json.dumps({"modules": modules, "dataclasses": sorted(classes),
 def _cli_import_probe() -> dict:
     """What `import car2.cli` leaves in a fresh interpreter: every loaded
     module, and the classes defined in car2 that are dataclasses; then every
-    module loaded once a small experiment has run."""
+    module loaded once a small experiment and convergence study have run."""
     proc = subprocess.run([sys.executable, "-c", CLI_IMPORT_PROBE], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           timeout=120)
@@ -152,7 +154,8 @@ def test_cli_import_footprint():
 
 def test_experiment_loads_no_numpy_ma():
     # Run time: np.percentile's linear method imports numpy.ma (9-15 ms),
-    # through np.unique, at its first call; the harness's quantiles do not.
+    # through np.unique, at its first call, and np.median through its NaN
+    # check; the harness's quantiles and the convergence medians do not.
     loaded = _cli_import_probe()["run_modules"]
     assert "car2.montecarlo" in loaded and "car2.limits" in loaded
     assert [m for m in loaded if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
@@ -166,8 +169,9 @@ PROCESS_WIDE = {"os.umask", "os.chdir", "os.putenv", "numpy.seterr", "numpy.rand
                 "sys.setswitchinterval", "sys.setrecursionlimit"}
 
 
-def _process_wide_uses(source: str) -> list[str]:
-    """`PROCESS_WIDE` names a module reads, by the line, after its import aliases."""
+def _uses(source: str, names: set[str]) -> list[str]:
+    """The dotted names of names that a module reads, by the line, after its
+    import aliases."""
     tree = ast.parse(source)
     aliases = {}  # local name -> dotted module path
     for node in ast.walk(tree):
@@ -186,20 +190,40 @@ def _process_wide_uses(source: str) -> list[str]:
             node = node.value
         if isinstance(node, ast.Name):
             name = ".".join([aliases.get(node.id, node.id), *reversed(parts)])
-            if name in PROCESS_WIDE:
+            if name in names:
                 found.append((node.lineno, name))
     return [f"{line}: {name}" for line, name in sorted(found)]
 
 
-def test_package_changes_no_process_wide_state():
-    uses = {module.name: _process_wide_uses(module.read_text())
+def _package_uses(names: set[str]) -> dict[str, list[str]]:
+    """`_uses` of names in every module of src/car2 that reads one."""
+    uses = {module.name: _uses(module.read_text(), names)
             for module in sorted((ROOT / "src" / "car2").glob("*.py"))}
-    assert {name: found for name, found in uses.items() if found} == {}
+    return {name: found for name, found in uses.items() if found}
+
+
+def test_package_changes_no_process_wide_state():
+    assert _package_uses(PROCESS_WIDE) == {}
     probe = ("import os\nimport numpy as np\nfrom sys import setrecursionlimit as limit\n"
              "with np.errstate(over='ignore'):\n    pass\n"
              "mask = os.umask(0)\nnp.random.seed(1)\nlimit(99)\n")
-    assert _process_wide_uses(probe) == ["6: os.umask", "7: numpy.random.seed",
-                                         "8: sys.setrecursionlimit"]
+    assert _uses(probe, PROCESS_WIDE) == ["6: os.umask", "7: numpy.random.seed",
+                                          "8: sys.setrecursionlimit"]
+
+
+# Reads of the environment.  The package takes every setting as an argument
+# (block sizes are module constants), so no run depends on a variable set
+# in the shell that started it.
+ENVIRONMENT = {"os.environ", "os.environb", "os.getenv"}
+
+
+def test_package_reads_no_environment_variable():
+    assert _package_uses(ENVIRONMENT) == {}
+    probe = ("import os\nimport os as system\nfrom os import environb, getenv as env\n"
+             "a = os.environ.get('A')\nb = system.environ['B']\nc = environb[b'C']\n"
+             "d = env('D')\ne = os.getenv('E')\n")
+    assert _uses(probe, ENVIRONMENT) == ["4: os.environ", "5: os.environ", "6: os.environb",
+                                         "7: os.getenv", "8: os.getenv"]
 
 
 def test_stream_domain_tags_are_pinned():

@@ -620,26 +620,71 @@ def test_step_determinant_outlasts_its_products(theta1, theta2, step):
     assert abs(delta / math.exp(theta1 * step) - 1.0) < 1e-10
 
 
+def _traced_peak(params, horizon, n_steps, n_reps) -> int:
+    """Peak bytes traced while every block of a simulate_exact call is read."""
+    tracemalloc.start()
+    try:
+        for blk in simulate_exact(params, horizon, n_steps, range(n_reps)):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _buffer_bytes(n_steps) -> int:
+    """Bytes of the two reused buffers, each a block's x and v rows."""
+    rows = min(simulate_module._BLOCK_REPS, simulate_module._BLOCK_ELEMENTS // 2 // (n_steps + 1))
+    return 2 * 2 * rows * (n_steps + 1) * 8
+
+
 def test_block_memory_does_not_grow_with_replications():
-    # Two half-budget buffers serve every block, one recurring while the
-    # worker stage fills the other, and each yielded slice is a fresh array,
-    # so more blocks cost no memory.
+    # Two buffers serve every block, one recurring while the worker stage
+    # fills the other, and each yielded slice is a fresh array, so more
+    # blocks cost no memory.  At 8,192 steps the element budget sets the
+    # rows of a block.
     params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0)
     n_steps = 2**13
-    rows = simulate_module._BLOCK_ELEMENTS // (n_steps + 1)
-
-    def peak(n_reps):
-        tracemalloc.start()
-        try:
-            for blk in simulate_exact(params, 40.0, n_steps, range(n_reps)):
-                pass
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    one, two = peak(rows), peak(2 * rows)
-    assert 2 * rows * (n_steps + 1) * 8 <= one  # the recursion buffer
+    rows = simulate_module._BLOCK_ELEMENTS // 2 // (n_steps + 1)
+    assert rows < simulate_module._BLOCK_REPS
+    one, two = (_traced_peak(params, 40.0, n_steps, blocks * rows) for blocks in (2, 4))
+    assert _buffer_bytes(n_steps) <= one
     assert two <= one + 0.1e6
+
+
+def test_short_path_blocks_are_capped_in_replications():
+    # 2,000 replications of 2,000 steps: the budget alone would make blocks
+    # of 524 replications, two buffers of 16.8 MB each; capped at 256, the
+    # two hold 16.4 MB together, and the rest (fill scratch, two yielded
+    # slices, the recurrence's chunk) stays under 5 MB.
+    params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0)
+    assert simulate_module._BLOCK_ELEMENTS // 2 // 2001 > simulate_module._BLOCK_REPS == 256
+    _traced_peak(params, 20.0, 2000, 2)  # warm-up
+    peak = _traced_peak(params, 20.0, 2000, 2000)
+    assert _buffer_bytes(2000) <= peak < _buffer_bytes(2000) + 5e6
+
+
+def test_five_hundred_short_paths_run_two_blocks_on_the_worker(monkeypatch):
+    # The cap splits 500 replications of 2,000 steps into blocks of 256 and
+    # 244, so each block's fill starts a worker, and the second block fills
+    # while the first recurs.
+    recurred, started = [], []
+    recurrence, worker = simulate_module._recurrence, simulate_module._Worker
+
+    def recording_recurrence(u, *coefficients):
+        recurred.append(u.shape)
+        recurrence(u, *coefficients)
+
+    def recording_worker(name, *args):
+        started.append(name)
+        return worker(name, *args)
+
+    monkeypatch.setattr(simulate_module, "_recurrence", recording_recurrence)
+    monkeypatch.setattr(simulate_module, "_Worker", recording_worker)
+    params = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0, x0=0.3, dx0=-0.2)
+    reps = [k for blk in simulate_exact(params, 20.0, 2000, range(500)) for k in blk.reps]
+    assert reps == list(range(500))
+    assert recurred == [(2 * 256, 2001), (2 * 244, 2001)]
+    assert started == ["car2-simulate"] * 2
 
 
 # Values whose products and sums test lfilter's rounding, its signed zeros
