@@ -121,14 +121,16 @@ class SimBlock(NamedTuple):
 # Elements per (rows, n+1) array of a `simulate_exact` block, halved since
 # two blocks are in flight (one row if n is larger), and replications per
 # block, the bound on grids of fewer than 4,096 points: a recurrence step
-# costs about as much per element at 512 rows as at 1,048 (within 5% at
-# 2,001 points), so wider blocks would mostly hold more memory (two buffers
-# of 33.5 MB, not 16.4 MB, at 2,000 steps).  Then elements per row slice that a block's worker thread
-# fills (the caller's are half as large) and that it yields.  Each numpy call of a fill gives up the GIL and takes it back,
-# which costs a thread switch while the caller recurs, so the worker's
-# slices are large; each filling thread keeps scratch for one slice: its
-# (rows, n, 3) normals and two or three (rows, n) noise planes.
+# costs about as much per element at 512 rows as at 1,048, so wider blocks
+# would mostly hold more memory (two buffers of 33.5 MB, not 16.4 MB, at
+# 2,000 steps).
 _BLOCK_ELEMENTS, _BLOCK_REPS = 2**21, 256
+# Elements per row slice that a block's worker thread fills (the caller's
+# are half as large) and that it yields.  Each numpy call of a fill gives
+# up the GIL and takes it back, which costs a thread switch while the
+# caller recurs, so the worker's slices are large; each filling thread
+# keeps scratch for one slice: its (rows, n, 3) normals and two or three
+# (rows, n) noise planes.
 _DRAW_ELEMENTS, _YIELD_ELEMENTS = 2**14, 2**16
 # Arrays of at most this many rows recur along each row, on Python floats;
 # wider ones across the rows, _CHUNK_STEPS time steps at a time.
