@@ -21,12 +21,12 @@ longest horizon, with the block kernel `simulate_exact` (which builds the
 transition kernel once and simulates rows in blocks of at most 256
 replications, fewer where a fixed element budget binds first, filling the
 next block on a worker thread).  Each member horizon sums its prefix of
-every row into its own columns as each block arrives, and the rotated
-solve runs once per horizon, bit for bit as `estimate_path`
-on each path alone; then, in one place, it excludes the rows that left
-float64 by it and the singular designs.  A horizon that nests in no other
-is a group of one.  The surviving rows are normalized as columns, with the
-rates and A_T evaluated once per horizon.
+every row into its own columns as each slice arrives (a view, which the
+next block's turn overwrites), and the rotated solve runs once per horizon,
+bit for bit as `estimate_path` on each path alone; then, in one place, it
+excludes the rows that left float64 by it and the singular designs.  A
+horizon that nests in no other is a group of one.  The surviving rows are
+normalized as columns, with the rates and A_T evaluated once per horizon.
 
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
@@ -354,8 +354,9 @@ def _nesting_groups(cfg: ExperimentConfig, n_steps: list[int]) -> list[list[int]
 
 def _replicate(cfg: ExperimentConfig):
     """Simulate and estimate the n_reps exact paths of every horizon, one
-    simulation per nesting group.  Each block is summed here as
-    `simulate_exact` yields it, while its worker thread fills the next.
+    simulation per nesting group.  Each slice is summed here as
+    `simulate_exact` yields it, while its worker thread fills the next
+    block, and dropped: its rows are views of a buffer that is refilled.
 
     Yields, per horizon in order, (n_steps, the surviving rows' Estimate in
     replication order, each replication's status, the horizon simulated).
@@ -381,7 +382,7 @@ def _replicate(cfg: ExperimentConfig):
                 end = n_steps[i] + 1
                 cols[i].append(estimate._block_columns(blk.t[:end], blk.x[:, :end],
                                                        blk.v[:, :end], w, scratch))
-            blk = None  # freed before the next slice is made
+            blk = None  # else the last slice holds its block buffer past the call
         n_finite.update(dict.fromkeys(group, np.concatenate(counts)))
         simulated_at.update(dict.fromkeys(group, longest))
     scratch = None  # not held while the caller draws its limit samples

@@ -22,7 +22,9 @@ per grid it builds the mean path, the transition kernel and its noise
 factor once (zero at sigma = 0, so a noiseless row is the mean path and its
 dW is 0), then recurs blocks of at most 256 replications, fewer on long
 grids, in two reused buffers, each row filled from its own Philox stream,
-and yields each block in slices of fresh rows, the mean path added.
+and yields each block in slices of the buffer's rows, the mean path added
+in place: views, valid until the caller asks for the next block, since a
+fresh array per slice cost the allocator's page faults in a cold process.
 Filling a buffer with its recurrence input is a stage of its own: one
 worker thread fills block b+1 while the calling thread recurs and yields
 block b.  A fill takes rows in
@@ -109,7 +111,8 @@ class SamplePath:
 
 class SimBlock(NamedTuple):
     """Rows of replications reps on grid t; n_finite counts each row's
-    leading samples where x and v are finite (n+1 for a row that stayed so)."""
+    leading samples where x and v are finite (n+1 for a row that stayed so).
+    x and v are views of a reused buffer (see `simulate_exact`)."""
     reps: Sequence[int]
     t: np.ndarray
     x: np.ndarray
@@ -302,6 +305,11 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
     builds the mean path and the transition kernel: the fill calls nothing
     that perfbench/tracer.py wraps, since its span stack is single-threaded.
     A call of one block runs inline and starts no thread.
+
+    A slice's x and v are its rows in the block's buffer, the mean path
+    added in place: views, valid until the caller asks for the next block,
+    which starts the fill of the block after into this buffer; a caller
+    that keeps rows longer copies them.  dw and n_finite are fresh.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -379,11 +387,12 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
             _recurrence(u, *coefficients)
             for i in range(0, r, yield_rows):
                 rows_i = slice(i, i + yield_rows)
-                with np.errstate(over="ignore", invalid="ignore"):  # fresh rows: u is reused
-                    x, v = np.add(x_mean, u[:r][rows_i]), np.add(v_mean, u[r:][rows_i])
+                x, v = u[:r][rows_i], u[r:][rows_i]
+                with np.errstate(over="ignore", invalid="ignore"):  # n_finite flags inf + -inf
+                    np.add(x_mean, x, out=x)
+                    np.add(v_mean, v, out=v)
                 yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i],
                                _n_finite(x, v))
-                x = v = None  # a caller that has dropped the slice frees it before the next
     finally:  # a failed or closed call leaves no worker running, nor waits for its whole fill
         if ahead is not None and ahead[2] is not None:
             ahead[1].take_rest()

@@ -164,9 +164,11 @@ def test_experiment_loads_no_numpy_ma():
 # Calls that change state every thread of the process shares.  A library
 # that sets one to do its work (the umask to read it, say) changes it under
 # the caller's other threads; context-local settings such as np.errstate
-# are fine.
+# are fine.  ctypes' loaders are the route to the C library's allocator
+# settings (mallopt): memory is saved by allocating less, not by tuning
+# the caller's malloc.
 PROCESS_WIDE = {"os.umask", "os.chdir", "os.putenv", "numpy.seterr", "numpy.random.seed",
-                "sys.setswitchinterval", "sys.setrecursionlimit"}
+                "sys.setswitchinterval", "sys.setrecursionlimit", "ctypes.CDLL", "ctypes.cdll"}
 
 
 def _uses(source: str, names: set[str]) -> list[str]:
@@ -209,6 +211,11 @@ def test_package_changes_no_process_wide_state():
              "mask = os.umask(0)\nnp.random.seed(1)\nlimit(99)\n")
     assert _uses(probe, PROCESS_WIDE) == ["6: os.umask", "7: numpy.random.seed",
                                           "8: sys.setrecursionlimit"]
+    probe = ("import ctypes\nimport ctypes as c\nfrom ctypes import CDLL as dll, cdll\n"
+             "ctypes.CDLL(None).mallopt(-3, 0)\nc.cdll.LoadLibrary('libc.so.6')\n"
+             "dll('libc.so.6')\ncdll.LoadLibrary('libc.so.6')\nctypes.c_int(0)\n")
+    assert _uses(probe, PROCESS_WIDE) == ["4: ctypes.CDLL", "5: ctypes.cdll", "6: ctypes.CDLL",
+                                          "7: ctypes.cdll"]
 
 
 # Reads of the environment.  The package takes every setting as an argument

@@ -268,8 +268,9 @@ def test_llr_label_matches_information_spread(name):
     surely.  The band is four bootstrap standard errors of the ratio, the
     replications resampled jointly at both horizons.
 
-    The "D" of DLAMN is left unchecked: A_T there has rank one by
-    construction, so a rank test of J_T would prove nothing.  LargerRootZero
+    The "D" of DLAMN is not checked here: A_T there has rank one by
+    construction, so a rank test of J_T would prove nothing; the test below
+    checks it by its rate instead.  LargerRootZero
     ("LABF/LAN") is unchecked too: its tr J_T tends to 1/4 + (1/4) int_0^1 B^2,
     a deterministic part plus a random one, so its CV falls from above to
     0.385 at the rate T^{-1/2} and the ratio is not near 1 at feasible T."""
@@ -291,3 +292,42 @@ def test_llr_label_matches_information_spread(name):
     assert band < 1.0 - lan  # the band excludes the other family's ratio
     expected = lan if rate_functions(regime).llr_label == "LAN" else 1.0
     assert abs(_cv_ratio(traces) - expected) <= band
+
+
+# DLAMN regimes with distinct real roots and p = 1: (theta1, theta2).
+DLAMN_CASES = {"OppositeSign": (-1.0, 2.0), "DistinctPositive": (1.5, -0.5)}
+
+
+def _log_iqr_slope(horizons, samples) -> float:
+    """Least-squares slope of log IQR(sample) against the horizon."""
+    iqr = [np.subtract(*np.percentile(z, [75.0, 25.0])) for z in samples]
+    return float(np.polyfit(horizons, np.log(iqr), 1)[0])
+
+
+@pytest.mark.parametrize("name", sorted(DLAMN_CASES))
+def test_dlamn_degenerate_direction_shrinks_at_rate_p(name):
+    """The "D" of DLAMN: with d_i = theta_i_hat - theta_i, the limit sets
+    l2 = -p l1, so d2 + p d1 is of smaller order than d1 and shrinks like
+    e^{-pT}, the scale of A_T = e^{-pT} b b^T along b = (1, p).  The slope of
+    its log IQR against T is -p within 0.1 p; a direction off by a tenth of
+    p, d2 + 0.9 p d1, keeps the order of d1 and falls outside that band.
+    600 replications are three simulate_exact blocks, each member horizon
+    read off its prefix of the longest one's rows."""
+    theta1, theta2 = DLAMN_CASES[name]
+    params = ModelParams(theta1=theta1, theta2=theta2, x0=0.3, dx0=-0.2)
+    regime = classify_params(params)
+    assert regime.tag.value == name
+    p = regime.roots.p.real
+    assert p == 1.0
+    horizons = (4.0, 8.0, 12.0)
+    cfg = ExperimentConfig(params=params, horizons=horizons, n_reps=600, seed=5,
+                           steps_per_unit_time=50, comparison="none")
+    d1, d2 = [], []
+    for _, est, status, _ in _replicate(cfg):
+        assert (status == "ok").all()
+        d1.append(est.theta1_hat - theta1)
+        d2.append(est.theta2_hat - theta2)
+    slope = _log_iqr_slope(horizons, [b + p * a for a, b in zip(d1, d2)])
+    assert abs(slope + p) <= 0.1 * p
+    control = _log_iqr_slope(horizons, [b + 0.9 * p * a for a, b in zip(d1, d2)])
+    assert abs(control + p) > 0.1 * p

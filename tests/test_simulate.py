@@ -164,11 +164,13 @@ def assert_same_bits(a, b):
 
 
 def exact_rows(params, *args, **kwargs):
-    """(path, n_finite) of each replication, read off simulate_exact's blocks."""
+    """(path, n_finite) of each replication, read off simulate_exact's blocks.
+    The rows are copies: a block's x and v rows are views of a buffer that is
+    refilled once the next block is asked for."""
     for blk in simulate_exact(params, *args, **kwargs):
         for i in range(len(blk.reps)):
             dw = None if blk.dw is None else blk.dw[i]
-            yield (SamplePath(blk.t, blk.x[i], blk.v[i], dw, params.sigma, params),
+            yield (SamplePath(blk.t, blk.x[i].copy(), blk.v[i].copy(), dw, params.sigma, params),
                    int(blk.n_finite[i]))
 
 
@@ -288,7 +290,7 @@ class TestPipeline:
         got = []
         with pytest.raises(ValueError) as err:
             for blk in simulate_exact(self.PARAMS, 1.0, self.N_STEPS, reps, seed=2):
-                got.append(blk)
+                got.append(blk._replace(x=blk.x.copy(), v=blk.v.copy()))  # kept past the block
         assert str(err.value) == str(want.value)
         assert threading.active_count() == threads
         assert [list(blk.reps) for blk in got] == [reps[3 * b:3 * b + 3] for b in range(bad_block)]
@@ -297,6 +299,26 @@ class TestPipeline:
                 want_path = simulate(self.PARAMS, 1.0, self.N_STEPS, seed=2, rep=k)
                 assert_same_bits(x, want_path.x)
                 assert_same_bits(v, want_path.v)
+
+    def test_rows_are_views_of_two_buffers(self, monkeypatch):
+        # Four blocks of three rows, yielded a row at a time: every yielded
+        # x and v is a view into one of two buffers, and a block's rows, read
+        # when its last slice arrives, are each replication's path.
+        monkeypatch.setattr(simulate_module, "_YIELD_ELEMENTS", self.N_STEPS + 1)
+        owners, rows = [], []
+        for blk in simulate_exact(self.PARAMS, 1.0, self.N_STEPS, range(12), seed=2):
+            assert len(blk.reps) == 1
+            for a in (blk.x, blk.v):
+                if not any(np.shares_memory(a, owner) for owner in owners):
+                    owners.append(a if a.base is None else a.base)
+            rows.append(blk)
+            if len(rows) == 3:  # the block's last slice: nothing refilled its buffer yet
+                for k, x, v in ((r.reps[0], r.x[0], r.v[0]) for r in rows):
+                    want = simulate(self.PARAMS, 1.0, self.N_STEPS, seed=2, rep=k)
+                    assert_same_bits(x, want.x)
+                    assert_same_bits(v, want.v)
+                rows = []
+        assert len(owners) <= 2
 
     def test_each_row_is_drawn_once(self, monkeypatch):
         # The worker and the caller share each block's row slices out.
@@ -570,8 +592,10 @@ def test_noiseless_rows_are_the_mean_path(name, x0, dx0, record_noise, n_steps, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * rows * (n_steps + 1))
         mp.setattr(simulate_module, "_DRAW_ELEMENTS", n_steps + 1)
-        blocks = list(simulate_exact(params, horizon, n_steps, range(n_reps), seed,
-                                     record_noise))
+        # Copies: a block's x and v rows are refilled once the next block is asked for.
+        blocks = [blk._replace(x=blk.x.copy(), v=blk.v.copy())
+                  for blk in simulate_exact(params, horizon, n_steps, range(n_reps), seed,
+                                            record_noise)]
     with np.errstate(over="ignore", invalid="ignore"):
         fs = fundamental_solutions(char_roots(params), np.linspace(0.0, horizon, n_steps + 1))
         mean = (x0 * fs.x1 + dx0 * fs.x2, x0 * fs.dx1 + dx0 * fs.dx2)
@@ -639,9 +663,9 @@ def _buffer_bytes(n_steps) -> int:
 
 def test_block_memory_does_not_grow_with_replications():
     # Two buffers serve every block, one recurring while the worker stage
-    # fills the other, and each yielded slice is a fresh array, so more
-    # blocks cost no memory.  At 8,192 steps the element budget sets the
-    # rows of a block.
+    # fills the other, and each yielded slice is a view of its block's
+    # buffer, so more blocks cost no memory.  At 8,192 steps the element
+    # budget sets the rows of a block.
     params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0)
     n_steps = 2**13
     rows = simulate_module._BLOCK_ELEMENTS // 2 // (n_steps + 1)
@@ -654,13 +678,15 @@ def test_block_memory_does_not_grow_with_replications():
 def test_short_path_blocks_are_capped_in_replications():
     # 2,000 replications of 2,000 steps: the budget alone would make blocks
     # of 524 replications, two buffers of 16.8 MB each; capped at 256, the
-    # two hold 16.4 MB together, and the rest (fill scratch, two yielded
-    # slices, the recurrence's chunk) stays under 5 MB.
+    # two hold 16.4 MB together.  The rest (the two fills' scratch, the
+    # recurrence's chunk, `_n_finite`'s masks) traced 1.6 MB and stays under
+    # 2.5 MB, since the yielded slices are views of the buffers: fresh
+    # slices, as the mean path added into new arrays, traced 3.5 MB.
     params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0)
     assert simulate_module._BLOCK_ELEMENTS // 2 // 2001 > simulate_module._BLOCK_REPS == 256
     _traced_peak(params, 20.0, 2000, 2)  # warm-up
     peak = _traced_peak(params, 20.0, 2000, 2000)
-    assert _buffer_bytes(2000) <= peak < _buffer_bytes(2000) + 5e6
+    assert _buffer_bytes(2000) <= peak < _buffer_bytes(2000) + 2.5e6
 
 
 def test_five_hundred_short_paths_run_two_blocks_on_the_worker(monkeypatch):
