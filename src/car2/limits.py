@@ -5,16 +5,16 @@ functional regimes simulate standard Brownian motion on a fine grid over
 [0, 1] and evaluate the required path functionals (dt-integrals by
 trapezoid, stochastic integrals by left-point Ito sums).
 
-The Brownian sampler computes only the functionals the limit laws read
-(see BrownianFunctionals).  It runs chunks of paths on two lanes, the
-calling thread and one worker thread, which take chunks from a shared
-counter; a lane draws and reduces each of its chunks a block of rows at a
-time in its own scratch, with no BLAS call, bit for bit as if the chunks were
-reduced in turn on one thread.  The lanes overlap only inside numpy calls
-that release the GIL: the draws, the elementwise products, the einsums and
-a 1-D cumsum into another array release it (numpy 2.4), but a 2-D cumsum
-along rows, or a 1-D one in place, holds it for the whole call, so the
-paths are summed one row at a time into a separate array.
+The Brownian sampler computes only the functionals the limit laws read (see
+BrownianFunctionals).  It runs chunks of paths on two lanes, the calling
+thread and one worker thread, which take chunks from one `simulate._Lanes`;
+a lane draws and reduces each of its chunks a block of rows at a time in its
+own scratch, with no BLAS call, bit for bit as if the chunks were reduced in
+turn on one thread.  The lanes overlap only inside numpy calls that release
+the GIL: the draws, the elementwise products, the einsums and a 1-D cumsum
+into another array release it (numpy 2.4), but a 2-D cumsum along rows, or a
+1-D one in place, holds it for the whole call, so the paths are summed one
+row at a time into a separate array.
 
 Draws are returned jointly as (l1, l2): wherever the theory couples the two
 coordinates (one limit a fixed negative multiple of the other, or both built
@@ -31,7 +31,7 @@ import numpy as np
 from . import rng
 from .estimate import _trapezoid
 from .model import ModelParams, Regime, RegimeKind, RootPair
-from .simulate import _Rows, _Worker
+from .simulate import _Lanes
 
 __all__ = [
     "BrownianFunctionals",
@@ -103,8 +103,8 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     Draws come in chunks of `_CHUNK_ELEMENTS // (grid_n + 1)` paths; chunk c
     draws from stream (seed, DOMAIN_LIMIT, c), BM1 first, then BM2.  Two
     lanes, the calling thread and one worker thread, take chunks in turn
-    from a shared counter until none is left, and each writes its chunks'
-    fields at their rows of the result.
+    from one `simulate._Lanes` until none is left, and each writes its
+    chunks' fields at their rows of the result.
 
     A lane reduces a chunk in blocks of `_REDUCE_ELEMENTS // grid_n` rows
     (at least one, at most a chunk), in its own scratch: it draws the
@@ -124,7 +124,7 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     The bits equal those of reducing one chunk after the other on one
     thread: each chunk has its own stream, its fields their own rows, and
     each lane its own slot and scratch.  A lane that fails takes every chunk
-    left, so the other one starts none.  The worker calls nothing that
+    left (the `_Lanes` stop rule), so the other one starts none.  The worker calls nothing that
     perfbench/tracer.py wraps: the tracer's span stack is single-threaded.
     """
     if grid_n < 2:
@@ -139,59 +139,52 @@ def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
     block = max(1, min(_REDUCE_ELEMENTS // n, slot))
     names = ("w1_end", "z2", "w2_end", "levy", "s2") if two_bm else ("w1_end", "z2", "z1", "z3")
     out = {key: np.empty(n_draws) for key in names}
-    chunks = _Rows(n_chunks)
 
     def integrate(f: np.ndarray, rows: slice, key: str) -> None:
         out[key][rows] = _row_einsum("ij,j->i", f, trapw)
 
-    def lane() -> None:
+    def lane(chunks: _Lanes) -> None:
         bm1 = np.empty(slot * n) if two_bm else None
         dw = np.empty(block * n)
         paths = np.zeros((2, block, n + 1))  # w1, w2 or w's running trapezoid
-        try:
-            for taken in chunks.slices(1):
-                c = taken.start
-                start, gen = c * chunk, rng.stream(seed, rng.DOMAIN_LIMIT, c)
-                m = min(chunk, n_draws - start)
+        for taken in chunks.slices(1):
+            c = taken.start
+            start, gen = c * chunk, rng.stream(seed, rng.DOMAIN_LIMIT, c)
+            m = min(chunk, n_draws - start)
+            if two_bm:
+                dw1 = bm1[:m * n].reshape(m, n)
+                gen.standard_normal(out=dw1)
+                dw1 *= math.sqrt(dt)
+            for r0 in range(0, m, block):
+                k = min(block, m - r0)
+                rows = slice(start + r0, start + r0 + k)
+                d, (w1, w2) = dw[:k * n].reshape(k, n), paths[:, :k]
+                gen.standard_normal(out=d)
+                d *= math.sqrt(dt)
                 if two_bm:
-                    dw1 = bm1[:m * n].reshape(m, n)
-                    gen.standard_normal(out=dw1)
-                    dw1 *= math.sqrt(dt)
-                for r0 in range(0, m, block):
-                    k = min(block, m - r0)
-                    rows = slice(start + r0, start + r0 + k)
-                    d, (w1, w2) = dw[:k * n].reshape(k, n), paths[:, :k]
-                    gen.standard_normal(out=d)
-                    d *= math.sqrt(dt)
-                    if two_bm:
-                        d1 = dw1[r0:r0 + k]
-                        _cumsum_rows(d1, w1[:, 1:])
-                        _cumsum_rows(d, w2[:, 1:])
-                        out["w2_end"][rows] = w2[:, -1]
-                        np.subtract(_row_einsum("ij,ij->i", w1[:, :-1], d),
-                                    _row_einsum("ij,ij->i", w2[:, :-1], d1), out=out["levy"][rows])
-                        integrate(np.multiply(w2, w2, out=w2), rows, "s2")
-                    else:
-                        _cumsum_rows(d, w1[:, 1:])
-                        integrate(w1, rows, "z1")
-                        np.add(w1[:, :-1], w1[:, 1:], out=d)  # w's running trapezoid, in d's place
-                        _cumsum_rows(d, w2[:, 1:])
-                        w2 *= dt / 2.0
-                        integrate(np.multiply(w2, w2, out=w2), rows, "z3")
-                    out["w1_end"][rows] = w1[:, -1]
-                    integrate(np.multiply(w1, w1, out=w1), rows, "z2")
-        except BaseException:
-            chunks.take_rest()
-            raise
+                    d1 = dw1[r0:r0 + k]
+                    _cumsum_rows(d1, w1[:, 1:])
+                    _cumsum_rows(d, w2[:, 1:])
+                    out["w2_end"][rows] = w2[:, -1]
+                    np.subtract(_row_einsum("ij,ij->i", w1[:, :-1], d),
+                                _row_einsum("ij,ij->i", w2[:, :-1], d1), out=out["levy"][rows])
+                    integrate(np.multiply(w2, w2, out=w2), rows, "s2")
+                else:
+                    _cumsum_rows(d, w1[:, 1:])
+                    integrate(w1, rows, "z1")
+                    np.add(w1[:, :-1], w1[:, 1:], out=d)  # w's running trapezoid, in d's place
+                    _cumsum_rows(d, w2[:, 1:])
+                    w2 *= dt / 2.0
+                    integrate(np.multiply(w2, w2, out=w2), rows, "z3")
+                out["w1_end"][rows] = w1[:, -1]
+                integrate(np.multiply(w1, w1, out=w1), rows, "z2")
 
-    there = _Worker("car2-limits", lane) if n_chunks > 1 else None
+    chunks = _Lanes(n_chunks, "car2-limits", lane if n_chunks > 1 else None)
     try:
-        lane()
+        lane(chunks)
     finally:
-        if there is not None:
-            there.join()
-    if there is not None:
-        there.result()
+        chunks.close()
+    chunks.result()
     if two_bm:
         out["s2"] += out["z2"]
     return BrownianFunctionals(**out)

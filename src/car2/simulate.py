@@ -27,14 +27,15 @@ in place: views, valid until the caller asks for the next block, since a
 fresh array per slice cost the allocator's page faults in a cold process.
 Filling a buffer with its recurrence input is a stage of its own: one
 worker thread fills block b+1 while the calling thread recurs and yields
-block b.  A fill takes rows in
-slices: it writes their noise (the normals times the noise factor) into
-contiguous (rows, n) planes, X's and X''s (after dW's when it is recorded),
-and one transform over both planes writes the input of the block's x and v
-rows, so each slice makes a few numpy calls on contiguous data.  Memory
-stays flat in the number of replications, no row depends on its block or
-on the thread that filled it, and an exact `simulate` path is row 0 of a
-one-row block, run inline.
+block b, the two sharing the block's rows out through `_Lanes`, the one
+place the package starts a thread.  A fill takes rows in slices: it writes
+their noise (the normals times the noise factor) into contiguous (rows, n)
+planes, X's and X''s (after dW's when it is recorded), and one transform
+over both planes writes the input of the block's x and v rows, so each
+slice makes a few numpy calls on contiguous data.  Memory stays flat in
+the number of replications, no row depends on its block or on the thread
+that filled it, and an exact `simulate` path is row 0 of a one-row block,
+run on no thread.
 """
 
 from __future__ import annotations
@@ -232,12 +233,28 @@ def _noise_factor(cov: np.ndarray) -> np.ndarray:
     return vec * np.sqrt(np.clip(w, 0.0, None))
 
 
-class _Rows:
-    """The rows of a block that are still to fill, handed out under a lock
-    in consecutive slices, so that threads filling one block share it out."""
+class _Lanes:
+    """Rows [0, count) handed out in consecutive slices under a lock, to the
+    caller and, when fn is given, to one worker thread named name (for
+    thread dumps) that runs fn(self, *args).  The one stop rule: a lane
+    whose fn raises takes every row left, so no lane begins another slice.
+    close() takes the rest and joins the worker, and may be called again or
+    on the worker; result() closes, then raises what fn raised.  Whoever
+    makes one closes it on every exit path."""
 
-    def __init__(self, count: int):
+    def __init__(self, count: int, name: str = "", fn: Callable | None = None, *args):
         self._count, self._next, self._lock = count, 0, threading.Lock()
+        self._error = self._thread = None
+        if fn is not None:
+            self._thread = threading.Thread(target=self._run, args=(fn, *args), name=name)
+            self._thread.start()
+
+    def _run(self, fn: Callable[..., None], *args) -> None:
+        try:
+            fn(self, *args)
+        except BaseException as exc:  # noqa: BLE001 - raised on the caller by result()
+            self._error = exc
+            self.close()
 
     def slices(self, size: int) -> Iterator[slice]:
         """Slices of at most size rows, taken until no row is left."""
@@ -249,32 +266,16 @@ class _Rows:
                 return
             yield slice(start, stop)
 
-    def take_rest(self) -> None:
-        """Take every row left, so that no thread begins another slice."""
+    def close(self) -> None:
         with self._lock:
             self._next = self._count
-
-
-class _Worker(threading.Thread):
-    """fn(*args) on a thread of its own, started here and named name (for
-    thread dumps); result() joins it and raises what fn raised.  Whoever
-    starts one joins it on every exit path."""
-
-    def __init__(self, name: str, fn: Callable[..., None], *args):
-        super().__init__(target=fn, args=args, name=name)
-        self.error = None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            super().run()
-        except BaseException as exc:  # noqa: BLE001 - raised on the caller by result()
-            self.error = exc
+        if self._thread not in (None, threading.current_thread()):
+            self._thread.join()
 
     def result(self) -> None:
-        self.join()
-        if self.error is not None:
-            raise self.error
+        self.close()
+        if self._error is not None:
+            raise self._error
 
 
 def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
@@ -298,13 +299,13 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
     normals from its own stream, their product with the noise factor
     written into contiguous planes (X's and X''s, dW's first when
     record_noise is set), and `_recurrence_input` over both planes at once.
-    Recurring the buffer and yielding its rows is the next.  With two blocks or more, one worker thread fills block
-    b+1 while the calling thread recurs and yields block b, and then the
-    caller fills the rows of block b+1 that the worker has not yet taken,
-    so neither thread waits long for the other.  The caller alone
+    Recurring the buffer and yielding its rows is the next.  With two
+    blocks or more, a worker thread fills block b+1 while the calling
+    thread recurs and yields block b, and the caller then fills the rows
+    the worker has not taken (the block's `_Lanes`; a failure or a close
+    takes the rows left); one block starts no thread.  The caller alone
     builds the mean path and the transition kernel: the fill calls nothing
     that perfbench/tracer.py wraps, since its span stack is single-threaded.
-    A call of one block runs inline and starts no thread.
 
     A slice's x and v are its rows in the block's buffer, the mean path
     added in place: views, valid until the caller asks for the next block,
@@ -333,11 +334,10 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
     blocks = [reps[start:start + rows] for start in range(0, len(reps), rows)]
     # A block's x rows, then its v rows.
     buffers = [np.empty((2 * rows, n + 1)) for _ in blocks[:2]]
-    threaded = len(buffers) == 2
 
     def filler(size: int):
-        """fill(b, to_fill, dw): write into block b's buffer the recurrence
-        input of the rows it takes from to_fill, in slices of about size
+        """fill(lanes, b, dw): write into block b's buffer the recurrence
+        input of the rows it takes from lanes, in slices of about size
         elements, and their dw.  One per thread, with its own generator
         (re-keyed before each row's draws) and scratch: the normals, and
         their noise in contiguous planes, dW's first when it is recorded."""
@@ -346,13 +346,13 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         normals = np.empty((cap, n, 3))
         planes = np.empty((factor_cols.shape[1], cap, n))
 
-        def fill(b: int, to_fill: _Rows, dw: np.ndarray | None) -> None:
+        def fill(lanes: _Lanes, b: int, dw: np.ndarray | None) -> None:
             block = blocks[b]
             r = len(block)
             u = buffers[b % 2][:2 * r].reshape(2, r, n + 1)
             # Entered here: a worker thread does not inherit the caller's errstate.
             with np.errstate(over="ignore", invalid="ignore"):
-                for sl in to_fill.slices(cap):
+                for sl in lanes.slices(cap):
                     m = sl.stop - sl.start
                     for j, k in enumerate(block[sl]):
                         rng.rekey(gen, seed, rng.DOMAIN_SIM_EXACT, k).standard_normal(
@@ -364,23 +364,22 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
         return fill
 
     fill_here = filler(_DRAW_ELEMENTS // 2)
-    fill_there = filler(_DRAW_ELEMENTS) if threaded else None
+    fill_there = filler(_DRAW_ELEMENTS) if len(blocks) > 1 else None
 
     def begin(b: int):
-        """Block b's dw, its rows to fill, and the worker filling them (None inline)."""
+        """Block b's dw, and its lanes: its rows to fill, and the worker filling them."""
         dw = np.zeros((len(blocks[b]), n)) if record_noise else None
-        to_fill = _Rows(len(blocks[b]))
-        return dw, to_fill, (_Worker("car2-simulate", fill_there, b, to_fill, dw) if threaded
-                             else None)
+        return dw, _Lanes(len(blocks[b]), "car2-simulate", fill_there, b, dw)
 
-    ahead = begin(0) if blocks else None
+    if not blocks:
+        return
+    ahead = begin(0)
     try:
         for b, block in enumerate(blocks):
             r = len(block)
-            dw, to_fill, filled_there = ahead
-            fill_here(b, to_fill, dw)
-            if filled_there is not None:
-                filled_there.result()
+            dw, lanes = ahead
+            fill_here(lanes, b, dw)
+            lanes.result()
             if b + 1 < len(blocks):
                 ahead = begin(b + 1)  # filled while block b recurs and is read
             u = buffers[b % 2][:2 * r]
@@ -394,9 +393,7 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                 yield SimBlock(block[rows_i], t, x, v, None if dw is None else dw[rows_i],
                                _n_finite(x, v))
     finally:  # a failed or closed call leaves no worker running, nor waits for its whole fill
-        if ahead is not None and ahead[2] is not None:
-            ahead[1].take_rest()
-            ahead[2].join()
+        ahead[1].close()
 
 
 def simulate(params: ModelParams, horizon: float, n_steps: int, *,

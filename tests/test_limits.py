@@ -24,7 +24,7 @@ from car2 import (
     sample_limit,
 )
 from car2.estimate import _block_columns, _solve
-from car2.simulate import _Worker, simulate_exact
+from car2.simulate import _Lanes, simulate_exact
 
 from conftest import REGIME_POINTS
 
@@ -185,20 +185,16 @@ def assert_fields_equal(got, want, two_bm, context):
         assert getattr(got, name) is None, (context, name)
 
 
-class EagerWorker(_Worker):
-    """Stands in for the worker lane's thread and runs the lane at once, on
-    the caller, when it starts, so the worker takes every chunk, reusing its
-    one slot and scratch, and the caller's lane finds none left."""
+class EagerWorker(_Lanes):
+    """Stands in for the sampler's lanes and runs the worker lane at once, on
+    the caller, when they are made, so the worker takes every chunk, reusing
+    its one slot and scratch, and the caller's lane finds none left."""
 
-    def __init__(self, name, fn, *args):
+    def __init__(self, count, name="", fn=None, *args):
         assert name == "car2-limits"
-        super().__init__(name, fn, *args)
-
-    def start(self):
-        self.run()
-
-    def join(self, timeout=None):
-        pass
+        super().__init__(count, name)
+        if fn is not None:  # a one-chunk call has no worker lane
+            self._run(fn, *args)
 
 
 def run_bounded(call, timeout=60.0):
@@ -231,7 +227,7 @@ class TestFillPipeline:
         # at 2000 x 10 rows a `@ trapw` gemv would run threaded
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         if eager:
-            monkeypatch.setattr(car2.limits, "_Worker", EagerWorker)
+            monkeypatch.setattr(car2.limits, "_Lanes", EagerWorker)
         for n_draws in (1, chunk - 1, chunk, 2 * chunk + 3, 7 * chunk + 1):
             got = brownian_functionals(grid_n, seed=5, two_bm=two_bm, n_draws=n_draws)
             want = sequential_functionals(grid_n, 5, two_bm, n_draws, chunk * (grid_n + 1))
@@ -259,7 +255,7 @@ class TestFillPipeline:
         grid_n, chunk, n_draws = 300, 20, 65
         monkeypatch.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
         if eager:
-            monkeypatch.setattr(car2.limits, "_Worker", EagerWorker)
+            monkeypatch.setattr(car2.limits, "_Lanes", EagerWorker)
         calls = []
 
         def recorded(cumsum):
@@ -297,7 +293,7 @@ class TestFillPipeline:
             mp.setattr(car2.limits, "_CHUNK_ELEMENTS", chunk * (grid_n + 1))
             mp.setattr(car2.limits, "_REDUCE_ELEMENTS", block * grid_n)
             if eager:
-                mp.setattr(car2.limits, "_Worker", EagerWorker)
+                mp.setattr(car2.limits, "_Lanes", EagerWorker)
             got = brownian_functionals(grid_n, seed, two_bm, n_draws)
         want = sequential_functionals(grid_n, seed, two_bm, n_draws, chunk * (grid_n + 1))
         assert_fields_equal(got, want, two_bm, n_draws)

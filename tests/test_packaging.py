@@ -3,8 +3,9 @@ the package uses every name it imports, every name a module exports is
 bound in it, importing the CLI loads no scipy module (the package runs on
 numpy alone, and scipy is a test dependency, for its oracles), nor
 concurrent.futures or logging, and creates only four dataclasses, the
-package changes no process-wide state and reads no environment variable,
-and the random streams' domain tags keep their values."""
+package changes no process-wide state, starts threads in one place and
+reads no environment variable, and the random streams' domain tags keep
+their values."""
 
 import ast
 import functools
@@ -216,6 +217,34 @@ def test_package_changes_no_process_wide_state():
              "dll('libc.so.6')\ncdll.LoadLibrary('libc.so.6')\nctypes.c_int(0)\n")
     assert _uses(probe, PROCESS_WIDE) == ["4: ctypes.CDLL", "5: ctypes.cdll", "6: ctypes.CDLL",
                                           "7: ctypes.cdll"]
+
+
+# Calls that start a thread or a process.  The package starts its worker
+# threads in one place, `simulate._Lanes`, which owns the one stop rule of
+# both pipelines: a lane that fails takes every row left, and every exit
+# joins the worker.
+THREAD_STARTERS = {"threading.Thread", "threading.Timer", "_thread.start_new_thread",
+                   "concurrent.futures.ThreadPoolExecutor",
+                   "concurrent.futures.ProcessPoolExecutor", "multiprocessing.Process",
+                   "multiprocessing.Pool"}
+
+
+def test_package_starts_threads_in_one_place():
+    uses = _package_uses(THREAD_STARTERS)
+    assert list(uses) == ["simulate.py"] and len(uses["simulate.py"]) == 1, uses
+    line = int(uses["simulate.py"][0].split(":")[0])
+    tree = ast.parse((ROOT / "src" / "car2" / "simulate.py").read_text())
+    (lanes,) = [node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "_Lanes"]
+    assert lanes.lineno < line <= lanes.end_lineno
+    probe = ("import threading as th\nimport _thread\nimport concurrent.futures as cf\n"
+             "from threading import Thread as T\nfrom multiprocessing import Pool, Process\n"
+             "T(target=print).start()\nth.Timer(1.0, print)\n_thread.start_new_thread(print, ())\n"
+             "cf.ThreadPoolExecutor(1)\nPool(1)\nProcess(target=print)\nth.Lock()\n")
+    assert _uses(probe, THREAD_STARTERS) == [
+        "6: threading.Thread", "7: threading.Timer", "8: _thread.start_new_thread",
+        "9: concurrent.futures.ThreadPoolExecutor", "10: multiprocessing.Pool",
+        "11: multiprocessing.Process"]
 
 
 # Reads of the environment.  The package takes every setting as an argument

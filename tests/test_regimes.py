@@ -295,7 +295,8 @@ def test_llr_label_matches_information_spread(name):
 
 
 # DLAMN regimes with distinct real roots and p = 1: (theta1, theta2).
-DLAMN_CASES = {"OppositeSign": (-1.0, 2.0), "DistinctPositive": (1.5, -0.5)}
+DLAMN_CASES = {"OppositeSign": (-1.0, 2.0), "DistinctPositive": (1.5, -0.5),
+               "SmallerRootZero": (1.0, 0.0)}
 
 
 def _log_iqr_slope(horizons, samples) -> float:

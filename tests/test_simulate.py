@@ -413,6 +413,38 @@ class TestPipeline:
                 pass
         assert threading.active_count() == threads and not self.pool_threads()
 
+    def test_failed_worker_takes_the_rest_of_its_block(self, monkeypatch):
+        # Blocks of 8 rows, filled a row at a time.  The worker filling
+        # block 1 (reps 8-15) fails at its first row, and the caller asks
+        # for block 1 only once that failure is over: the failed worker has
+        # taken the block's other rows, so the caller fills at most one of
+        # them before the worker's error, with its type, reaches it.
+        class FillError(Exception):
+            pass
+
+        monkeypatch.setattr(simulate_module, "_BLOCK_ELEMENTS", 2 * 8 * (self.N_STEPS + 1))
+        rekey, failed, on_caller = car2_rng.rekey, threading.Event(), []
+
+        def failing_rekey(gen, seed, domain, index):
+            if index >= 8:
+                if threading.current_thread().name == "car2-simulate":
+                    failed.set()
+                    raise FillError(index)
+                on_caller.append(index)
+            return rekey(gen, seed, domain, index)
+
+        monkeypatch.setattr(car2_rng, "rekey", failing_rekey)
+        blocks = simulate_exact(self.PARAMS, 1.0, self.N_STEPS, range(24))
+        assert list(next(blocks).reps) == list(range(8))
+        assert failed.wait(30.0), "the worker took no row of block 1"
+        for worker in self.pool_threads():
+            worker.join(30.0)
+            assert not worker.is_alive(), "the failed worker did not end"
+        with pytest.raises(FillError):
+            next(blocks)
+        assert len(on_caller) <= 1, on_caller
+        assert not self.pool_threads()
+
     def test_fill_suppresses_its_own_warnings(self):
         # Two steps of h = 177.44 at p = 2: the fill forms inf - inf at step 1
         # of every row.  pytest turns a RuntimeWarning into an error, and a
@@ -455,10 +487,13 @@ class TestPipeline:
                     assert_same_bits(getattr(have, name), getattr(path, name))
 
     def test_one_block_starts_no_thread(self, monkeypatch):
-        def no_worker(*args, **kwargs):
-            raise AssertionError("a one-block call started a worker")
+        lanes = simulate_module._Lanes
 
-        monkeypatch.setattr(simulate_module, "_Worker", no_worker)
+        def no_worker(count, name="", fn=None, *args):
+            assert fn is None, "a one-block call started a worker"
+            return lanes(count, name, fn, *args)
+
+        monkeypatch.setattr(simulate_module, "_Lanes", no_worker)
         params = ModelParams(theta1=0.5, theta2=-1.0625, sigma=0.8, x0=0.3, dx0=-0.2)
         threads = threading.active_count()
         path = simulate(params, 3.0, self.N_STEPS, seed=5, rep=7, record_noise=True)
@@ -694,18 +729,19 @@ def test_five_hundred_short_paths_run_two_blocks_on_the_worker(monkeypatch):
     # 244, so each block's fill starts a worker, and the second block fills
     # while the first recurs.
     recurred, started = [], []
-    recurrence, worker = simulate_module._recurrence, simulate_module._Worker
+    recurrence, lanes = simulate_module._recurrence, simulate_module._Lanes
 
     def recording_recurrence(u, *coefficients):
         recurred.append(u.shape)
         recurrence(u, *coefficients)
 
-    def recording_worker(name, *args):
-        started.append(name)
-        return worker(name, *args)
+    def recording_lanes(count, name="", fn=None, *args):
+        if fn is not None:
+            started.append(name)
+        return lanes(count, name, fn, *args)
 
     monkeypatch.setattr(simulate_module, "_recurrence", recording_recurrence)
-    monkeypatch.setattr(simulate_module, "_Worker", recording_worker)
+    monkeypatch.setattr(simulate_module, "_Lanes", recording_lanes)
     params = ModelParams(theta1=0.0, theta2=-1.0, sigma=1.0, x0=0.3, dx0=-0.2)
     reps = [k for blk in simulate_exact(params, 20.0, 2000, range(500)) for k in blk.reps]
     assert reps == list(range(500))
