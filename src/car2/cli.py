@@ -4,7 +4,7 @@ Commands: roots, simulate, estimate, limit-sample, experiment, convergence.
 JSON configs are validated by ExperimentConfig.from_dict (unknown keys
 rejected); the CLI itself reads only their "command" and "write_residuals"
 keys.  CSV holds bulk numbers.  Exit codes: 0 success, 2 argument/config
-or file error (including NLRR normalization for a regime that has none),
+or file error (also a normalization or limit law that the regime lacks),
 3 numeric failure (singular design, overflow, a non-finite estimate, no
 valid replications, a transition covariance that is not PSD).
 """
@@ -239,17 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--out", default=".")
     p_lim.set_defaults(func=cmd_limit_sample)
 
-    p_exp = sub.add_parser("experiment", help="replication experiment from a JSON config")
-    p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_exp.add_argument("--out", default=".")
-    p_exp.set_defaults(func=cmd_experiment)
-
-    p_conv = sub.add_parser("convergence", help="convergence study from a JSON config")
-    p_conv.add_argument("--config", required=True)
-    p_conv.add_argument("--seed", type=int, default=None)
-    p_conv.add_argument("--out", default=".")
-    p_conv.set_defaults(func=cmd_convergence)
+    for name, what, func in (("experiment", "replication experiment", cmd_experiment),
+                             ("convergence", "convergence study", cmd_convergence)):
+        p_cfg = sub.add_parser(name, help=f"{what} from a JSON config")
+        p_cfg.add_argument("--config", required=True)
+        p_cfg.add_argument("--seed", type=int, default=None, help="override config seed")
+        p_cfg.add_argument("--out", default=".")
+        p_cfg.set_defaults(func=func)
     return parser
 
 

@@ -84,7 +84,7 @@ class BrownianFunctionals(NamedTuple):
 class LimitSampleSet(NamedTuple):
     """Joint draws (l1, l2) from the limit law of one regime.
 
-    grid_n is 0 for closed-form regimes.
+    grid_n is 0 for closed-form regimes; horizon is None for laws free of T.
     """
 
     l1: np.ndarray
@@ -92,6 +92,7 @@ class LimitSampleSet(NamedTuple):
     regime: RegimeKind
     grid_n: int
     seed: int
+    horizon: float | None = None
 
 
 def brownian_functionals(grid_n: int, seed: int, two_bm: bool = False,
@@ -278,7 +279,8 @@ def sample_limit(regime: Regime, params: ModelParams, n: int, grid_n: int = 10_0
     l1 is the limit of v1(T)(theta1_hat - theta1), l2 of
     v2(T)(theta2_hat - theta2); the law's constants come from regime.roots,
     its initial-state offsets and sigma from params.  horizon is required
-    only for UnstableOscillation, whose limit depends on the phase 2*nu*T.
+    only for UnstableOscillation, whose limit depends on the phase 2*nu*T,
+    and the draws record it there (LimitSampleSet.horizon).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -287,7 +289,7 @@ def sample_limit(regime: Regime, params: ModelParams, n: int, grid_n: int = 10_0
     check_limit_law(regime, params, grid_n)
     kind, roots = regime.tag, regime.roots
     gen = rng.stream(seed, rng.DOMAIN_LIMIT, 2**40)  # scalar draws; BM uses its own streams
-    used_grid = 0
+    used_grid, used_horizon = 0, None
     if kind in _FUNCTIONAL_REGIMES:
         used_grid = grid_n
         fn = brownian_functionals(grid_n, seed, kind is RegimeKind.HARMONIC, n)
@@ -336,9 +338,10 @@ def sample_limit(regime: Regime, params: ModelParams, n: int, grid_n: int = 10_0
     elif kind is RegimeKind.UNSTABLE_OSCILLATION:
         if horizon is None:
             raise ValueError("horizon (phase) required for UnstableOscillation")
+        used_horizon = horizon
         l1, l2 = _unstable_oscillation(roots, params, n, horizon, gen)
     else:  # pragma: no cover
         raise ValueError(f"unknown regime {kind}")
 
     return LimitSampleSet(l1=np.asarray(l1, dtype=float), l2=np.asarray(l2, dtype=float),
-                          regime=kind, grid_n=used_grid, seed=seed)
+                          regime=kind, grid_n=used_grid, seed=seed, horizon=used_horizon)

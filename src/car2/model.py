@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -313,8 +314,8 @@ def _cexpm1(z: complex) -> complex:
 
 
 def _e1(z: complex, h: float) -> complex:
-    """int_0^h exp(z*u) du."""
-    if z == 0:
+    """int_0^h exp(z*u) du: h where z*h is 0 or subnormal (dividing its expm1 by z fails)."""
+    if abs(z * h) < sys.float_info.min:
         return complex(h)
     return _cexpm1(z * h) / z
 

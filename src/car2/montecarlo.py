@@ -8,11 +8,10 @@ normal law via the two-sample Kolmogorov-Smirnov statistic, which is None
 (null) unless every residual of its coordinate is finite.  Artifacts write
 NaN quantiles and convergence medians as null.
 
-Limit-sampler reference draws are made once per distinct limit law and
-shared across horizons: only UnstableOscillation's limit depends on T
-(through the phase 2*nu*T), so the other eight regimes draw theirs once per
-experiment.  NormalReference draws come from a stream keyed by the horizon
-index and stay per horizon.
+ExperimentConfig applies every rule of a run when it is built.  Limit-sampler
+draws are shared by every horizon of one law: they record the horizon their
+law read (None for a law free of T).  NormalReference draws come from a
+stream keyed by the horizon index and stay per horizon.
 
 Replication k's path at a shorter horizon is, on an equal step, the prefix
 of its path at a longer one, bit for bit.  So the horizons are split into
@@ -26,7 +25,8 @@ next block's turn overwrites), and the rotated solve runs once per horizon,
 bit for bit as `estimate_path` on each path alone; then, in one place, it
 excludes the rows that left float64 by it and the singular designs.  A
 horizon that nests in no other is a group of one.  The surviving rows are
-normalized as columns, with the rates and A_T evaluated once per horizon.
+normalized as columns by `regimes.normalized_residuals`, with the rates and
+A_T evaluated once per horizon.
 
 Everything is deterministic given the master seed: replication k draws from
 a stream keyed (seed, k) regardless of execution order, and reports carry
@@ -38,18 +38,16 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import estimate, rng
-from .estimate import Estimate, _map_rows
-from .limits import check_limit_law, sample_limit
-from .model import (ModelParams, Regime, RegimeKind, _branch, char_roots, check_number,
-                    classify_params)
-from .regimes import (check_scalar_nlrr, nlrr_rate, rate_functions, rotation_template,
-                      scaling_matrix)
+from . import estimate, limits, regimes, rng
+from .estimate import _map_rows
+from .limits import sample_limit
+from .model import ModelParams, Regime, _branch, char_roots, check_number, classify_params
+from .regimes import NORMALIZATIONS, normalized_residuals, rate_functions
 from .simulate import simulate_exact
 
 __all__ = [
@@ -65,8 +63,6 @@ __all__ = [
 ]
 
 QUANTILE_LEVELS = (1, 5, 10, 25, 50, 75, 90, 95, 99)
-
-NORMALIZATIONS = ("deterministic_rate", "nlrr", "matrix")
 
 # convergence_study: bounds of the consecutive-horizon normalized-median ratios
 RATIO_BAND = (1.0 / 3.0, 3.0)
@@ -110,6 +106,7 @@ class ExperimentConfig:
     comparison: NormalReference | str = "limit_sampler"  # or "none"
     n_reference: int = 8000
     grid_n: int = 10_000
+    regime: Regime = field(init=False, repr=False, compare=False)  # classify_params(params)
 
     def __post_init__(self):
         for T in self.horizons:
@@ -133,6 +130,11 @@ class ExperimentConfig:
             raise ValueError("comparison must be 'limit_sampler', 'none', or a NormalReference")
         if self.normalization == "nlrr" and self.comparison == "limit_sampler":
             raise ValueError("nlrr normalization needs a NormalReference (or 'none') comparison")
+        object.__setattr__(self, "regime", classify_params(self.params))
+        if self.normalization == "nlrr":
+            regimes.check_scalar_nlrr(self.regime)
+        if self.comparison == "limit_sampler":
+            limits.check_limit_law(self.regime, self.params, self.grid_n)
 
     @classmethod
     def from_dict(cls, raw: dict) -> ExperimentConfig:
@@ -140,7 +142,8 @@ class ExperimentConfig:
         as objects).
 
         Raises ValueError for any invalid config: an unknown or missing key,
-        a value of the wrong type, or a value out of range.
+        a value of the wrong type, a value out of range, or a normalization
+        or limit law that the regime does not have.
         """
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
@@ -236,39 +239,14 @@ def ks_two_sample(a, b) -> float:
     return float(np.abs(d).max())
 
 
-def _normalized_residuals(cfg: ExperimentConfig, regime: Regime, rate_spec, horizon: float,
-                          est: Estimate) -> tuple[np.ndarray, np.ndarray]:
-    """The horizon's normalized residuals (r1, r2), one entry per row of est."""
-    d1, d2 = est.theta1_hat - cfg.params.theta1, est.theta2_hat - cfg.params.theta2
-    if cfg.normalization == "deterministic_rate":
-        return rate_spec.v1(horizon) * d1, rate_spec.v2(horizon) * d2
-    if cfg.normalization == "nlrr":
-        rates = nlrr_rate(regime, est.stats)
-        return rates.r1 * d1, (math.nan if rates.r2 is None else rates.r2) * d2
-    # matrix mode: B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1).  Every
-    # stacked operand is C-contiguous, so each row's matmul rounds as a lone 2x2 one.
-    vec = scaling_matrix(regime, horizon) @ (est.psi @ np.stack([d2, d1], axis=-1)[..., None])
-    if regime.tag is RegimeKind.UNSTABLE_OSCILLATION:
-        # B(u_s_hat, u_c_hat), with (u_s_hat, u_c_hat) read off the terminal state
-        lam, nu = regime.roots.lam, regime.roots.nu
-        scale = math.exp(-lam * horizon)
-        s, c = math.sin(nu * horizon), math.cos(nu * horizon)
-        x_t = est.stats.x_end
-        y_t = (est.stats.v_end - lam * x_t) / nu
-        vec = rotation_template(scale * (y_t * s - x_t * c), scale * (x_t * s + y_t * c)) @ vec
-    return vec[:, 0, 0], vec[:, 1, 0]
-
-
-def _reference_samples(cfg: ExperimentConfig, regime: Regime, horizon_index: int,
-                       horizon: float, limit_draws: dict):
+def _reference_samples(cfg: ExperimentConfig, horizon_index: int, horizon: float,
+                       limit_draws: list):
     """Reference draws (ref1, ref2, reused) for one horizon.
 
     A NormalReference is drawn afresh from the stream of horizon_index.
-    Limit-sampler draws are kept in limit_draws, keyed by the horizon for
-    UnstableOscillation (its limit depends on the phase 2*nu*T) and by
-    nothing for every other regime (its limit law does not depend on T), so
-    later horizons with the same law reuse the draws bit for bit; reused
-    says whether they did.
+    Limit-sampler draws are kept in limit_draws, and a later horizon reuses
+    any whose law read no horizon or this one, bit for bit; reused says
+    whether it did.
     """
     if cfg.comparison == "none":
         return None, None, False
@@ -276,17 +254,16 @@ def _reference_samples(cfg: ExperimentConfig, regime: Regime, horizon_index: int
         ref = cfg.comparison
         gen = rng.stream(cfg.seed, rng.DOMAIN_REFERENCE, horizon_index)
         ref1 = ref.mean1 + math.sqrt(ref.var1) * gen.standard_normal(cfg.n_reference)
-        ref2 = None
-        if ref.var2 is not None:
-            ref2 = ref.mean2 + math.sqrt(ref.var2) * gen.standard_normal(cfg.n_reference)
+        ref2 = (None if ref.var2 is None
+                else ref.mean2 + math.sqrt(ref.var2) * gen.standard_normal(cfg.n_reference))
         return ref1, ref2, False
-    key = horizon if regime.tag is RegimeKind.UNSTABLE_OSCILLATION else None
-    reused = key in limit_draws
-    if not reused:
-        limit_draws[key] = sample_limit(regime, cfg.params, cfg.n_reference,
-                                        grid_n=cfg.grid_n, seed=cfg.seed, horizon=horizon)
-    draws = limit_draws[key]
-    return draws.l1, draws.l2, reused
+    for draws in limit_draws:
+        if draws.horizon in (None, horizon):
+            return draws.l1, draws.l2, True
+    draws = sample_limit(cfg.regime, cfg.params, cfg.n_reference, grid_n=cfg.grid_n,
+                         seed=cfg.seed, horizon=horizon)
+    limit_draws.append(draws)
+    return draws.l1, draws.l2, False
 
 
 def _quantiles(values: np.ndarray) -> dict[int, float]:
@@ -402,21 +379,15 @@ def _replicate(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full experiment.  Deterministic given cfg (incl. seed)."""
     start = time.perf_counter()
-    regime = classify_params(cfg.params)
-    rate_spec = rate_functions(regime)
-    if cfg.normalization == "nlrr":
-        check_scalar_nlrr(regime)
-    if cfg.comparison == "limit_sampler":
-        check_limit_law(regime, cfg.params, cfg.grid_n)
-
+    rate_spec = rate_functions(cfg.regime)
     results = []
-    limit_draws = {}
+    limit_draws = []
     for horizon_index, (horizon, (n_steps, est, status, simulated_at)) in enumerate(
             zip(cfg.horizons, _replicate(cfg))):
-        r1, r2 = _normalized_residuals(cfg, regime, rate_spec, horizon, est)
+        r1, r2 = normalized_residuals(cfg.regime, rate_spec, cfg.normalization, cfg.params,
+                                      horizon, est)
         excluded = np.flatnonzero(status != "ok")
-        ref1, ref2, reused = _reference_samples(cfg, regime, horizon_index, horizon,
-                                                limit_draws)
+        ref1, ref2, reused = _reference_samples(cfg, horizon_index, horizon, limit_draws)
         ks1, ks2 = (ks_two_sample(r, ref) if ref is not None and np.isfinite(r).all() else None
                     for r, ref in ((r1, ref1), (r2, ref2)))
         results.append(HorizonResult(
@@ -430,10 +401,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             first_excluded_rep=int(excluded[0]) if excluded.size else None,
         ))
 
-    comparison_name = (cfg.comparison if isinstance(cfg.comparison, str)
-                       else "normal")
+    comparison_name = cfg.comparison if isinstance(cfg.comparison, str) else "normal"
     return ExperimentReport(
-        regime=regime.tag.value,
+        regime=cfg.regime.tag.value,
         normalization=cfg.normalization,
         comparison=comparison_name,
         seed=cfg.seed,
@@ -490,9 +460,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     """
     if len(cfg.horizons) < 3:
         raise ValueError("need at least 3 horizons")
-    regime = classify_params(cfg.params)
-    spec = rate_functions(regime)
-
+    spec = rate_functions(cfg.regime)
     rows = []
     for horizon, (_, est, _, _) in zip(cfg.horizons, _replicate(cfg)):
         d1, d2 = est.theta1_hat - cfg.params.theta1, est.theta2_hat - cfg.params.theta2
@@ -506,7 +474,7 @@ def convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
         return bool(ratios) and all(RATIO_BAND[0] <= r <= RATIO_BAND[1] for r in ratios)
 
     return ConvergenceReport(
-        regime=regime.tag.value,
+        regime=cfg.regime.tag.value,
         rows=rows,
         stabilized1=stabilized([r.normalized_median1 for r in rows]),
         stabilized2=stabilized([r.normalized_median2 for r in rows]),

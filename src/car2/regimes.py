@@ -5,7 +5,8 @@ normalizations v1(T), v2(T) under which v_i(T)(theta_i_hat - theta_i) has a
 nondegenerate limit, the limit-distribution family labels, the availability
 and value of the random (path-dependent) normalizations, and the matrix
 A_T normalizing the local log-likelihood ratio l_T(u) = L_T(theta + A_T u).
-Each rate is exponentiated from its log form.
+Each rate is exponentiated from its log form.  `normalized_residuals`
+applies one of the three NORMALIZATIONS to a horizon's estimates.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .estimate import SufficientStats
-from .model import Regime, RegimeKind
+from .estimate import Estimate, SufficientStats
+from .model import ModelParams, Regime, RegimeKind
 
 __all__ = [
+    "NORMALIZATIONS",
     "RateSpec",
     "NlrrRates",
     "NoNlrrError",
@@ -28,7 +30,10 @@ __all__ = [
     "nlrr_rate",
     "scaling_matrix",
     "rotation_template",
+    "normalized_residuals",
 ]
+
+NORMALIZATIONS = ("deterministic_rate", "nlrr", "matrix")
 
 
 class NoNlrrError(ValueError):
@@ -207,3 +212,28 @@ def rotation_template(x, y) -> np.ndarray:
     if (denom == 0.0).any():
         raise ValueError("rotation undefined at x = y = 0")
     return (np.stack([x, y, -y, x], axis=-1) / denom[..., None]).reshape(x.shape + (2, 2))
+
+
+def normalized_residuals(regime: Regime, rate_spec: RateSpec, normalization: str,
+                         params: ModelParams, horizon: float,
+                         est: Estimate) -> tuple[np.ndarray, np.ndarray]:
+    """The horizon's normalized residuals (r1, r2), one entry per row of est:
+    rate_spec's rates, nlrr_rate's (r2 NaN where theta1 alone has one), or the
+    matrix B A_T Psi_T (theta2_hat - theta2, theta1_hat - theta1)."""
+    d1, d2 = est.theta1_hat - params.theta1, est.theta2_hat - params.theta2
+    if normalization == "deterministic_rate":
+        return rate_spec.v1(horizon) * d1, rate_spec.v2(horizon) * d2
+    if normalization == "nlrr":
+        rates = nlrr_rate(regime, est.stats)
+        return rates.r1 * d1, (math.nan if rates.r2 is None else rates.r2) * d2
+    # Every stacked operand is C-contiguous, so each row's matmul rounds as a lone 2x2 one.
+    vec = scaling_matrix(regime, horizon) @ (est.psi @ np.stack([d2, d1], axis=-1)[..., None])
+    if regime.tag is RegimeKind.UNSTABLE_OSCILLATION:
+        # B(u_s_hat, u_c_hat), with (u_s_hat, u_c_hat) read off the terminal state
+        lam, nu = regime.roots.lam, regime.roots.nu
+        scale = math.exp(-lam * horizon)
+        s, c = math.sin(nu * horizon), math.cos(nu * horizon)
+        x_t = est.stats.x_end
+        y_t = (est.stats.v_end - lam * x_t) / nu
+        vec = rotation_template(scale * (y_t * s - x_t * c), scale * (x_t * s + y_t * c)) @ vec
+    return vec[:, 0, 0], vec[:, 1, 0]

@@ -1,11 +1,12 @@
-"""Results that must not depend on the BLAS thread count.
+"""Results that must not depend on the BLAS thread count, or on the CPU kernels.
 
 The block estimator sums each row with its own dot product.  OpenBLAS
-runs a dot product on one thread for at most 10,000 samples; the strict
+runs a dot product on one thread for at most 10,000 samples; a strict
 xfail here pins what longer rows do.  A blocked matrix-vector product would
 split rows across threads and round differently.  `estimate_sigma` sums
 its squared increments with numpy's pairwise sum, and the Brownian sampler
-makes no BLAS call at all.
+makes no BLAS call at all.  Another strict xfail pins the golden artifacts'
+dependence on the OpenBLAS kernel and numpy's SIMD dispatch level.
 """
 
 import os
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TESTS = Path(__file__).resolve().parent
@@ -54,15 +56,65 @@ def run(threads, *args, timeout=120):
     return proc.stdout
 
 
+GOLDEN = ("-m", "pytest", "-q", "-p", "no:cacheprovider", str(TESTS / "test_golden.py"))
+
+
+def golden_count() -> int:
+    collected = run("1", *GOLDEN, "--collect-only")
+    count = sum("::" in line for line in collected.splitlines())
+    assert count > 0
+    return count
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_golden_hashes_hold_at_blas_threads(threads):
     # Every golden test collected passes: none skipped, xfailed or missing.
-    pytest_q = ("-m", "pytest", "-q", "-p", "no:cacheprovider", str(TESTS / "test_golden.py"))
-    collected = run(threads, *pytest_q, "--collect-only")
-    count = sum("::" in line for line in collected.splitlines())
-    out = run(threads, *pytest_q)
-    assert count > 0
+    count = golden_count()
+    out = run(threads, *GOLDEN)
     assert out.splitlines()[-1].startswith(f"{count} passed in ")
+
+
+# numpy's AVX-512 dispatch targets, off in the second variant
+AVX512_TARGETS = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+def forcible_variants() -> dict[str, dict[str, str]]:
+    """The kernel variants this host can force, by name: an OpenBLAS built
+    for every core runs Haswell's kernels on a CPU with AVX2 and FMA3, and
+    numpy drops AVX-512 dispatch targets that it has and uses."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    variants = {}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and __cpu_features__.get("AVX2") and __cpu_features__.get("FMA3")):
+        variants["OPENBLAS_CORETYPE=Haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    if (set(AVX512_TARGETS) <= set(__cpu_dispatch__)
+            and any(__cpu_features__.get(name) for name in AVX512_TARGETS)):
+        variants["NPY_DISABLE_CPU_FEATURES=" + ",".join(AVX512_TARGETS)] = {
+            "NPY_DISABLE_CPU_FEATURES": ",".join(AVX512_TARGETS)}
+    return variants
+
+
+@pytest.mark.xfail(strict=True, reason="the golden pins hold only under this host's kernels: "
+                                       "eigh, matmul and vecdot follow the OpenBLAS core, "
+                                       "array exp and power follow numpy's SIMD dispatch "
+                                       "(ROADMAP item 12)")
+def test_golden_hashes_hold_under_other_kernels():
+    # Every golden test collected passes under each variant the host can force.
+    variants = forcible_variants()
+    if not variants:
+        pytest.skip("this host can force no other OpenBLAS core or numpy dispatch level")
+    count = golden_count()
+    results = {}
+    for name, variant in variants.items():
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(TESTS.parent / "src"), **variant}
+        proc = subprocess.run([sys.executable, *GOLDEN], cwd=TESTS.parent, capture_output=True,
+                              text=True, env=env, timeout=120)
+        results[name] = (proc.stdout.splitlines() or [proc.stderr])[-1]
+    assert all(last.startswith(f"{count} passed in ") for last in results.values()), (
+        f"variants run: {results}")
 
 
 def test_brownian_fields_do_not_depend_on_blas_threads():

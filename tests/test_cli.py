@@ -214,6 +214,15 @@ REJECTED = {
     "var2_without_mean2": _set("comparison", {**NORMAL_REF, "var2": 1.0}),
 }
 
+# Configs that a rule of their regime rejects: no scalar NLRR rate, a
+# functional limit law on too coarse a grid, a limit law that needs sigma > 0.
+REGIME_RULES = {
+    "nlrr_harmonic": dict(params={"theta1": 0.0, "theta2": -1.0}, normalization="nlrr",
+                          comparison=NORMAL_REF),
+    "zero_double_grid_999": dict(params={"theta1": 0.0, "theta2": 0.0}, grid_n=999),
+    "distinct_positive_sigma_0": dict(params={"theta1": 1.5, "theta2": -0.5, "sigma": 0.0}),
+}
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("edit", REJECTED.values(), ids=REJECTED.keys())
@@ -319,6 +328,19 @@ class TestConfigErrors:
                                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "no NLRR" in err and "UnstableOscillation" in err
+
+    @pytest.mark.parametrize("edit", REGIME_RULES.values(), ids=REGIME_RULES.keys())
+    def test_regime_rule_rejects_config_at_load(self, tmp_path, capsys, edit):
+        # A rule of the regime rejects the config as it is built, so the
+        # convergence command, which draws no limit samples, exits 2 as well.
+        config = _config("convergence", **edit)
+        fields = {k: v for k, v in config.items() if k not in ("command", "write_residuals")}
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(fields)
+        code, _, err = _run(capsys, ["convergence", "--config", _write(tmp_path, config),
+                                     "--out", str(tmp_path / "out")])
+        assert code == 2 and err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 def _simulate(tmp_path, capsys, *extra):

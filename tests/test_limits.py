@@ -491,6 +491,13 @@ class TestClosedFormSamplers:
             root = roots.p.real if factor_root == "p" else (roots.p.real + roots.q.real) / 2
             np.testing.assert_array_equal(draws.l2, -root * draws.l1)
 
+    def test_draws_record_the_horizon_their_law_read(self):
+        # Only UnstableOscillation's law reads T (the phase 2 nu T).
+        for name in ("Ergodic", "DistinctPositive", "UnstableOscillation"):
+            params, _, regime = setup(name)
+            draws = sample_limit(regime, params, 10, seed=2, horizon=5.0)
+            assert draws.horizon == (5.0 if name == "UnstableOscillation" else None)
+
     def test_sigma_zero_rejected_where_offset_needed(self):
         for name in ("DistinctPositive", "PositiveDouble", "UnstableOscillation"):
             params, roots, regime = setup(name, sigma=0.0)

@@ -319,6 +319,14 @@ class TestTransition:
         assert kern.cov_matrix[0, 0] == 0.25
         assert np.all(kern.cov_matrix[1:, 1:] == 0.0)
 
+    def test_subnormal_exponent_integrates_to_the_step(self):
+        # p + q = 1e-323: expm1(z h) / z rounded the subnormal z h and divided
+        # the rounding back out, so int x2'^2 read 1.553; it is h, as x2' = 1
+        # to within 1e-24.
+        sigma, h = 1.7, 1.606
+        kern = transition(ModelParams(theta1=1e-323, theta2=-1.5e-24, sigma=sigma), h)
+        assert kern.cov_matrix[2, 2] == pytest.approx(sigma**2 * h, rel=1e-12)
+
     def test_small_step_limits(self):
         kern = transition(ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0), 1e-8)
         np.testing.assert_allclose(kern.mean_matrix, np.eye(2), atol=1e-7)

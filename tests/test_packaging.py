@@ -4,8 +4,9 @@ bound in it, importing the CLI loads no scipy module (the package runs on
 numpy alone, and scipy is a test dependency, for its oracles), nor
 concurrent.futures or logging, and creates only four dataclasses, the
 package changes no process-wide state, starts threads in one place and
-reads no environment variable, and the random streams' domain tags keep
-their values."""
+reads no environment variable, the harness, estimator, simulator, I/O
+and CLI name no regime, and the random streams' domain tags keep their
+values."""
 
 import ast
 import functools
@@ -260,6 +261,40 @@ def test_package_reads_no_environment_variable():
              "d = env('D')\ne = os.getenv('E')\n")
     assert _uses(probe, ENVIRONMENT) == ["4: os.environ", "5: os.environ", "6: os.environb",
                                          "7: os.getenv", "8: os.getenv"]
+
+
+# Modules that decide nothing by regime: the regime's rules, rates,
+# normalizations and limit laws live in model, regimes and limits.
+REGIME_BLIND = ("montecarlo.py", "estimate.py", "simulate.py", "io.py", "cli.py")
+
+
+def _regime_members_named(source: str) -> list[str]:
+    """The RegimeKind members a module names (as Alias.MEMBER), by the line."""
+    from car2.model import RegimeKind
+
+    tree = ast.parse(source)
+    kinds = {"RegimeKind"} | {alias.asname for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom) for alias in node.names
+                              if alias.name == "RegimeKind" and alias.asname}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in RegimeKind.__members__:
+            base = node.value
+            name = getattr(base, "id", None) or getattr(base, "attr", None)
+            if name in kinds:
+                found.append((node.lineno, f"{name}.{node.attr}"))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+def test_harness_names_no_regime():
+    found = {name: _regime_members_named((ROOT / "src" / "car2" / name).read_text())
+             for name in REGIME_BLIND}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    probe = ("from .model import RegimeKind\nfrom .model import RegimeKind as Kind\n"
+             "from . import model\na = RegimeKind.HARMONIC\nb = Kind.ERGODIC\n"
+             "c = model.RegimeKind.ZERO_DOUBLE\nd = RegimeKind.__members__\n")
+    assert _regime_members_named(probe) == ["4: RegimeKind.HARMONIC", "5: Kind.ERGODIC",
+                                            "6: RegimeKind.ZERO_DOUBLE"]
 
 
 def test_stream_domain_tags_are_pinned():
