@@ -23,7 +23,7 @@ from .io import dump_json, read_path_csv, write_path_csv, write_rows_csv
 from .limits import sample_limit
 from .model import ModelParams, classify_params
 from .montecarlo import ExperimentConfig, convergence_study, run_experiment
-from .regimes import rate_functions
+from .regimes import RECORDS, rate_functions
 from .simulate import rescale_time, simulate
 
 EXIT_CONFIG = 2
@@ -65,17 +65,17 @@ def _params_from_args(args) -> ModelParams:
 
 def _roots_info(params: ModelParams, tol: float | None) -> dict:
     regime = classify_params(params, tol)
-    roots, spec = regime.roots, rate_functions(regime)
+    roots, spec, record = regime.roots, rate_functions(regime), RECORDS[regime.tag]
     return {
         "p": [roots.p.real, roots.p.imag],
         "q": [roots.q.real, roots.q.imag],
         "regime": regime.tag.value,
         "v1_expr": spec.v1_expr,
         "v2_expr": spec.v2_expr,
-        "ld1": spec.label1,
-        "ld2": spec.label2,
-        "nlrr": spec.nlrr,
-        "llr_label": spec.llr_label,
+        "ld1": record.label1,
+        "ld2": record.label2,
+        "nlrr": record.nlrr,
+        "llr_label": record.llr_label,
     }
 
 

@@ -3,7 +3,9 @@
 Closed-form regimes draw directly from Gaussian / Cauchy-type expressions;
 functional regimes simulate standard Brownian motion on a fine grid over
 [0, 1] and evaluate the required path functionals (dt-integrals by
-trapezoid, stochastic integrals by left-point Ito sums).
+trapezoid, stochastic integrals by left-point Ito sums).  Which laws are
+functionals, scale with sigma or read the horizon is the regime's record
+(`regimes.RECORDS`), and `sample_limit` checks it by `regimes.check_rules`.
 
 The Brownian sampler computes only the functionals the limit laws read (see
 BrownianFunctionals).  It runs chunks of paths on two lanes, the calling
@@ -31,6 +33,7 @@ import numpy as np
 from . import rng
 from .estimate import _trapezoid
 from .model import ModelParams, Regime, RegimeKind, RootPair
+from .regimes import check_rules
 from .simulate import _Lanes
 
 __all__ = [
@@ -40,25 +43,11 @@ __all__ = [
     "sample_limit",
 ]
 
-MIN_FUNCTIONAL_GRID = 1000
 _CHUNK_ELEMENTS = 2**22
 # Increments a lane draws and reduces at a time (16 rows at grid 10,000): a
 # block's Python work holds the GIL, so a block of few increments makes the
 # other lane wait.
 _REDUCE_ELEMENTS = 16 * 10_000
-
-_FUNCTIONAL_REGIMES = frozenset({
-    RegimeKind.LARGER_ROOT_ZERO,
-    RegimeKind.SMALLER_ROOT_ZERO,
-    RegimeKind.ZERO_DOUBLE,
-    RegimeKind.HARMONIC,
-})
-
-_SIGMA_DEPENDENT = frozenset({
-    RegimeKind.DISTINCT_POSITIVE,
-    RegimeKind.POSITIVE_DOUBLE,
-    RegimeKind.UNSTABLE_OSCILLATION,
-})
 
 
 class BrownianFunctionals(NamedTuple):
@@ -261,17 +250,6 @@ def _unstable_oscillation(roots: RootPair, params: ModelParams, n: int,
     return l1, l2
 
 
-def check_limit_law(regime: Regime, params: ModelParams, grid_n: int) -> None:
-    """Raise ValueError if sample_limit cannot draw the regime's limit law."""
-    kind = regime.tag
-    if kind in _FUNCTIONAL_REGIMES and grid_n < MIN_FUNCTIONAL_GRID:
-        raise ValueError(
-            f"grid_n >= {MIN_FUNCTIONAL_GRID} required for functional regime {kind.value}"
-        )
-    if kind in _SIGMA_DEPENDENT and params.sigma == 0.0:
-        raise ValueError(f"sigma = 0: limit law of {kind.value} undefined")
-
-
 def sample_limit(regime: Regime, params: ModelParams, n: int, grid_n: int = 10_000,
                  seed: int = 0, horizon: float | None = None) -> LimitSampleSet:
     """Draw n joint samples (l1, l2) from the regime's limit law.
@@ -279,19 +257,19 @@ def sample_limit(regime: Regime, params: ModelParams, n: int, grid_n: int = 10_0
     l1 is the limit of v1(T)(theta1_hat - theta1), l2 of
     v2(T)(theta2_hat - theta2); the law's constants come from regime.roots,
     its initial-state offsets and sigma from params.  horizon is required
-    only for UnstableOscillation, whose limit depends on the phase 2*nu*T,
-    and the draws record it there (LimitSampleSet.horizon).
+    only where the record says the law reads T (UnstableOscillation, through
+    the phase 2*nu*T), and the draws record it there (LimitSampleSet.horizon).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    check_limit_law(regime, params, grid_n)
+    record = check_rules(regime, limit_law=True, sigma=params.sigma, grid_n=grid_n)
+    if record.horizon and horizon is None:
+        raise ValueError(f"horizon (phase) required for {regime.tag.value}")
     kind, roots = regime.tag, regime.roots
     gen = rng.stream(seed, rng.DOMAIN_LIMIT, 2**40)  # scalar draws; BM uses its own streams
-    used_grid, used_horizon = 0, None
-    if kind in _FUNCTIONAL_REGIMES:
-        used_grid = grid_n
+    if record.grid:
         fn = brownian_functionals(grid_n, seed, kind is RegimeKind.HARMONIC, n)
 
     if kind is RegimeKind.ERGODIC:
@@ -335,13 +313,9 @@ def sample_limit(regime: Regime, params: ModelParams, n: int, grid_n: int = 10_0
         # limits of int X'dW and int X'^2 dt; the theorem display has it flipped.
         l1 = (fn.w1_end**2 + fn.w2_end**2 - 2.0) / fn.s2
         l2 = 2.0 * nu * fn.levy / fn.s2
-    elif kind is RegimeKind.UNSTABLE_OSCILLATION:
-        if horizon is None:
-            raise ValueError("horizon (phase) required for UnstableOscillation")
-        used_horizon = horizon
+    else:  # UNSTABLE_OSCILLATION
         l1, l2 = _unstable_oscillation(roots, params, n, horizon, gen)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown regime {kind}")
 
     return LimitSampleSet(l1=np.asarray(l1, dtype=float), l2=np.asarray(l2, dtype=float),
-                          regime=kind, grid_n=used_grid, seed=seed, horizon=used_horizon)
+                          regime=kind, grid_n=grid_n if record.grid else 0, seed=seed,
+                          horizon=horizon if record.horizon else None)

@@ -8,10 +8,11 @@ normal law via the two-sample Kolmogorov-Smirnov statistic, which is None
 (null) unless every residual of its coordinate is finite.  Artifacts write
 NaN quantiles and convergence medians as null.
 
-ExperimentConfig applies every rule of a run when it is built.  Limit-sampler
-draws are shared by every horizon of one law: they record the horizon their
-law read (None for a law free of T).  NormalReference draws come from a
-stream keyed by the horizon index and stay per horizon.
+ExperimentConfig applies every rule of a run when it is built, the regime's
+by `regimes.check_rules`.  Limit-sampler draws are shared by every horizon
+of one law: they record the horizon their law read (None for a law free of
+T).  NormalReference draws come from a stream keyed by the horizon index and
+stay per horizon.
 
 Replication k's path at a shorter horizon is, on an equal step, the prefix
 of its path at a longer one, bit for bit.  So the horizons are split into
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import estimate, limits, regimes, rng
+from . import estimate, regimes, rng
 from .estimate import _map_rows
 from .limits import sample_limit
 from .model import ModelParams, Regime, _branch, char_roots, check_number, classify_params
@@ -128,13 +129,10 @@ class ExperimentConfig:
         if not (isinstance(self.comparison, NormalReference)
                 or self.comparison in ("limit_sampler", "none")):
             raise ValueError("comparison must be 'limit_sampler', 'none', or a NormalReference")
-        if self.normalization == "nlrr" and self.comparison == "limit_sampler":
-            raise ValueError("nlrr normalization needs a NormalReference (or 'none') comparison")
         object.__setattr__(self, "regime", classify_params(self.params))
-        if self.normalization == "nlrr":
-            regimes.check_scalar_nlrr(self.regime)
-        if self.comparison == "limit_sampler":
-            limits.check_limit_law(self.regime, self.params, self.grid_n)
+        regimes.check_rules(self.regime, self.normalization,
+                            limit_law=self.comparison == "limit_sampler",
+                            sigma=self.params.sigma, grid_n=self.grid_n)
 
     @classmethod
     def from_dict(cls, raw: dict) -> ExperimentConfig:

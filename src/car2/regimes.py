@@ -1,12 +1,15 @@
 """Registry of theoretical asymptotics per regime.
 
-For each of the nine regimes this module supplies the deterministic
-normalizations v1(T), v2(T) under which v_i(T)(theta_i_hat - theta_i) has a
-nondegenerate limit, the limit-distribution family labels, the availability
-and value of the random (path-dependent) normalizations, and the matrix
-A_T normalizing the local log-likelihood ratio l_T(u) = L_T(theta + A_T u).
-Each rate is exponentiated from its log form.  `normalized_residuals`
-applies one of the three NORMALIZATIONS to a horizon's estimates.
+`RECORDS` holds one record per regime: the limit-family, NLRR and LLR
+labels of the CAR(2) estimation summary table, and what its random
+normalization and limit law have and need.  `check_rules` is the one rule
+that reads it.  The formulas are functions with a branch per regime: the
+deterministic normalizations v1(T), v2(T) under which
+v_i(T)(theta_i_hat - theta_i) has a nondegenerate limit (each exponentiated
+from its log form), the random (path-dependent) normalizations, and the
+matrix A_T normalizing the local log-likelihood ratio
+l_T(u) = L_T(theta + A_T u).  `normalized_residuals` applies one of the
+three NORMALIZATIONS to a horizon's estimates.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ from .model import ModelParams, Regime, RegimeKind
 
 __all__ = [
     "NORMALIZATIONS",
+    "MIN_FUNCTIONAL_GRID",
+    "RegimeRecord",
+    "RECORDS",
     "RateSpec",
     "NlrrRates",
     "NoNlrrError",
-    "SCALAR_NLRR",
-    "check_scalar_nlrr",
+    "check_rules",
     "rate_functions",
     "nlrr_rate",
     "scaling_matrix",
@@ -34,20 +39,51 @@ __all__ = [
 ]
 
 NORMALIZATIONS = ("deterministic_rate", "nlrr", "matrix")
+MIN_FUNCTIONAL_GRID = 1000
 
 
 class NoNlrrError(ValueError):
     """No normal-limit-with-random-rate exists for this regime."""
 
 
-class RateSpec(NamedTuple):
-    regime: RegimeKind
-    v1: Callable[[float], float]
-    v2: Callable[[float], float]
+class RegimeRecord(NamedTuple):
+    """What the code keeps about one regime.  The four strings are the
+    estimation summary table's, as `car2 roots` prints them."""
+
     label1: str  # limit family of v1(T)(theta1_hat - theta1)
     label2: str
-    nlrr: str  # "yes" | "no" | "theta1_only"
+    nlrr: str  # "yes" | "no" | "theta1_only"; check_rules reads scalar_nlrr
     llr_label: str
+    scalar_nlrr: int = 0  # coordinates with a scalar NLRR rate: 2, 1 (theta1) or 0
+    grid: bool = False  # the limit law is a Brownian functional, drawn on a grid
+    sigma: bool = False  # the limit law scales with sigma: undefined at sigma = 0
+    horizon: bool = False  # the limit law reads T
+
+
+RECORDS = {
+    RegimeKind.ERGODIC: RegimeRecord("Normal", "Normal", "yes", "LAN", scalar_nlrr=2),
+    RegimeKind.OPPOSITE_SIGN: RegimeRecord("Normal", "Normal", "yes", "DLAMN", scalar_nlrr=2),
+    RegimeKind.DISTINCT_POSITIVE: RegimeRecord("Cauchy-type", "Cauchy-type", "yes", "DLAMN",
+                                               scalar_nlrr=2, sigma=True),
+    RegimeKind.POSITIVE_DOUBLE: RegimeRecord("Cauchy-type", "Cauchy-type", "yes", "DLAMN",
+                                             scalar_nlrr=2, sigma=True),
+    RegimeKind.LARGER_ROOT_ZERO: RegimeRecord("Normal", "F1(w)", "theta1_only", "LABF/LAN",
+                                              scalar_nlrr=1, grid=True),
+    RegimeKind.SMALLER_ROOT_ZERO: RegimeRecord("F1(w)", "F1(w)", "no", "DLAMN", grid=True),
+    RegimeKind.ZERO_DOUBLE: RegimeRecord("F1(w)", "F1(w)", "no", "LABF", grid=True),
+    RegimeKind.HARMONIC: RegimeRecord("F2(w)", "F2(w)", "no", "LABF", grid=True),
+    # Its "yes" is the matrix form B(u_s, u_c) A_T Psi_T only (scaling_matrix,
+    # rotation_template), and its limit law reads T through the phase 2*nu*T.
+    RegimeKind.UNSTABLE_OSCILLATION: RegimeRecord("Many", "Many", "yes", "LAMN-family",
+                                                  sigma=True, horizon=True),
+}
+
+
+class RateSpec(NamedTuple):
+    """The regime's deterministic rates and their expressions (labels: RECORDS)."""
+
+    v1: Callable[[float], float]
+    v2: Callable[[float], float]
     v1_expr: str
     v2_expr: str
 
@@ -60,28 +96,27 @@ class NlrrRates(NamedTuple):
     r2: float | None
 
 
-# (label1, label2, nlrr, llr_label) per regime, following the CAR(2)
-# estimation summary table.
-_TABLE = {
-    RegimeKind.ERGODIC: ("Normal", "Normal", "yes", "LAN"),
-    RegimeKind.OPPOSITE_SIGN: ("Normal", "Normal", "yes", "DLAMN"),
-    RegimeKind.DISTINCT_POSITIVE: ("Cauchy-type", "Cauchy-type", "yes", "DLAMN"),
-    RegimeKind.POSITIVE_DOUBLE: ("Cauchy-type", "Cauchy-type", "yes", "DLAMN"),
-    RegimeKind.LARGER_ROOT_ZERO: ("Normal", "F1(w)", "theta1_only", "LABF/LAN"),
-    RegimeKind.SMALLER_ROOT_ZERO: ("F1(w)", "F1(w)", "no", "DLAMN"),
-    RegimeKind.ZERO_DOUBLE: ("F1(w)", "F1(w)", "no", "LABF"),
-    RegimeKind.HARMONIC: ("F2(w)", "F2(w)", "no", "LABF"),
-    RegimeKind.UNSTABLE_OSCILLATION: ("Many", "Many", "yes", "LAMN-family"),
-}
-
-# Regimes with scalar NLRR rates.  UnstableOscillation's "yes" above is the
-# matrix form B(u_s, u_c) A_T Psi_T only (scaling_matrix, rotation_template).
-SCALAR_NLRR = frozenset(kind for kind, row in _TABLE.items() if row[2] != "no"
-                        and kind is not RegimeKind.UNSTABLE_OSCILLATION)
+def check_rules(regime: Regime, normalization: str | None = None, *, limit_law: bool = False,
+                sigma: float | None = None, grid_n: int | None = None) -> RegimeRecord:
+    """The regime's record, once its rules hold for a run that normalizes by
+    normalization (None: no rule) and, with limit_law, draws the limit law at
+    sigma and grid_n: nlrr takes no limit law and needs a scalar NLRR rate
+    (NoNlrrError), a grid law needs grid_n >= MIN_FUNCTIONAL_GRID, and a law
+    that scales with sigma needs sigma > 0.  Raises ValueError otherwise."""
+    record, name = RECORDS[regime.tag], regime.tag.value
+    if normalization == "nlrr" and limit_law:
+        raise ValueError("nlrr normalization needs a NormalReference (or 'none') comparison")
+    if normalization == "nlrr" and not record.scalar_nlrr:
+        raise NoNlrrError(f"regime {name} has no NLRR normalization in scalar form")
+    if limit_law and record.grid and grid_n < MIN_FUNCTIONAL_GRID:
+        raise ValueError(f"grid_n >= {MIN_FUNCTIONAL_GRID} required for functional regime {name}")
+    if limit_law and record.sigma and sigma == 0.0:
+        raise ValueError(f"sigma = 0: limit law of {name} undefined")
+    return record
 
 
 def rate_functions(regime: Regime) -> RateSpec:
-    """Deterministic rates and labels of the regime, from its roots."""
+    """Deterministic rates of the regime and their expressions, from its roots."""
     kind, roots = regime.tag, regime.roots
     p, q = roots.p.real, roots.q.real
     theta1 = roots.theta1
@@ -122,24 +157,12 @@ def rate_functions(regime: Regime) -> RateSpec:
         lv1 = lv2 = lambda T: lam * T
         expr1 = expr2 = "exp(lambda*T)"
 
-    label1, label2, nlrr, llr = _TABLE[kind]
     return RateSpec(
-        regime=kind,
         v1=lambda T: math.exp(lv1(T)),
         v2=lambda T: math.exp(lv2(T)),
-        label1=label1,
-        label2=label2,
-        nlrr=nlrr,
-        llr_label=llr,
         v1_expr=expr1,
         v2_expr=expr2,
     )
-
-
-def check_scalar_nlrr(regime: Regime) -> None:
-    """Raise NoNlrrError unless the regime has scalar NLRR rates (SCALAR_NLRR)."""
-    if regime.tag not in SCALAR_NLRR:
-        raise NoNlrrError(f"regime {regime.tag.value} has no NLRR normalization in scalar form")
 
 
 def nlrr_rate(regime: Regime, stats: SufficientStats) -> NlrrRates:
@@ -151,11 +174,12 @@ def nlrr_rate(regime: Regime, stats: SufficientStats) -> NlrrRates:
     Opposite sign / distinct positive: common rate sqrt(int (X'-pX)^2 dt).
     Positive double root: T^-2 sqrt(SXX).
     Larger root zero: theta1 only, T^(-3/2) * SXX.
-    Raises NoNlrrError outside SCALAR_NLRR: Harmonic, ZeroDouble,
-    SmallerRootZero, and UnstableOscillation, which has only the matrix
-    normalization (use scaling_matrix and rotation_template).
+    Raises NoNlrrError where the regime's record has no scalar NLRR rate
+    (check_rules): Harmonic, ZeroDouble, SmallerRootZero, and
+    UnstableOscillation, which has only the matrix normalization (use
+    scaling_matrix and rotation_template).
     """
-    check_scalar_nlrr(regime)
+    check_rules(regime, "nlrr")
     kind, T = regime.tag, stats.horizon
     if kind is RegimeKind.ERGODIC:
         return NlrrRates(np.sqrt(stats.svv), np.sqrt(stats.sxx))

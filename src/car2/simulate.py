@@ -129,12 +129,12 @@ class SimBlock(NamedTuple):
 # would mostly hold more memory (two buffers of 33.5 MB, not 16.4 MB, at
 # 2,000 steps).
 _BLOCK_ELEMENTS, _BLOCK_REPS = 2**21, 256
-# Elements per row slice that a block's worker thread fills (the caller's
-# are half as large) and that it yields.  Each numpy call of a fill gives
-# up the GIL and takes it back, which costs a thread switch while the
-# caller recurs, so the worker's slices are large; each filling thread
-# keeps scratch for one slice: its (rows, n, 3) normals and two or three
-# (rows, n) noise planes.
+# Elements per row slice that a filling thread, the caller or the worker,
+# fills, and that a block yields.  Each numpy call of a fill gives up the
+# GIL and takes it back, which costs a thread switch while the other thread
+# works, so the fill slices are not small; each filling thread keeps
+# scratch for one slice: its (rows, n, 3) normals and two or three (rows, n)
+# noise planes.
 _DRAW_ELEMENTS, _YIELD_ELEMENTS = 2**14, 2**16
 # Arrays of at most this many rows recur along each row, on Python floats;
 # wider ones across the rows, _CHUNK_STEPS time steps at a time.
@@ -335,14 +335,14 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
     # A block's x rows, then its v rows.
     buffers = [np.empty((2 * rows, n + 1)) for _ in blocks[:2]]
 
-    def filler(size: int):
+    def filler():
         """fill(lanes, b, dw): write into block b's buffer the recurrence
-        input of the rows it takes from lanes, in slices of about size
-        elements, and their dw.  One per thread, with its own generator
-        (re-keyed before each row's draws) and scratch: the normals, and
-        their noise in contiguous planes, dW's first when it is recorded."""
+        input of the rows it takes from lanes, in slices of about
+        _DRAW_ELEMENTS elements, and their dw.  One per thread, with its own
+        generator (re-keyed before each row's draws) and scratch: the normals
+        and their noise in contiguous planes, dW's first when it is recorded."""
         gen = np.random.Generator(np.random.Philox())
-        cap = max(1, size // (n + 1))
+        cap = max(1, _DRAW_ELEMENTS // (n + 1))
         normals = np.empty((cap, n, 3))
         planes = np.empty((factor_cols.shape[1], cap, n))
 
@@ -363,8 +363,8 @@ def simulate_exact(params: ModelParams, horizon: float, n_steps: int,
                     write_input(planes[-2:, :m], u[:, sl])
         return fill
 
-    fill_here = filler(_DRAW_ELEMENTS // 2)
-    fill_there = filler(_DRAW_ELEMENTS) if len(blocks) > 1 else None
+    fill_here = filler()
+    fill_there = filler() if len(blocks) > 1 else None
 
     def begin(b: int):
         """Block b's dw, and its lanes: its rows to fill, and the worker filling them."""

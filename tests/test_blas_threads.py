@@ -7,8 +7,13 @@ split rows across threads and round differently.  `estimate_sigma` sums
 its squared increments with numpy's pairwise sum, and the Brownian sampler
 makes no BLAS call at all.  Another strict xfail pins the golden artifacts'
 dependence on the OpenBLAS kernel and numpy's SIMD dispatch level.
+
+Each check runs in fresh interpreters, one per thread count: each script
+prints every case it has in one launch, and the golden suite is counted
+once per session.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -29,13 +34,17 @@ for two_bm in (False, True):
             print(two_bm, name, hashlib.sha256(value.tobytes()).hexdigest())
 """
 
+# One line "<case> <value>" per case in sys.argv[1:].
 RESIDUAL_DIGEST = """
 import hashlib, sys
 from car2 import ExperimentConfig, ModelParams, run_experiment
-cfg = ExperimentConfig(params=ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2),
-                       horizons=(10.0,), n_reps=20, seed=7,
-                       steps_per_unit_time=int(sys.argv[1]), comparison="none")
-print(hashlib.sha256(repr(list(run_experiment(cfg).residual_rows())).encode()).hexdigest())
+for case in sys.argv[1:]:
+    cfg = ExperimentConfig(params=ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3,
+                                              dx0=-0.2),
+                           horizons=(10.0,), n_reps=20, seed=7,
+                           steps_per_unit_time=int(case), comparison="none")
+    rows = repr(list(run_experiment(cfg).residual_rows()))
+    print(case, hashlib.sha256(rows.encode()).hexdigest())
 """
 
 SIGMA_HAT = """
@@ -43,8 +52,10 @@ import sys
 from car2 import ModelParams, simulate
 from car2.estimate import estimate_sigma
 params = ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3, dx0=-0.2)
-print(repr(estimate_sigma(simulate(params, 10.0, int(sys.argv[1]), seed=7, rep=0))))
+for case in sys.argv[1:]:
+    print(case, repr(estimate_sigma(simulate(params, 10.0, int(case), seed=7, rep=0))))
 """
+RESIDUAL_CASES, SIGMA_HAT_CASES = (999, 1001), (9000, 20000, 100000)
 
 
 def run(threads, *args, timeout=120):
@@ -56,9 +67,20 @@ def run(threads, *args, timeout=120):
     return proc.stdout
 
 
+@functools.cache
+def per_case(threads: str, script: str, cases: tuple[int, ...]) -> dict[int, str]:
+    """The script's value per case, from one launch at the BLAS thread count."""
+    out = run(threads, "-c", script, *map(str, cases))
+    values = {int(case): value for case, value in
+              (line.split(" ", 1) for line in out.splitlines())}
+    assert list(values) == list(cases), out
+    return values
+
+
 GOLDEN = ("-m", "pytest", "-q", "-p", "no:cacheprovider", str(TESTS / "test_golden.py"))
 
 
+@functools.cache
 def golden_count() -> int:
     collected = run("1", *GOLDEN, "--collect-only")
     count = sum("::" in line for line in collected.splitlines())
@@ -134,15 +156,16 @@ def test_brownian_fields_do_not_depend_on_blas_threads():
 ])
 def test_harness_residuals_do_not_depend_on_blas_threads(steps_per_unit):
     # T = 10: rows of 9,991 samples at 999 steps per unit, 10,011 at 1001.
-    one, two = (run(threads, "-c", RESIDUAL_DIGEST, str(steps_per_unit))
+    one, two = (per_case(threads, RESIDUAL_DIGEST, RESIDUAL_CASES)[steps_per_unit]
                 for threads in ("1", "2"))
     assert one == two
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
-@pytest.mark.parametrize("n_steps", [9000, 20000, 100000])
+@pytest.mark.parametrize("n_steps", SIGMA_HAT_CASES)
 def test_sigma_hat_does_not_depend_on_blas_threads(n_steps):
     # `car2 estimate`'s sigma_hat, from n_steps increments of X': a dot
     # product over them would run OpenBLAS's threaded ddot above 10,000.
-    one, two = (run(threads, "-c", SIGMA_HAT, str(n_steps)) for threads in ("1", "2"))
+    one, two = (per_case(threads, SIGMA_HAT, SIGMA_HAT_CASES)[n_steps]
+                for threads in ("1", "2"))
     assert one == two

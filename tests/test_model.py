@@ -15,7 +15,7 @@ from car2.model import (
     default_tol,
     fundamental_solutions,
 )
-from car2.regimes import NoNlrrError, nlrr_rate, rate_functions, scaling_matrix
+from car2.regimes import RECORDS, NoNlrrError, nlrr_rate, rate_functions, scaling_matrix
 
 from conftest import sorted_regime_points
 
@@ -197,25 +197,24 @@ class TestClassifyAgreesWithRegistry:
         roots = roots_of(t1, t2)
         regime = classify(roots)
         assert regime.tag is kind
-        # The registry reads the regime's own roots and keys every entry by
+        # The registry reads the regime's own roots and keys every record by
         # its tag.
-        spec = rate_functions(regime)
-        assert spec.regime is kind
+        spec, record = rate_functions(regime), RECORDS[kind]
         for T in (0.5, 2.0, 10.0):
             for v in (spec.v1, spec.v2):
                 assert 0.0 < v(T) < math.inf
             assert np.isfinite(scaling_matrix(regime, T)).all()
-        # NLRR availability follows the table; UnstableOscillation's "yes"
+        # NLRR availability follows the record; UnstableOscillation's "yes"
         # means the matrix normalization only, so nlrr_rate refuses it.
         stats = SufficientStats(sxx=2.0, svv=3.0, sxv=0.5, ixdv=0.0, ivdv=0.0,
                                 horizon=10.0, x0=0.0, v0=0.0, x_end=1.0, v_end=1.0,
                                 sigma_used=1.0)
-        if spec.nlrr == "no" or kind is RegimeKind.UNSTABLE_OSCILLATION:
+        if record.nlrr == "no" or kind is RegimeKind.UNSTABLE_OSCILLATION:
             with pytest.raises(NoNlrrError):
                 nlrr_rate(regime, stats)
         else:
             rates = nlrr_rate(regime, stats)
-            assert (rates.r2 is None) == (spec.nlrr == "theta1_only")
+            assert (rates.r2 is None) == (record.nlrr == "theta1_only")
 
 
 class TestFundamentalSolutions:

@@ -33,7 +33,7 @@ from car2 import (
 )
 from car2.model import _branch, classify_params
 from car2.montecarlo import QUANTILE_LEVELS, _median, _quantiles
-from car2.regimes import SCALAR_NLRR, NoNlrrError, rate_functions, scaling_matrix
+from car2.regimes import RECORDS, NoNlrrError, rate_functions, scaling_matrix
 from car2.simulate import simulate_exact
 
 from conftest import REGIME_POINTS
@@ -554,7 +554,7 @@ def test_rates_evaluated_once_per_horizon(monkeypatch):
 RESIDUAL_CASES = [
     ("Ergodic", "deterministic_rate"),
     ("Harmonic", "deterministic_rate"),
-    *sorted((kind.value, "nlrr") for kind in SCALAR_NLRR),
+    *sorted((kind.value, "nlrr") for kind, record in RECORDS.items() if record.scalar_nlrr),
     ("UnstableOscillation", "matrix"),
     ("DistinctPositive", "matrix"),
 ]

@@ -5,8 +5,8 @@ numpy alone, and scipy is a test dependency, for its oracles), nor
 concurrent.futures or logging, and creates only four dataclasses, the
 package changes no process-wide state, starts threads in one place and
 reads no environment variable, the harness, estimator, simulator, I/O
-and CLI name no regime, and the random streams' domain tags keep their
-values."""
+and CLI name no regime, one table in the package lists regimes (the
+regime record), and the random streams' domain tags keep their values."""
 
 import ast
 import functools
@@ -295,6 +295,32 @@ def test_harness_names_no_regime():
              "c = model.RegimeKind.ZERO_DOUBLE\nd = RegimeKind.__members__\n")
     assert _regime_members_named(probe) == ["4: RegimeKind.HARMONIC", "5: Kind.ERGODIC",
                                             "6: RegimeKind.ZERO_DOUBLE"]
+
+
+def _regime_tables(source: str) -> list[str]:
+    """The module-level assignments that name a RegimeKind member, by line
+    and target: a hand-kept table of regimes."""
+    lines = {int(use.split(":")[0]) for use in _regime_members_named(source)}
+    return [f"{node.lineno}: " + ", ".join(ast.unparse(target) for target in
+                                        (node.targets if isinstance(node, ast.Assign)
+                                         else [node.target]))
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            and any(node.lineno <= line <= node.end_lineno for line in lines)]
+
+
+def test_regime_facts_have_one_owner():
+    # What the code keeps about each regime is one record in regimes
+    # (RECORDS); the formulas branch on the regime inside their functions.
+    found = {module.name: _regime_tables(module.read_text())
+             for module in sorted((ROOT / "src" / "car2").glob("*.py"))}
+    found = {name: tables for name, tables in found.items() if tables}
+    assert list(found) == ["regimes.py"], found
+    assert [table.split(": ")[1] for table in found["regimes.py"]] == ["RECORDS"], found
+    probe = ("from .model import RegimeKind as Kind\nA = frozenset({Kind.HARMONIC})\n"
+             "B: dict = {\n    'x': Kind.ERGODIC,\n}\nC = len(Kind)\n"
+             "def f(kind):\n    return kind is Kind.ZERO_DOUBLE\n")
+    assert _regime_tables(probe) == ["2: A", "3: B"]
 
 
 def test_stream_domain_tags_are_pinned():

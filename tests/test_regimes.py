@@ -16,7 +16,7 @@ from car2 import (
     sufficient_stats,
 )
 from car2.montecarlo import _replicate
-from car2.regimes import NoNlrrError, rotation_template
+from car2.regimes import RECORDS, NoNlrrError, rotation_template
 
 from conftest import REGIME_POINTS, sorted_regime_points
 
@@ -32,17 +32,22 @@ def spec_for(name):
     return rate_functions(regime), roots
 
 
+def record_for(name):
+    return RECORDS[setup_regime(name)[1].tag]
+
+
 class TestRateFunctions:
     def test_ergodic_rate(self):
         spec, _ = spec_for("Ergodic")
         assert spec.v1(100.0) == pytest.approx(math.sqrt(300.0))
         assert spec.v2(100.0) == pytest.approx(math.sqrt(300.0))
-        assert spec.label1 == "Normal" and spec.label2 == "Normal"
+        record = record_for("Ergodic")
+        assert record.label1 == "Normal" and record.label2 == "Normal"
 
     def test_positive_double_rate(self):
         spec, _ = spec_for("PositiveDouble")  # q = 1
         assert spec.v1(7.0) == pytest.approx(math.exp(7.0) / 7.0)
-        assert spec.label1 == "Cauchy-type"
+        assert record_for("PositiveDouble").label1 == "Cauchy-type"
 
     def test_zero_double_rates(self):
         spec, _ = spec_for("ZeroDouble")
@@ -62,7 +67,8 @@ class TestRateFunctions:
         spec, _ = spec_for("LargerRootZero")  # theta1 = q = -2
         assert spec.v1(8.0) == pytest.approx(math.sqrt(16.0))
         assert spec.v2(8.0) == pytest.approx(8.0)
-        assert spec.label1 == "Normal" and spec.label2 == "F1(w)"
+        record = record_for("LargerRootZero")
+        assert record.label1 == "Normal" and record.label2 == "F1(w)"
 
     def test_smaller_root_zero_rates(self):
         spec, _ = spec_for("SmallerRootZero")  # theta1 = p = 1
@@ -71,10 +77,10 @@ class TestRateFunctions:
 
     def test_harmonic_and_unstable(self):
         spec, _ = spec_for("Harmonic")
-        assert spec.v1(3.0) == pytest.approx(3.0) and spec.label1 == "F2(w)"
+        assert spec.v1(3.0) == pytest.approx(3.0) and record_for("Harmonic").label1 == "F2(w)"
         spec_u, _ = spec_for("UnstableOscillation")  # lam = 0.25
         assert spec_u.v1(8.0) == pytest.approx(math.exp(2.0))
-        assert spec_u.label1 == "Many"
+        assert record_for("UnstableOscillation").label1 == "Many"
 
     def test_registry_complete_and_labels(self):
         # Every regime maps to exactly one row of the rate/label table.
@@ -90,8 +96,8 @@ class TestRateFunctions:
             "UnstableOscillation": ("Many", "Many", "yes", "LAMN-family"),
         }
         for name, row in expected.items():
-            spec, _ = spec_for(name)
-            assert (spec.label1, spec.label2, spec.nlrr, spec.llr_label) == row
+            record = record_for(name)
+            assert (record.label1, record.label2, record.nlrr, record.llr_label) == row
 
     def test_rates_monotone_divergent(self):
         # v(2T)/v(T) > 1 on a grid covering each regime's usable range.
@@ -290,7 +296,7 @@ def test_llr_label_matches_information_spread(name):
     band = 4.0 * _cv_ratio(resampled.swapaxes(0, 1)).std()
     lan = math.sqrt(horizons[0] / horizons[1])
     assert band < 1.0 - lan  # the band excludes the other family's ratio
-    expected = lan if rate_functions(regime).llr_label == "LAN" else 1.0
+    expected = lan if RECORDS[regime.tag].llr_label == "LAN" else 1.0
     assert abs(_cv_ratio(traces) - expected) <= band
 
 

@@ -543,8 +543,7 @@ def test_planar_fill_equals_interleaved_oracle(kernel, record_noise, slice_rows,
                                                block_rows, n_reps, seed):
     # Every block's recurrence input, as `_recurrence` gets it, and every
     # row's dw, against the interleaved noise and per-component input of the
-    # rows' normals.  The worker fills slices of slice_rows rows, the caller
-    # slices of half as many.
+    # rows' normals.  The worker and the caller fill slices of slice_rows rows.
     theta, step = FILL_KERNELS[kernel]
     params = ModelParams(theta1=theta[0], theta2=theta[1], sigma=0.8, x0=0.3, dx0=-0.2)
     horizon, inputs = step * n_steps, []
