@@ -205,10 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="CAR(2) simulation and drift-MLE laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tol_help = ("classification tolerance (default 1e-9): a root component within tol*(|p| + |q|)"
+                " of zero is zero, roots within it of each other are double")
 
     p_roots = sub.add_parser("roots", help="characteristic roots, regime, rates")
     _add_model_args(p_roots)
-    p_roots.add_argument("--tol", type=float, default=None)
+    p_roots.add_argument("--tol", type=float, default=None, help=tol_help)
     p_roots.set_defaults(func=cmd_roots)
 
     p_sim = sub.add_parser("simulate", help="simulate one path to CSV")
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lim.add_argument("--n", type=int, required=True)
     p_lim.add_argument("--grid-n", type=int, default=10_000)
     p_lim.add_argument("--seed", type=int, default=0)
-    p_lim.add_argument("--tol", type=float, default=None)
+    p_lim.add_argument("--tol", type=float, default=None, help=tol_help)
     p_lim.add_argument("--horizon", type=float, default=None,
                        help="phase horizon (UnstableOscillation only)")
     p_lim.add_argument("--out", default=".")

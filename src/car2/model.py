@@ -37,7 +37,6 @@ __all__ = [
     "char_roots",
     "classify",
     "classify_params",
-    "default_tol",
     "fundamental_solutions",
     "transition",
 ]
@@ -157,17 +156,24 @@ def char_roots(params: ModelParams) -> RootPair:
     """Roots of r^2 - theta1*r - theta2 = 0, ordered by real part.
 
     The smaller-magnitude real root is recovered from p*q = -theta2 to
-    avoid cancellation when the discriminant is large.
+    avoid cancellation when the discriminant is large.  Where theta1^2 or
+    4*theta2 overflows, the discriminant is formed on theta scaled to
+    (theta1 / 2^e, theta2 / 4^e), whose roots are those of theta over 2^e.
     """
     t1, t2 = params.theta1, params.theta2
+    e = 0
     disc = t1 * t1 + 4.0 * t2
+    if not math.isfinite(disc):
+        e = math.frexp(max(abs(t1), math.sqrt(abs(t2))))[1]
+        t1_e = math.ldexp(t1, -e)
+        disc = t1_e * t1_e + 4.0 * math.ldexp(t2, -2 * e)
     if disc < 0.0:
-        nu = math.sqrt(-disc) / 2.0
+        nu = math.ldexp(math.sqrt(-disc) / 2.0, e)
         lam = t1 / 2.0
         return RootPair(complex(lam, nu), complex(lam, -nu))
     s = math.sqrt(disc)
     # Root of larger magnitude first: theta1 and s have matching sign there.
-    big = (t1 + math.copysign(s, t1)) / 2.0
+    big = math.ldexp((math.ldexp(t1, -e) + math.copysign(s, t1)) / 2.0, e)
     if big == 0.0:
         return RootPair(0j, 0j)
     other = -t2 / big
@@ -175,27 +181,27 @@ def char_roots(params: ModelParams) -> RootPair:
     return RootPair(complex(p, 0.0), complex(q, 0.0))
 
 
-def default_tol(roots: RootPair) -> float:
-    """Classification tolerance 1e-9 * (1 + |theta1| + |theta2|)."""
-    return 1e-9 * (1.0 + abs(roots.theta1) + abs(roots.theta2))
-
-
 def classify(roots: RootPair, tol: float | None = None) -> Regime:
     """Assign one of the nine asymptotic regimes; the Regime keeps roots.
 
-    Root components with magnitude <= tol are snapped to zero, and the pair
-    is declared a double root when |p - q| <= tol*(1 + |p| + |q|).  The
-    boundary policy is ours: the theory assumes exact arithmetic.
+    Both rules are measured on the root scale S = |p| + |q|: a root
+    component with magnitude <= tol*S is snapped to zero, and the pair is
+    declared a double root when |p - q| <= tol*S (tol 1e-9 if None).
+    Rescaling time, theta -> (a*theta1, a^2*theta2) with a > 0, multiplies
+    the roots and S by a, so it keeps the regime.  The boundary policy is
+    ours: the theory assumes exact arithmetic.
     """
     if tol is None:
-        tol = default_tol(roots)
+        tol = 1e-9
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
-    def snap(value: float) -> float:
-        return 0.0 if abs(value) <= tol else value
-
     p, q = roots.p, roots.q
+    bound = tol * (abs(p) + abs(q))
+
+    def snap(value: float) -> float:
+        return 0.0 if abs(value) <= bound else value
+
     im = snap(abs(p.imag))
     if im > 0.0:
         lam = snap(p.real)
@@ -208,8 +214,7 @@ def classify(roots: RootPair, tol: float | None = None) -> Regime:
         return Regime(kind, roots)
 
     p_re, q_re = snap(p.real), snap(q.real)
-    double = abs(p_re - q_re) <= tol * (1.0 + abs(p_re) + abs(q_re))
-    if double:
+    if abs(p_re - q_re) <= bound:
         root = (p_re + q_re) / 2.0
         if root > 0.0:
             kind = RegimeKind.POSITIVE_DOUBLE

@@ -12,10 +12,8 @@ for defective M (double roots) where diagonalization would not: after a
 two-tap transform of the noise, each state component u obeys
 u[k] += tr(M) u[k-1] - det(M) u[k-2].  `_recurrence` runs that in place on
 a (rows, n+1) array from the start columns the fill writes, bit for bit as
-scipy.signal.lfilter from its zero state.  A numpy step costs microseconds
-of call overhead at any width, so wide arrays recur across the rows, one
-step over all rows at a time, and arrays of a few rows (a `simulate` path)
-recur along each row on Python floats.
+scipy.signal.lfilter from its zero state.  Every array, one row or 512,
+recurs across its rows, one step over all rows at a time.
 
 Exact paths come from one block kernel, `simulate_exact`, for every sigma:
 per grid it builds the mean path, the transition kernel and its noise
@@ -136,9 +134,8 @@ _BLOCK_ELEMENTS, _BLOCK_REPS = 2**21, 256
 # scratch for one slice: its (rows, n, 3) normals and two or three (rows, n)
 # noise planes.
 _DRAW_ELEMENTS, _YIELD_ELEMENTS = 2**14, 2**16
-# Arrays of at most this many rows recur along each row, on Python floats;
-# wider ones across the rows, _CHUNK_STEPS time steps at a time.
-_NARROW_ROWS, _CHUNK_STEPS = 16, 64
+# Time steps per chunk that `_recurrence` copies time-major.
+_CHUNK_STEPS = 64
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite rows are the caller's to flag
@@ -150,18 +147,8 @@ def _recurrence(u: np.ndarray, tau: float, delta: float) -> None:
     tau, delta = float(tau), float(delta)
     if n1 < 3:
         return
-    if rows <= _NARROW_ROWS:
-        for row in u:
-            xs = row.tolist()
-            ys = xs[:2]
-            y2, y1 = ys
-            for x in xs[2:]:
-                y2, y1 = y1, x + (tau * y1 - delta * y2)
-                ys.append(y1)
-            row[:] = ys
-        return
-    # Across the rows: each chunk of steps is copied time-major into s, after
-    # the last two outputs, so that every operation runs on contiguous rows.
+    # Each chunk of steps is copied time-major into s, after the last two
+    # outputs, so that every operation runs on contiguous rows.
     s = np.empty((_CHUNK_STEPS + 2, rows))
     s_rows, pairs = list(s), [s[j:j + 2] for j in range(_CHUNK_STEPS)]
     coef = np.repeat([[delta], [tau]], rows, axis=1)  # unbroadcast: numpy's fastest loop

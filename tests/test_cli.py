@@ -75,6 +75,16 @@ class TestSubcommandOutputs:
         assert sorted([info["p"][0], info["q"][0]]) == pytest.approx([-2.0, -1.0])
         assert _run(capsys, ["roots", *MODEL])[1] == out
 
+    @pytest.mark.parametrize("theta1,theta2,p,regime", [
+        ("1e200", "0", 1e200, "SmallerRootZero"),  # theta1^2 overflows
+        ("0", "1e16", 1e8, "OppositeSign"),        # roots +-1e8, no zero among them
+    ])
+    def test_roots_of_large_theta(self, capsys, theta1, theta2, p, regime):
+        code, out, _ = _run(capsys, ["roots", "--theta1", theta1, "--theta2", theta2])
+        assert code == 0
+        info = json.loads(out)
+        assert info["regime"] == regime and info["p"] == [p, 0.0]
+
     def test_simulate_then_estimate(self, tmp_path, capsys):
         outputs = []
         for run in ("a", "b"):

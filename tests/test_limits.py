@@ -546,10 +546,14 @@ class TestFunctionalSamplers:
     def test_harmonic_medians_and_levy(self):
         params, roots, regime = setup("Harmonic")
         draws = sample_limit(regime, params, 20_000, grid_n=1500, seed=14)
-        # l2 is symmetric; l1's numerator is mean zero but left-skewed
+        # l2 is symmetric.  l1 = (w1(1)^2 + w2(1)^2 - 2) / s2 with s2 > 0, and
+        # w1(1), w2(1) are sums of normal increments, exactly N(0, 1): l1 < 0
+        # when a chi^2_2 draw is below 2, with probability 1 - e^-1.
         assert abs(np.median(draws.l2)) <= 0.15
-        assert abs(draws.l1.mean() * 0) == 0  # finite draws
         assert np.isfinite(draws.l1).all()
+        share = 1.0 - math.exp(-1.0)
+        band = 4.0 * math.sqrt(share * (1.0 - share) / draws.l1.size)
+        assert abs(np.mean(draws.l1 < 0.0) - share) <= band
 
     def test_harmonic_draws_are_the_law_of_the_oracle_fields(self, monkeypatch):
         grid_n, chunk, n = 1000, 7, 30

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,12 +13,11 @@ from car2.model import (
     DOUBLE_ROOT_SWITCH,
     _fs_distinct,
     _fs_double,
-    default_tol,
     fundamental_solutions,
 )
 from car2.regimes import RECORDS, NoNlrrError, nlrr_rate, rate_functions, scaling_matrix
 
-from conftest import sorted_regime_points
+from conftest import REGIME_POINTS, sorted_regime_points
 
 # Fixed example sequence, small enough to keep the suite fast.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -98,6 +98,28 @@ class TestCharRoots:
     def test_root_identities_property(self, t1, t2):
         assert_root_identities(t1, t2)
 
+    @PROPERTY
+    @example(t1=1e200, t2=0.0, complex_pair=False)
+    @example(t1=-1e300, t2=1e308, complex_pair=False)
+    @example(t1=1e-300, t2=1e308, complex_pair=True)
+    @given(t1=st.floats(-1e308, 1e308), t2=st.floats(-1e308, 1e308), complex_pair=st.booleans())
+    def test_roots_of_large_theta(self, t1, t2, complex_pair):
+        # Up to |theta| = 1e308, where theta1^2 or 4*theta2 overflows: finite
+        # roots whose sum and product give theta back to a few ulps of their
+        # scale.  The smaller real root rounds to a multiple of 2^-1074, which
+        # costs p*q an absolute 2^-1074 times the larger root.
+        if complex_pair:  # theta1^2 < -4*theta2
+            t2 = -abs(t2) or -1.0
+            t1 = math.copysign(min(abs(t1), 1.99 * math.sqrt(-t2)), t1)
+        else:  # theta1^2 >= -4*theta2
+            t2 = max(t2, -0.99 * (t1 / 2.0) * (t1 / 2.0))
+        r = roots_of(t1, t2)
+        assert r.is_complex is complex_pair
+        assert all(map(math.isfinite, (r.p.real, r.p.imag, r.q.real, r.q.imag)))
+        eps = sys.float_info.epsilon
+        assert abs(r.theta1 - t1) <= 8 * eps * (abs(r.p) + abs(r.q))
+        assert abs(r.theta2 - t2) <= 8 * eps * abs(t2) + max(abs(r.p), abs(r.q)) * 2.0**-1074
+
     def test_no_cancellation_for_large_discriminant(self):
         # Small root computed from the product, not by subtraction.
         r = roots_of(1e8, 1.0)
@@ -136,9 +158,13 @@ class TestClassify:
         r = RootPair(complex(-1.0, 1e-12), complex(-1.0, -1e-12))
         assert classify(r, 1e-9).tag is RegimeKind.ERGODIC
 
-    def test_default_tol_scales_with_theta(self):
-        r = roots_of(-3.0, -2.0)
-        assert default_tol(r) == pytest.approx(1e-9 * 6.0)
+    @pytest.mark.parametrize("name", sorted(REGIME_POINTS))
+    def test_regime_survives_time_rescaling(self, name):
+        # (a*theta1, a^2*theta2) has the roots times a: the same regime.
+        t1, t2, _ = REGIME_POINTS[name]
+        for k in range(-24, 25):
+            a = 2.0**k
+            assert classify(roots_of(a * t1, a * a * t2)).tag.value == name, f"a = 2^{k}"
 
     def test_deterministic_function_of_inputs(self):
         r = roots_of(0.3, 0.4)

@@ -789,6 +789,25 @@ class TestConvergenceStudy:
         wrong_norm = [r.normalized_median1 for r in wrong.rows]
         assert wrong_norm[-1] > 10.0 * wrong_norm[0]
 
+    def test_ergodic_rate_slope(self):
+        # The least-squares slope of log median|theta_i_hat - theta_i| against
+        # log v_i(T) is -1 for the right rate and -0.5 for a rate off by
+        # sqrt(T) (log v_i + log(T) / 2 on the same rows): the edge -0.75 is
+        # the theory's midpoint, which the ratio band cannot draw.
+        cfg = ergodic_cfg(params=ModelParams(theta1=-3.0, theta2=-2.0, sigma=1.0, x0=0.3,
+                                             dx0=-0.2),
+                          horizons=(5.0, 10.0, 20.0, 40.0), n_reps=400, seed=5,
+                          comparison="none")
+        report = convergence_study(cfg)
+        spec = rate_functions(cfg.regime)
+        log_t = np.log(cfg.horizons)
+        for v, medians in ((spec.v1, [r.raw_median1 for r in report.rows]),
+                           (spec.v2, [r.raw_median2 for r in report.rows])):
+            log_v = np.log([v(t) for t in cfg.horizons])
+            right = np.polyfit(log_v, np.log(medians), 1)[0]
+            wrong = np.polyfit(log_v + log_t / 2.0, np.log(medians), 1)[0]
+            assert right < -0.75 < wrong, (right, wrong)
+
     def test_one_ratio_band_for_verdict_and_artifact(self, monkeypatch):
         cfg = ergodic_cfg(horizons=(25.0, 50.0, 100.0), n_reps=80,
                           steps_per_unit_time=20)

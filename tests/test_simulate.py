@@ -184,8 +184,8 @@ def first_non_finite(x, v) -> int:
 
 class TestBlockKernel:
     # 700 steps: a budget of 2**14 elements gives blocks of 8192 // 701 = 11
-    # rows (22 recurring across the rows), and 25 reps fill two blocks and
-    # part of a third (6 rows, recurring along each row).
+    # rows (22 recurrence rows), and 25 reps fill two blocks and part of a
+    # third (3 rows, 6 recurrence rows).
     N_STEPS, N_REPS = 700, 25
 
     @pytest.fixture(autouse=True)
@@ -758,15 +758,13 @@ coefficients = st.one_of(st.floats(-2.5, 2.5), st.sampled_from([0.0, -0.0, 5e-32
 
 class TestRecurrence:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(data=st.data(), narrow=st.booleans(), n_steps=st.integers(0, 50),
+    @given(data=st.data(), rows=st.integers(1, 48), n_steps=st.integers(0, 50),
            chunk=st.sampled_from([1, 2, 7, 64]), tau=coefficients, delta=coefficients)
-    def test_equals_lfilter(self, data, narrow, n_steps, chunk, tau, delta):
-        # On fill-shaped input (column 0 the zero state), through both loop
-        # orders, with steps in chunks that split the series or not:
-        # non-finite exactly where lfilter's is, and bit for bit but for the
-        # sign of a zero, which lfilter's direct form sets from its state.
-        cutoff = simulate_module._NARROW_ROWS
-        rows = data.draw(st.integers(1, cutoff) if narrow else st.integers(cutoff + 1, 3 * cutoff))
+    def test_equals_lfilter(self, data, rows, n_steps, chunk, tau, delta):
+        # On fill-shaped input (column 0 the zero state), one row or many,
+        # with steps in chunks that split the series or not: non-finite
+        # exactly where lfilter's is, and bit for bit but for the sign of a
+        # zero, which lfilter's direct form sets from its state.
         u = data.draw(arrays(np.float64, (rows, n_steps + 1), elements=values))
         u[:, 0] = 0.0
         want = lfilter([1.0], [1.0, -tau, delta], u, axis=-1)
